@@ -47,8 +47,6 @@ from .model import (
     SourceLocation,
     Trace,
     dump_trace,
-    is_reflexive,
-    relation_compose,
 )
 from .optimize import (
     Query,
@@ -61,7 +59,6 @@ from .optimize import (
 from .orders import MemoryOrder, lub
 from .relations import (
     compute_fr,
-    compute_hb,
     compute_so,
     derive_sync,
     release_sequence,
@@ -93,7 +90,6 @@ __all__ = [
     "candidate_values",
     "coherence_violations",
     "compute_fr",
-    "compute_hb",
     "compute_so",
     "derive_sync",
     "dump_trace",
@@ -107,13 +103,11 @@ __all__ = [
     "find_weak_cycles",
     "insert_candidate_fences",
     "is_consistent",
-    "is_reflexive",
     "iter_buggy_traces",
     "iter_consistent_traces",
     "lub",
     "parse_program",
     "print_program",
-    "relation_compose",
     "release_sequence",
     "sanity_check",
     "solution_weight",

@@ -22,8 +22,6 @@ from .orders import MemoryOrder
 
 R_LABELS = ("sw", "dob")  # the synchronization roles that type a fence
 
-CONDITIONS = ("co-h", "co-rh", "co-mh", "co-mrh", "co-mhi", "co-mrhi", "to-sc")
-
 
 @dataclass(frozen=True)
 class LabeledEdge:

@@ -201,7 +201,11 @@ def _diff(original: Program, fixed: Program):
                         )
                     counter += 1
                 else:
-                    assert isinstance(s, Fence) and s.synthesized
+                    if not (isinstance(s, Fence) and s.synthesized):
+                        raise InternalCheckError(
+                            "fixed program has a statement that is neither in the "
+                            "original nor a synthesized fence: %r" % (s,)
+                        )
                     synthesized.append(
                         SynthesizedFence(
                             FenceSlot(tid, counter), s.ord, s.synth_iter, s.iter_tag

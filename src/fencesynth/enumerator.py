@@ -7,6 +7,12 @@ modification orders are enumerated, and finally each candidate execution is
 kept iff the six coherence axioms hold and the sc events admit a total
 order.  Output order is deterministic: lexicographic in the choice vectors.
 
+The product is pruned before it is taken: rf sources and mo orders that
+contradict sb are never combined, since coherence rejects every execution
+built from them.  The sc-order decision turns every sc rule it can into a
+forced precedence edge, rejects a forced cycle at once, and searches only
+for the one disjunctive rule, checked as each read is placed.
+
 rmw atomicity: a fetch-add reads from its immediate mo predecessor.
 """
 
@@ -28,9 +34,6 @@ from .litmus import (
 )
 from .model import Event, Relation, SourceLocation, Trace
 from .orders import MemoryOrder
-from .relations import hb_with_init
-
-CONDITION_NAMES = ("co-h", "co-rh", "co-mh", "co-mrh", "co-mhi", "co-mrhi")
 
 
 # ---------------------------------------------------------------------------
@@ -151,44 +154,47 @@ def coherence_violations(tr) -> list[str]:
     """Names of the violated coherence axioms (empty for a coherent trace).
 
     The axioms are evaluated on the transitive closure of hb, matching the
-    hb-run semantics used by cycle detection.
+    hb-run semantics used by cycle detection.  Each composition's
+    reflexivity is tested directly on the pairs:
+
+        co-h     hb                 co-mrh   mo;rf;hb
+        co-rh    rf;hb              co-mhi   mo;hb;rf⁻¹
+        co-mh    mo;hb              co-mrhi  mo;rf;hb;rf⁻¹
     """
-    out = []
-    hbc = tr.hb_closed
-    rf, mo = tr.rf, tr.mo
-    rfi = rf.inverse()
-    if hbc.is_reflexive():
-        out.append("co-h")
-    if rf.compose(hbc).is_reflexive():
-        out.append("co-rh")
-    mh = mo.compose(hbc)
-    if mh.is_reflexive():
-        out.append("co-mh")
-    mrh = mo.compose(rf).compose(hbc)
-    if mrh.is_reflexive():
-        out.append("co-mrh")
-    if mh.compose(rfi).is_reflexive():
-        out.append("co-mhi")
-    if mrh.compose(rfi).is_reflexive():
-        out.append("co-mrhi")
-    return out
+    hbc = tr.hb_closed.pairs
+    rf = tr.rf.pairs
+    readers: dict[int, list[int]] = {}
+    for w, r in rf:
+        readers.setdefault(w, []).append(r)
+    # Each mo pair (a, b) with the reads of a and the reads of b.
+    mo = [(a, b, readers.get(a, ()), readers.get(b, ())) for a, b in tr.mo.pairs]
+    checks = {
+        "co-h": any(a == b for a, b in hbc),
+        "co-rh": any((r, w) in hbc for w, r in rf),
+        "co-mh": any((b, a) in hbc for a, b, _, _ in mo),
+        "co-mrh": any((r, a) in hbc for a, _, _, of_b in mo for r in of_b),
+        "co-mhi": any((b, r) in hbc for _, b, of_a, _ in mo for r in of_a),
+        "co-mrhi": any((r1, r2) in hbc for _, _, of_a, of_b in mo for r1 in of_b for r2 in of_a),
+    }
+    return [name for name, violated in checks.items() if violated]
 
 
-def exists_sc_total_order(tr) -> bool:
-    """Whether the sc events admit a total order satisfying the sc axioms.
+def exists_sc_total_order(tr, limits: Limits | None = None) -> bool:
+    """Whether the sc events admit a total order S satisfying the sc axioms.
 
-    Searches linear extensions of the forced pairs, accepting on the first
-    witness.  Forced pairs: hb and mo restricted to sc events, plus the
-    pairs the fence/mo coherence rules determine outright.  A complete
-    order is accepted iff every read passes the sc-read-source rules
-    (direct, and through sc fences around the read and its source).
+    S must respect hb and mo on sc events, and mo is total on each object's
+    writes, so every sc-read-source and sc-fence rule but one is a plain
+    precedence.  Those are forced edges, and a cycle among them rejects at
+    once.  The remaining rule is disjunctive: an sc read of a non-sc write
+    w must not have, as its last preceding sc write to the object, one that
+    w happens before.  It is checked as the read is placed, in a search
+    over linear extensions of the forced edges that remembers the placed
+    sets it could not complete.
     """
     sc_ids = sorted(e.id for e in tr.sc_events)
     if not sc_ids:
         return True
     scset = set(sc_ids)
-
-    hb0 = hb_with_init(tr).pairs
     sb = tr.sb.pairs
     mo = tr.mo.pairs
     sc_writes: dict[str, list[int]] = {}
@@ -198,8 +204,14 @@ def exists_sc_total_order(tr) -> bool:
             writes_by_obj.setdefault(e.obj, []).append(e.id)
             if e.id in scset:
                 sc_writes.setdefault(e.obj, []).append(e.id)
-    sc_fences = [e.id for e in tr.events if e.id in scset and e.is_fence]
-    rf_pairs = sorted(tr.rf.pairs)
+    sc_fences = {e.id for e in tr.events if e.id in scset and e.is_fence}
+    fences_after: dict[int, list[int]] = {}
+    fences_before: dict[int, list[int]] = {}
+    for a, b in sb:
+        if b in sc_fences:
+            fences_after.setdefault(a, []).append(b)
+        if a in sc_fences:
+            fences_before.setdefault(b, []).append(a)
 
     preds: dict[int, set[int]] = {v: set() for v in sc_ids}
 
@@ -207,95 +219,125 @@ def exists_sc_total_order(tr) -> bool:
         if a != b:
             preds[b].add(a)
 
-    for a, b in tr.hb_closed.pairs | mo:
-        if a in scset and b in scset:
-            force(a, b)
+    hbc = tr.hb_closed.pairs
+    for rel in (hbc, mo):
+        for a, b in rel:
+            if a in scset and b in scset:
+                force(a, b)
 
     # Modification order must cohere with fence placement: a write cannot
     # be ordered (via fences around it) ahead of a same-object mo-earlier
-    # write.  Forced as edges so the search never explores violations.
-    for obj, ws in writes_by_obj.items():
+    # write.
+    for ws in writes_by_obj.values():
         for b_ in ws:
             for a_ in ws:
                 if (b_, a_) not in mo:
                     continue
                 # mo(b_, a_): the rules must not conclude mo(a_, b_).
-                fences_after_a = [x for x in sc_fences if (a_, x) in sb]
-                fences_before_b = [y for y in sc_fences if (y, b_) in sb]
+                after_a = fences_after.get(a_, ())
+                before_b = fences_before.get(b_, ())
                 if b_ in scset:
-                    for x in fences_after_a:
+                    for x in after_a:
                         force(b_, x)
                 if a_ in scset:
-                    for y in fences_before_b:
+                    for y in before_b:
                         force(y, a_)
-                for x in fences_after_a:
-                    for y in fences_before_b:
+                for x in after_a:
+                    for y in before_b:
                         force(y, x)
 
-    pos: dict[int, int] = {}
-
-    def imm_sc_source(w: int, r: int, obj: str) -> bool:
-        # w is the closest same-object sc write before r in the order.
-        if pos[w] > pos[r]:
-            return False
-        return not any(
-            c != w and pos[w] < pos[c] < pos[r] for c in sc_writes.get(obj, ())
-        )
-
-    def read_ok(w: int, r: int, robj: str) -> bool:
+    # The read-source rules for each rf edge (w, r).  The disjunctive one
+    # is kept as r -> (object, writes whose S-immediacy before r rejects).
+    last_write_bans: dict[int, tuple[str, frozenset[int]]] = {}
+    for w, r in tr.rf.pairs:
+        robj = tr.event(r).obj
         if r in scset:
             if w in scset:
-                if not imm_sc_source(w, r, robj):
-                    return False
+                # w precedes r, and the sc writes mo-after w follow r: S
+                # orders sc writes by mo, so no other sc write falls between.
+                force(w, r)
+                for c in sc_writes.get(robj, ()):
+                    if (w, c) in mo:
+                        force(r, c)
             else:
-                for w2 in sc_writes.get(robj, ()):
-                    if (w, w2) in hb0 and imm_sc_source(w2, r, robj):
-                        return False
+                w_is_init = tr.event(w).is_init
+                banned = frozenset(
+                    c for c in sc_writes.get(robj, ()) if w_is_init or (w, c) in hbc
+                )
+                if banned:
+                    last_write_bans[r] = (robj, banned)
         # Sources must not be hidden behind an sc fence: a read below an sc
         # fence sees the last sc write before the fence or something
         # mo-later; likewise through a fence above the source write, and
         # through a fence pair around both.
-        fences_before_r = [f for f in sc_fences if (f, r) in sb]
-        for f in fences_before_r:
+        before_r = fences_before.get(r, ())
+        for f in before_r:
             for a in sc_writes.get(robj, ()):
-                if a != w and pos[a] < pos[f] and (a, w) not in mo:
-                    return False
+                if a != w and (a, w) not in mo:
+                    force(f, a)
         for a in writes_by_obj.get(robj, ()):
             if a == w or (a, w) in mo:
                 continue
-            fences_after_a = [x for x in sc_fences if (a, x) in sb]
-            if r in scset and any(pos[x] < pos[r] for x in fences_after_a):
-                return False
-            for x in fences_after_a:
-                if any(pos[x] < pos[y] for y in fences_before_r):
-                    return False
-        return True
-
-    def acceptable() -> bool:
-        return all(read_ok(w, r, tr.event(r).obj) for w, r in rf_pairs)
+            for x in fences_after.get(a, ()):
+                if r in scset:
+                    force(r, x)
+                for y in before_r:
+                    force(y, x)
 
     n = len(sc_ids)
+    index = {v: i for i, v in enumerate(sc_ids)}
+    pred_mask = [sum(1 << index[p] for p in preds[v]) for v in sc_ids]
+    full = (1 << n) - 1
 
-    def extend() -> bool:
-        if len(pos) == n:
-            return acceptable()
-        for v in sc_ids:
-            if v in pos:
+    # One topological sort: a forced cycle admits no order at all.
+    placed = 0
+    while placed != full:
+        if limits is not None:
+            limits.check_time("sc-order")
+        ready = [i for i in range(n) if not placed >> i & 1 and not pred_mask[i] & ~placed]
+        if not ready:
+            return False
+        for i in ready:
+            placed |= 1 << i
+    if not last_write_bans:
+        return True
+
+    # S places each object's sc writes in mo order, so the last one placed
+    # is a function of the placed set, and so is every later check: a
+    # placed set that cannot be completed once never can.
+    write_obj = {v: tr.event(v).obj for v in sc_ids if tr.event(v).is_write}
+    last: dict[str, int | None] = {}
+    dead: set[int] = set()
+
+    def extend(placed: int) -> bool:
+        if placed == full:
+            return True
+        if placed in dead:
+            return False
+        if limits is not None:
+            limits.check_time("sc-order")
+        for i, v in enumerate(sc_ids):
+            if placed >> i & 1 or pred_mask[i] & ~placed:
                 continue
-            if any(p not in pos for p in preds[v]):
+            ban = last_write_bans.get(v)
+            if ban is not None and last.get(ban[0]) in ban[1]:
                 continue
-            pos[v] = len(pos)
-            if extend():
+            obj = write_obj.get(v)
+            if obj is not None:
+                prev, last[obj] = last.get(obj), v
+            if extend(placed | 1 << i):
                 return True
-            del pos[v]
+            if obj is not None:
+                last[obj] = prev
+        dead.add(placed)
         return False
 
-    return extend()
+    return extend(0)
 
 
-def is_consistent(tr) -> bool:
+def is_consistent(tr, limits: Limits | None = None) -> bool:
     """The conjunction of the coherence axioms and the sc-order condition."""
-    return not coherence_violations(tr) and exists_sc_total_order(tr)
+    return not coherence_violations(tr) and exists_sc_total_order(tr, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +391,26 @@ def iter_consistent_traces(p: Program, limits: Limits | None = None) -> Iterator
                 for b in ids[i + 1 :]:
                     sb_pairs.add((a, b))
 
+        # Choices the coherence axioms always reject are dropped here, and
+        # the survivors keep their lexicographic order: rf sources sb-after
+        # the read (co-rh) or sb-overwritten before it (co-mhi), and mo
+        # orders against sb (co-mh).  Events are in id order, so every
+        # list below is sorted.
         reads = [e for e in events if e.is_read]
         writes = [e for e in events if e.is_write]
         source_lists = []
         for r in reads:
-            srcs = sorted(
-                w.id for w in writes if w.obj == r.obj and w.wval == r.rval and w.id != r.id
-            )
+            same_obj = [w for w in writes if w.obj == r.obj and w.id != r.id]
+            before_r = [w.id for w in same_obj if (w.id, r.id) in sb_pairs]
+            srcs = [
+                w.id
+                for w in same_obj
+                if w.wval == r.rval
+                and (r.id, w.id) not in sb_pairs
+                and not any(
+                    b != w.id and (w.is_init or (w.id, b) in sb_pairs) for b in before_r
+                )
+            ]
             if not srcs:
                 ok = False
                 break
@@ -366,8 +421,8 @@ def iter_consistent_traces(p: Program, limits: Limits | None = None) -> Iterator
         objects = list(p.init)
         perm_lists = []
         for obj in objects:
-            ids = sorted(w.id for w in writes if w.obj == obj and not w.is_init)
-            perm_lists.append(list(itertools.permutations(ids)))
+            ids = tuple(w.id for w in writes if w.obj == obj and not w.is_init)
+            perm_lists.append(list(_linear_extensions(ids, sb_pairs)))
         rmw_ids = [e.id for e in events if e.act == "rmw"]
         sb = Relation(sb_pairs)
 
@@ -414,13 +469,26 @@ def iter_consistent_traces(p: Program, limits: Limits | None = None) -> Iterator
                     final_shared=final_shared,
                     final_locals=final_locals,
                 )
-                if is_consistent(tr):
+                if is_consistent(tr, limits):
                     count += 1
                     if limits.max_traces is not None and count > limits.max_traces:
                         raise ResourceLimitError(
                             "trace-enumeration", "more than %d traces" % limits.max_traces
                         )
                     yield tr
+
+
+def _linear_extensions(ids: tuple[int, ...], before) -> Iterator[tuple[int, ...]]:
+    """The orders of ``ids`` that respect ``before``, in lexicographic order
+    of positions in ``ids`` (the order ``itertools.permutations`` uses)."""
+    if not ids:
+        yield ()
+        return
+    for i, x in enumerate(ids):
+        if any((y, x) in before for y in ids):
+            continue
+        for rest in _linear_extensions(ids[:i] + ids[i + 1 :], before):
+            yield (x,) + rest
 
 
 def enumerate_consistent_traces(p: Program, limits: Limits | None = None) -> list[Trace]:

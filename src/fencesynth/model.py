@@ -125,14 +125,6 @@ class Relation:
         return any(a == b for a, b in self.pairs)
 
 
-def relation_compose(r1: Relation, r2: Relation) -> Relation:
-    return r1.compose(r2)
-
-
-def is_reflexive(r: Relation) -> bool:
-    return r.is_reflexive()
-
-
 # ---------------------------------------------------------------------------
 # Events
 

@@ -12,10 +12,12 @@ and hb = sb ∪ ithb.  The coherence axioms are evaluated on hb's transitive
 closure (see ``hb_closed``), which keeps cycle detection over hb-edge runs
 and trace re-verification in exact agreement.
 
-Every derived hb pair carries one canonical witness: the underlying
-sb/sw/dob step sequence, chosen to rely on as few candidate fences as
-possible.  Witnesses let cycle analysis name the fences a cycle needs and
-read off each fence's release/acquire role.
+On a plain execution hb is a witness-free fixpoint over per-event
+bitmasks: the consistency check reads only the pairs.  On an intermediate
+trace every derived hb pair also carries one canonical witness: the
+underlying sb/sw/dob step sequence, chosen to rely on as few candidate
+fences as possible.  Witnesses let cycle analysis name the fences a cycle
+needs and read off each fence's release/acquire role.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .model import Event, Relation
+from .errors import InternalCheckError
+from .model import Event, IntermediateTrace, Relation
 
 
 @dataclass(frozen=True)
@@ -34,17 +37,28 @@ class SyncPath:
     labels: tuple[str, ...]
 
     def compose(self, other: "SyncPath") -> "SyncPath":
-        assert self.nodes[-1] == other.nodes[0]
+        if self.nodes[-1] != other.nodes[0]:
+            raise InternalCheckError(
+                "sync paths %r and %r do not meet" % (self.nodes, other.nodes)
+            )
         return SyncPath(self.nodes + other.nodes[1:], self.labels + other.labels)
 
 
 @dataclass(frozen=True)
 class HbInfo:
+    """The synchronization and happens-before relations of one trace."""
+
     sw: Relation
     dob: Relation
     ithb: Relation
     hb: Relation
     hb_closed: Relation
+
+
+@dataclass(frozen=True)
+class WitnessedHbInfo(HbInfo):
+    """HbInfo of an intermediate trace, with one witness per derived pair."""
+
     witness: Mapping[tuple[int, int], SyncPath]  # for every hb pair
     closed_witness: Mapping[tuple[int, int], SyncPath]  # for every hb_closed pair
 
@@ -56,7 +70,8 @@ def _candidates(tr) -> frozenset[int]:
 def release_sequence(tr, w: Event) -> list[Event]:
     """Maximal contiguous mo-subsequence from ``w``: writes of w's thread
     plus rmws of other threads."""
-    assert w.is_write, "release sequences start at writes or rmws"
+    if not w.is_write:
+        raise InternalCheckError("release sequence requested from %s" % w)
     chain = tr.mo_chains[w.obj]
     pos = chain.index(w.id)
     out = [w]
@@ -77,38 +92,45 @@ def derive_sync(tr) -> tuple[Relation, Relation]:
     from a release fence sequenced before w, or fence to fence.  dob lifts
     the same two acquire-side cases to the release-sequence head of w.
     """
-    sb = tr.sb.pairs
-    rel_fences = [f for f in tr.fences if f.ord.at_least_release]
-    acq_fences = [f for f in tr.fences if f.ord.at_least_acquire]
+    rel_fences = {f.id for f in tr.fences if f.ord.at_least_release}
+    acq_fences = {f.id for f in tr.fences if f.ord.at_least_acquire}
+    acq_after: dict[int, list[int]] = {}
+    rel_before: dict[int, list[int]] = {}
+    for a, b in tr.sb.pairs:
+        if b in acq_fences:
+            acq_after.setdefault(a, []).append(b)
+        if a in rel_fences:
+            rel_before.setdefault(b, []).append(a)
     sw: set[tuple[int, int]] = set()
     dob: set[tuple[int, int]] = set()
 
     heads = [w for w in tr.writes if w.ord.at_least_release and not w.is_init]
-    in_release_seq: dict[int, list[Event]] = {}
+    in_release_seq: dict[int, list[int]] = {}
     for head in heads:
         for member in release_sequence(tr, head):
-            in_release_seq.setdefault(member.id, []).append(head)
+            in_release_seq.setdefault(member.id, []).append(head.id)
 
     for w_id, r_id in tr.rf.pairs:
-        w, r = tr.event(w_id), tr.event(r_id)
-        acq_after_r = [f for f in acq_fences if (r_id, f.id) in sb]
-        rel_before_w = [f for f in rel_fences if (f.id, w_id) in sb]
-        if w.ord.at_least_release:
-            if r.ord.at_least_acquire:
+        w_rel = tr.event(w_id).ord.at_least_release
+        r_acq = tr.event(r_id).ord.at_least_acquire
+        acq_after_r = acq_after.get(r_id, ())
+        rel_before_w = rel_before.get(w_id, ())
+        if w_rel:
+            if r_acq:
                 sw.add((w_id, r_id))
             for f in acq_after_r:
-                sw.add((w_id, f.id))
-        if r.ord.at_least_acquire:
+                sw.add((w_id, f))
+        if r_acq:
             for f in rel_before_w:
-                sw.add((f.id, r_id))
+                sw.add((f, r_id))
         for f1 in rel_before_w:
             for f2 in acq_after_r:
-                sw.add((f1.id, f2.id))
+                sw.add((f1, f2))
         for head in in_release_seq.get(w_id, ()):
-            if r.ord.at_least_acquire:
-                dob.add((head.id, r_id))
+            if r_acq:
+                dob.add((head, r_id))
             for f in acq_after_r:
-                dob.add((head.id, f.id))
+                dob.add((head, f))
 
     return Relation(sw), Relation(dob)
 
@@ -119,7 +141,69 @@ def _witness_key(path: SyncPath, candidates: frozenset[int]):
 
 
 def compute_hb_info(tr) -> HbInfo:
+    """sw, dob, ithb, hb and hb_closed; with witnesses for an intermediate trace."""
     sw, dob = derive_sync(tr)
+    if isinstance(tr, IntermediateTrace):
+        return _witnessed_hb_info(tr, sw, dob)
+    return _plain_hb_info(tr, sw, dob)
+
+
+def _plain_hb_info(tr, sw: Relation, dob: Relation) -> HbInfo:
+    # Row a of each table is the bitmask of the events b with (a, b) in it.
+    # sb is transitive, so the least fixpoint is ithb = (sb? ; (sw ∪ sw;sb ∪ dob))+.
+    sb = dict.fromkeys((e.id for e in tr.events), 0)
+    for a, b in tr.sb.pairs:
+        sb[a] |= 1 << b
+    base = dict.fromkeys(sb, 0)
+    for a, b in sw.pairs:
+        base[a] |= (1 << b) | sb[b]
+    for a, b in dob.pairs:
+        base[a] |= 1 << b
+    step = dict(base)
+    for a, x in tr.sb.pairs:
+        step[a] |= base[x]
+    ithb = _closure(step)
+    hb = {a: sb[a] | ithb[a] for a in sb}
+    return HbInfo(
+        sw=sw,
+        dob=dob,
+        ithb=_from_rows(ithb),
+        hb=_from_rows(hb),
+        hb_closed=_from_rows(_closure(hb)),
+    )
+
+
+def _closure(rows: dict[int, int]) -> dict[int, int]:
+    """Transitive closure of bitmask rows: grow each row by the rows of its
+    members until no row changes (rows only grow, so this ends)."""
+    out = dict(rows)
+    changed = True
+    while changed:
+        changed = False
+        for a, row in out.items():
+            grown = row
+            via = row
+            while via:
+                low = via & -via
+                grown |= out[low.bit_length() - 1]
+                via ^= low
+            if grown != row:
+                out[a] = grown
+                changed = True
+    return out
+
+
+def _from_rows(rows: dict[int, int]) -> Relation:
+    pairs = []
+    for a, row in rows.items():
+        while row:
+            low = row & -row
+            pairs.append((a, low.bit_length() - 1))
+            row ^= low
+    return Relation(pairs)
+
+
+def _witnessed_hb_info(tr, sw: Relation, dob: Relation) -> WitnessedHbInfo:
     candidates = _candidates(tr)
     sb = tr.sb.pairs
     sb_by_src: dict[int, list[int]] = {}
@@ -152,7 +236,8 @@ def compute_hb_info(tr) -> HbInfo:
     while changed:
         changed = False
         rounds += 1
-        assert rounds < 10_000, "ithb fixpoint failed to converge"
+        if rounds >= 10_000:
+            raise InternalCheckError("ithb fixpoint failed to converge")
         snapshot = list(best.items())
         by_src: dict[int, list[tuple[int, SyncPath]]] = {}
         for (a, b), p in snapshot:
@@ -190,7 +275,8 @@ def compute_hb_info(tr) -> HbInfo:
     while changed:
         changed = False
         rounds += 1
-        assert rounds < 10_000, "hb closure failed to converge"
+        if rounds >= 10_000:
+            raise InternalCheckError("hb closure failed to converge")
         snapshot = list(closed.items())
         by_src: dict[int, list[tuple[int, SyncPath]]] = {}
         for (a, b), p in snapshot:
@@ -204,7 +290,7 @@ def compute_hb_info(tr) -> HbInfo:
                     closed[pair] = path
                     changed = True
 
-    return HbInfo(
+    return WitnessedHbInfo(
         sw=sw,
         dob=dob,
         ithb=ithb,
@@ -213,12 +299,6 @@ def compute_hb_info(tr) -> HbInfo:
         witness=witness,
         closed_witness=closed,
     )
-
-
-def compute_hb(tr) -> tuple[Relation, Relation]:
-    """The (ithb, hb) pair exactly per the derivation rules."""
-    info = tr._hb_info if hasattr(tr, "_hb_info") else compute_hb_info(tr)
-    return info.ithb, info.hb
 
 
 def compute_fr(tr) -> Relation:
@@ -297,16 +377,3 @@ def compute_so_info(it) -> SoInfo:
 
 def compute_so(it) -> Relation:
     return it.so_info.so
-
-
-def hb_with_init(tr) -> Relation:
-    """hb_closed extended with initialization preceding every other event.
-
-    Initialization writes happen before any thread runs; only the sc-read
-    source rule consults this extension.
-    """
-    init_ids = [e.id for e in tr.init_events]
-    extra = {
-        (i, e.id) for i in init_ids for e in tr.events if e.id != i and not e.is_init
-    }
-    return Relation(tr.hb_closed.pairs | extra)

@@ -2,6 +2,7 @@
 
 
 from conftest import CORPUS_DIR
+from fencesynth import enumerator
 from fencesynth.cli import main
 from fencesynth.litmus import parse_program, print_program
 
@@ -58,6 +59,20 @@ def test_timeout_exits_two(tmp_path, capsys):
         capsys, str(CORPUS_DIR / "two_bugs.lit"), "--timeout-secs", "0"
     )
     assert code == 2 and "resource limit" in err
+
+
+def test_sc_order_timeout_exits_two(monkeypatch, capsys):
+    # The deadline lapses as the sc-order search starts: the search itself
+    # checks it, and the limit is reported with its phase.
+    search = enumerator.exists_sc_total_order
+
+    def expire_then_search(tr, limits=None):
+        limits.timeout_secs = -1.0
+        return search(tr, limits.start())
+
+    monkeypatch.setattr(enumerator, "exists_sc_total_order", expire_then_search)
+    code, _, err = run(capsys, str(CORPUS_DIR / "sb_sc.lit"), "--timeout-secs", "60")
+    assert code == 2 and "sc-order" in err
 
 
 def test_max_traces_exits_two(capsys):

@@ -169,6 +169,52 @@ def test_max_traces_limit_reported_distinctly():
     assert find_buggy_traces(load("assert_true"), Limits(max_traces=2)) == []
 
 
+def test_sc_search_honors_an_expired_deadline():
+    tr = find_buggy_traces(load("sb_rlx"))[0]
+    from conftest import with_fences
+
+    m = with_fences(tr, {FenceSlot("t1", 1): O.SC, FenceSlot("t2", 1): O.SC})
+    assert len(m.sc_events) >= 2
+    with pytest.raises(ResourceLimitError) as exc:
+        exists_sc_total_order(m, Limits(timeout_secs=-1.0).start())
+    assert exc.value.phase == "sc-order"
+
+
+def test_sc_rmw_may_read_the_initial_value():
+    # The rmw's own write is not an sc write before it: reading the
+    # initial value (a non-sc write that happens before the rmw) is allowed.
+    p = elaborate(parse_program(
+        "program t\ninit x = 0\nthread t1 {\n  u = fadd(x, 1, sc)\n}\nassert u == 0\n"
+    ))
+    traces = enumerate_consistent_traces(p)
+    assert outcomes(traces, "u") == [(0,)]
+
+
+def test_pruned_choices_shrink_the_candidate_set(monkeypatch):
+    # Message passing with 5 same-thread data stores: of the 5! orders of
+    # those stores only the program order survives, and sources that are
+    # sb-overwritten before a read are never tried.
+    from fencesynth import enumerator
+
+    stores = "\n".join("  store(d, %d, rlx)" % v for v in range(1, 6))
+    p = elaborate(parse_program(
+        "program mp5\ninit d = 0, f = 0\nthread w {\n%s\n  store(f, 1, rlx)\n}\n"
+        "thread r {\n  a = load(f, rlx)\n  b = load(d, rlx)\n}\n"
+        "assert !(a == 1 && b != 5)\n" % stores
+    ))
+    built = []
+    check = enumerator.coherence_violations
+
+    def counted_check(tr):
+        built.append(tr)
+        return check(tr)
+
+    monkeypatch.setattr(enumerator, "coherence_violations", counted_check)
+    assert len(enumerate_consistent_traces(p)) == 12
+    # Unpruned, this enumeration builds 1,440 candidate executions.
+    assert len(built) <= 144
+
+
 def _orderless_signature(tr):
     def key(eid):
         e = tr.event(eid)

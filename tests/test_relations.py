@@ -1,13 +1,17 @@
 """Derived relations: release sequences, sw/dob, hb, fr, and the sc order."""
 
 
+from dataclasses import replace
+
+import pytest
+
 from conftest import load, make_trace, with_fences, O
 from fencesynth.cycles import insert_candidate_fences
 from fencesynth.enumerator import find_buggy_traces
+from fencesynth.errors import InternalCheckError
 from fencesynth.model import FenceSlot
 from fencesynth.relations import (
     compute_fr,
-    compute_hb,
     compute_so,
     derive_sync,
     release_sequence,
@@ -66,6 +70,15 @@ def test_release_sequence_broken_by_foreign_write():
         mo_tail={"x": ["w", "w2"]},
     )
     assert [e.id for e in release_sequence(tr, tr.event(ids["w"]))] == [ids["w"]]
+
+
+def test_release_sequence_from_a_read_is_an_internal_error():
+    # Checked with a raise, not an assert, so it holds under python -O too.
+    tr, _ = _relseq_trace()
+    read = next(e for e in tr.events if e.act == "rmw")
+    plain_read = replace(read, act="read", wval=None)
+    with pytest.raises(InternalCheckError):
+        release_sequence(tr, plain_read)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +172,7 @@ def test_dob_through_release_sequence_rmw():
 
 
 # ---------------------------------------------------------------------------
-# compute_hb
+# hb
 
 
 def test_hb_sw_then_sb():
@@ -172,7 +185,7 @@ def test_hb_sw_then_sb():
         rf=[("a", "b")],
         mo_tail={"x": ["a", "c"]},
     )
-    ithb, hb = compute_hb(tr)
+    ithb, hb = tr.ithb, tr.hb
     assert (ids["a"], ids["c"]) in ithb.pairs  # sw;sb
     assert (ids["a"], ids["c"]) in hb.pairs
 
@@ -184,7 +197,7 @@ def test_hb_is_sb_without_synchronization():
         rf=[("a", "b")],
         mo_tail={"x": ["a"]},
     )
-    ithb, hb = compute_hb(tr)
+    ithb, hb = tr.ithb, tr.hb
     assert len(ithb) == 0
     assert hb == tr.sb
 
