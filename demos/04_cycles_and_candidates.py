@@ -2,10 +2,12 @@
 """From a buggy trace to candidate solutions.
 
 Candidate fences are spliced into every gap around the trace's events.
-The weak analysis assumes they can release and acquire, and hunts for
-simple cycles spelling a coherence axiom; the strong analysis assumes
-they are sequentially consistent and hunts for cycles in the forced
-sc order.  Each cycle's fences form one candidate solution.
+The weak analysis assumes they can release and acquire: it closes
+happens-before over the fewest release/acquire roles each pair needs and
+reads violations off the six coherence-axiom compositions, keeping only
+the solutions no other one beats.  The strong analysis assumes they are
+sequentially consistent and hunts for cycles in the forced sc order.
+Each violation's fences form one candidate solution.
 """
 
 from fencesynth import elaborate, find_buggy_traces, parse_program

@@ -1,10 +1,12 @@
 """Candidate fences and cycle detection over intermediate traces.
 
 A buggy execution is extended with one untyped candidate fence per source
-gap adjacent to its events.  The weak analysis finds simple cycles in the
-labeled multigraph over hb/rf/mo/rf-inverse edges whose label sequences
-spell one of the coherence axioms; the strong analysis finds cycles in the
-forced sc-order.  Each cycle's candidate fences form one candidate
+gap adjacent to its events.  The weak analysis closes hb over the minimal
+release/acquire roles of the fences each hb pair needs, then reads
+coherence violations off the six axiom compositions (hb, rf;hb, mo;hb,
+mo;rf;hb, mo;hb;rf⁻¹, mo;rf;hb;rf⁻¹) without enumerating cycles.  The
+strong analysis finds the elementary cycles of the forced sc-order with
+Johnson's algorithm.  Each violation's candidate fences form one candidate
 solution, with a locally weakest memory order read off each fence's
 synchronization role.
 """
@@ -20,8 +22,6 @@ from .limits import Limits
 from .model import Event, FenceSlot, IntermediateTrace, Relation, SourceLocation, Trace
 from .orders import MemoryOrder
 
-R_LABELS = ("sw", "dob")  # the synchronization roles that type a fence
-
 
 @dataclass(frozen=True)
 class LabeledEdge:
@@ -33,6 +33,9 @@ class LabeledEdge:
 @dataclass(frozen=True)
 class CandidateSolution:
     """The fences of one detected cycle, with their locally assigned orders.
+
+    A weak solution's ``cycle`` is its axiom composition: the rf, mo and
+    rf-inverse edges with the closing hb path collapsed to one hb edge.
 
     ``fences`` are candidate slots (the decision variables); pre-existing
     program fences the cycle relies on are recorded separately with the
@@ -267,40 +270,21 @@ def _sccs(vertices: Sequence[int], adj: Mapping[int, Sequence[int]]) -> list[lis
 
 
 # ---------------------------------------------------------------------------
-# Weak analysis: coherence-axiom cycles with candidates release/acquire capable
+# Weak analysis: the coherence compositions over a role-mask closure of hb
+#
+# Every non-init fence f owns two bits of a role mask: in(f), its acquire
+# role, and out(f), its release role.  An sb step needs no role; an sw(a, b)
+# step needs out(a) and in(b) of whichever ends are fences; a dob(a, b) step
+# needs in(b) if b is a fence (its head is a write).  The masks of the hb
+# paths between two events form an antichain of ⊆-minimal masks: union of
+# antichains (keeping the minimal elements) is addition, the pairwise OR is
+# multiplication, and the empty mask is the unit.  Going around a cycle only
+# adds bits, so the closure needs no star and a Floyd–Warshall pivot loop
+# computes it.  Its support is exactly hb_closed, and every fence in one of
+# its masks entered through an sw or dob endpoint, so it plays a role.
 
-
-def _classify(labels: Sequence[str]) -> str | None:
-    """Which coherence axiom a cyclic label sequence spells, if any.
-
-    hb may repeat (a run of hb edges is a transitive hb path); rf, mo and
-    rf-inv appear at most once and only in the axiom's composition order.
-    """
-    n = len(labels)
-    others = [l for l in labels if l != "hb"]
-    if not others:
-        return "co-h"
-    if others.count("rf") > 1 or others.count("mo") > 1 or others.count("rf-inv") > 1:
-        return None
-    kinds = sorted(others)
-    if kinds == ["rf"]:
-        return "co-rh"
-    if kinds == ["mo"]:
-        return "co-mh"
-    i_mo = labels.index("mo") if "mo" in labels else None
-    if kinds == ["mo", "rf"]:
-        if labels[(i_mo + 1) % n] == "rf" and n >= 3:
-            return "co-mrh"
-        return None
-    if kinds == ["mo", "rf-inv"]:
-        if labels[(i_mo - 1) % n] == "rf-inv" and n >= 3:
-            return "co-mhi"
-        return None
-    if kinds == ["mo", "rf", "rf-inv"]:
-        if labels[(i_mo + 1) % n] == "rf" and labels[(i_mo - 1) % n] == "rf-inv" and n >= 4:
-            return "co-mrhi"
-        return None
-    return None
+_IN, _OUT = 1, 2  # a fence's two bits, shifted to its position in a mask
+_FREE = (0,)  # the antichain of a pair that needs no fence
 
 
 def _role_order(has_in: bool, has_out: bool) -> MemoryOrder | None:
@@ -314,96 +298,149 @@ def _role_order(has_in: bool, has_out: bool) -> MemoryOrder | None:
     return None
 
 
+def _minimal(masks: Iterable[int]) -> tuple[int, ...]:
+    """The ⊆-minimal masks, fewest bits first."""
+    out: list[int] = []
+    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+        if not any(k & m == k for k in out):
+            out.append(m)
+    return tuple(out)
+
+
+def _times(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The minimal masks of a path through a step of ``a`` then one of ``b``."""
+    if a == _FREE:
+        return b
+    if b == _FREE:
+        return a
+    return _minimal(x | y for x in a for y in b)
+
+
+def _role_closure(
+    it: IntermediateTrace, fence_bit: Mapping[int, int], limits: Limits
+) -> dict[int, dict[int, tuple[int, ...]]]:
+    """Row a, column b: the minimal role masks of the hb paths from a to b.
+
+    The deadline is checked once per pivot.
+    """
+    info = it._hb_info
+
+    def bits(e: int, role: int) -> int:
+        return role << fence_bit[e] if e in fence_bit else 0
+
+    steps: dict[tuple[int, int], list[int]] = {}
+    for a, b in it.sb.pairs:
+        steps.setdefault((a, b), []).append(0)
+    for a, b in info.sw.pairs:
+        steps.setdefault((a, b), []).append(bits(a, _OUT) | bits(b, _IN))
+    for a, b in info.dob.pairs:
+        steps.setdefault((a, b), []).append(bits(b, _IN))
+
+    nodes = [e.id for e in it.events]
+    rows: dict[int, dict[int, tuple[int, ...]]] = {v: {} for v in nodes}
+    for (a, b), masks in steps.items():
+        rows[a][b] = _minimal(masks)
+    for k in nodes:
+        limits.check_time("cycle-detection")
+        row_k = list(rows[k].items())
+        if not row_k:
+            continue
+        for i in nodes:
+            row_i = rows[i]
+            via = row_i.get(k)
+            if via is None:
+                continue
+            for j, after in row_k:
+                cur = row_i.get(j)
+                if cur == _FREE:
+                    continue
+                new = _times(via, after)
+                if cur is None:
+                    row_i[j] = new
+                elif not all(any(c & n == c for c in cur) for n in new):
+                    row_i[j] = _minimal(cur + new)
+    return rows
+
+
 def find_weak_cycles(
     it: IntermediateTrace, trace_id: int = 0, limits: Limits | None = None
 ) -> list[CandidateSolution]:
-    """All candidate solutions from coherence-axiom cycles.
+    """The non-dominated candidate solutions from coherence violations.
 
-    Works over the labeled multigraph with one hb edge per derived pair
-    (candidates at their strongest), plus rf, mo and rf-inverse edges.
-    Cycles whose label sequence spells an axiom yield the candidate fences
-    on the cycle and on the witnesses of its hb edges.
+    Each of the six compositions (hb, rf;hb, mo;hb, mo;rf;hb, mo;hb;rf⁻¹,
+    mo;rf;hb;rf⁻¹) closed by an hb pair of the role-mask closure, over
+    distinct events, yields one solution per minimal mask of that pair.
+    Solutions whose mask strictly contains another's are dropped: they need
+    more fences or stronger orders for no gain.
     """
     limits = limits or Limits()
-    info = it._hb_info
-    edges: dict[tuple[int, int], set[str]] = {}
+    fence_ids = [e.id for e in it.fences if not e.is_init]
+    fence_bit = {f: 2 * i for i, f in enumerate(fence_ids)}
+    closed = _role_closure(it, fence_bit, limits)
 
-    def add(a: int, b: int, label: str) -> None:
-        edges.setdefault((a, b), set()).add(label)
+    rf = sorted(it.rf.pairs)
+    mo = sorted(it.mo.pairs)
+    readers: dict[int, list[int]] = {}
+    for w, r in rf:
+        readers.setdefault(w, []).append(r)
 
-    for a, b in info.hb.pairs:
-        add(a, b, "hb")
-    for w, r in it.rf.pairs:
-        add(w, r, "rf")
-        add(r, w, "rf-inv")
-    for a, b in it.mo.pairs:
-        add(a, b, "mo")
+    # Each composition over distinct events, as a cycle with one hb edge.
+    E = LabeledEdge
+    shapes: list[tuple[str, tuple[LabeledEdge, ...]]] = []
+    shapes += [("co-h", (E(a, a, "hb"),)) for a in closed]
+    shapes += [("co-rh", (E(w, r, "rf"), E(r, w, "hb"))) for w, r in rf]
+    shapes += [("co-mh", (E(a, b, "mo"), E(b, a, "hb"))) for a, b in mo]
+    shapes += [
+        ("co-mrh", (E(a, b, "mo"), E(b, c, "rf"), E(c, a, "hb")))
+        for a, b in mo
+        for c in readers.get(b, ())
+        if c != a
+    ]
+    shapes += [
+        ("co-mhi", (E(a, b, "mo"), E(b, c, "hb"), E(c, a, "rf-inv")))
+        for a, b in mo
+        for c in readers.get(a, ())
+        if c != b
+    ]
+    shapes += [
+        ("co-mrhi", (E(a, b, "mo"), E(b, c, "rf"), E(c, d, "hb"), E(d, a, "rf-inv")))
+        for a, b in mo
+        for c in readers.get(b, ())
+        for d in readers.get(a, ())
+        if len({a, b, c, d}) == 4
+    ]
 
-    adj: dict[int, set[int]] = {}
-    for a, b in edges:
-        adj.setdefault(a, set()).add(b)
-    cycles = enumerate_simple_cycles(
-        {v: sorted(ws) for v, ws in adj.items()}, limit=limits.max_cycles, limits=limits
-    )
+    def masks(cycle: tuple[LabeledEdge, ...]) -> tuple[int, ...]:
+        edge = next(e for e in cycle if e.label == "hb")
+        return closed[edge.src].get(edge.dst, ())
 
+    minimal = set(_minimal(m for _, cycle in shapes for m in masks(cycle)))
     out: dict[tuple, CandidateSolution] = {}
-    for cyc in cycles:
-        pairs = [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
-        options = [sorted(edges[p]) for p in pairs]
-        for labeling in itertools.product(*options):
-            condition = _classify(labeling)
-            if condition is None:
-                continue
-            sol = _build_weak_solution(it, trace_id, pairs, labeling, condition, info)
-            if sol is not None:
+    for condition, cycle in shapes:
+        for mask in masks(cycle):
+            if mask in minimal:
+                sol = _weak_solution(it, trace_id, condition, cycle, mask, fence_ids)
                 key = (sol.condition, sol.fences, sol.orders, sol.program_fences)
                 out.setdefault(key, sol)
     return list(out.values())
 
 
-def _build_weak_solution(it, trace_id, pairs, labeling, condition, info):
-    # Expand hb edges into their witness steps; other labels are single steps.
-    steps: list[tuple[int, int, str]] = []
-    for (a, b), label in zip(pairs, labeling):
-        if label == "hb":
-            path = info.witness[(a, b)]
-            steps.extend(
-                (path.nodes[i], path.nodes[i + 1], path.labels[i])
-                for i in range(len(path.labels))
-            )
-        else:
-            steps.append((a, b, label))
-
-    incoming: dict[int, set[str]] = {}
-    outgoing: dict[int, set[str]] = {}
-    for a, b, label in steps:
-        outgoing.setdefault(a, set()).add(label)
-        incoming.setdefault(b, set()).add(label)
-
+def _weak_solution(it, trace_id, condition, cycle, mask, fence_ids):
     orders: dict[FenceSlot, MemoryOrder] = {}
     program_req: dict[SourceLocation, MemoryOrder] = {}
-    walk_nodes = set(incoming) | set(outgoing)
-    for node in walk_nodes:
-        ev = it.event(node)
-        if not ev.is_fence:
+    for i, f in enumerate(fence_ids):
+        role = (mask >> 2 * i) & 3
+        if not role:
             continue
-        has_in = bool(incoming.get(node, set()) & set(R_LABELS))
-        has_out = bool(outgoing.get(node, set()) & set(R_LABELS))
-        order = _role_order(has_in, has_out)
-        if it.is_candidate(node):
-            if order is None:
-                # The fence plays no synchronization role here; the same
-                # cycle without it is found separately.
-                return None
-            orders[it.slot_of[node]] = order
-        elif order is not None and not ev.is_init:
-            program_req[ev.loc] = order
-
+        order = _role_order(bool(role & _IN), bool(role & _OUT))
+        if it.is_candidate(f):
+            orders[it.slot_of[f]] = order
+        else:
+            program_req[it.event(f).loc] = order
     if not orders:
         raise InternalCheckError(
             "coherence cycle without candidate fences in a consistent base trace"
         )
-    cycle = tuple(LabeledEdge(a, b, l) for (a, b), l in zip(pairs, labeling))
     return CandidateSolution(
         kind="weak",
         condition=condition,
@@ -469,11 +506,11 @@ def analyze_trace(
 ) -> list[CandidateSolution]:
     """Weak plus strong solutions for one buggy trace.
 
-    A strong solution whose fence set equals some weak solution's is
-    dropped: the weak orders are never heavier.
+    A strong solution whose fence set contains some weak solution's is
+    dropped: the weak one needs no other fence, at orders never heavier
+    than sc.
     """
     it = insert_candidate_fences(tr)
     weak = find_weak_cycles(it, trace_id, limits)
     strong = find_strong_cycles(it, trace_id, limits)
-    weak_sets = {s.fences for s in weak}
-    return weak + [s for s in strong if s.fences not in weak_sets]
+    return weak + [s for s in strong if not any(w.fences <= s.fences for w in weak)]

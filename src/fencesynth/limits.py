@@ -14,9 +14,10 @@ class Limits:
 
     ``max_traces`` bounds how many consistent executions the enumerator may
     produce, ``timeout_secs`` is a global soft deadline (armed by ``start``),
-    ``max_cycles`` bounds elementary-cycle enumeration per trace,
-    ``coalesce_budget`` bounds the cross-trace order-coalescing product and
-    ``max_iters`` bounds the iterative (one-trace-at-a-time) driver loop.
+    ``max_cycles`` bounds the strong analysis's elementary-cycle enumeration
+    per trace, ``coalesce_budget`` bounds the cross-trace order-coalescing
+    product and ``max_iters`` bounds the iterative (one-trace-at-a-time)
+    driver loop.
     """
 
     max_traces: int | None = None

@@ -117,9 +117,11 @@ def solution_weight(ts: TypedSolution) -> int:
     return ts.weight
 
 
-def _coalesce(choice: Sequence[CandidateSolution]):
-    slot_ord: dict[FenceSlot, MemoryOrder] = {}
-    prog_ord: dict[SourceLocation, MemoryOrder] = {}
+def _coalesce(choice: Sequence[CandidateSolution], slot_ord=None, prog_ord=None):
+    """Per-slot least upper bounds of the choice's orders and their weight,
+    folded into copies of the running lubs ``slot_ord``/``prog_ord`` if given."""
+    slot_ord = dict(slot_ord or {})
+    prog_ord = dict(prog_ord or {})
     for sol in choice:
         for slot, o in sol.orders:
             slot_ord[slot] = lub(slot_ord.get(slot), o)
@@ -166,24 +168,28 @@ def assign_memory_orders(
 
     exact = total <= limits.coalesce_budget
     if exact:
+        # Traces with one minimum cycle contribute the same lubs to every
+        # choice; fold them once and take the product over the rest.
+        base_slots, base_prog, _ = _coalesce([mc[0] for mc in min_cycles if len(mc) == 1])
         best = None
         best_key = None
-        for choice in itertools.product(*min_cycles):
+        for choice in itertools.product(*(mc for mc in min_cycles if len(mc) > 1)):
             limits.check_time("order-assignment")
-            slot_ord, prog_ord, weight = _coalesce(choice)
+            slot_ord, prog_ord, weight = _coalesce(choice, base_slots, base_prog)
             key = _selection_key(slot_ord, prog_ord, weight)
             if best_key is None or key < best_key:
                 best, best_key = (slot_ord, prog_ord), key
         slot_ord, prog_ord = best
     else:
-        chosen: list[CandidateSolution] = []
+        # Greedy: per trace, the first solution whose fold into the running
+        # lubs of the earlier picks has the least key.
+        slot_ord, prog_ord = {}, {}
         for mc in min_cycles:
             limits.check_time("order-assignment")
-            ranked = min(
-                mc, key=lambda s: _selection_key(*_coalesce(chosen + [s]))
+            slot_ord, prog_ord, _ = min(
+                (_coalesce([s], slot_ord, prog_ord) for s in mc),
+                key=lambda c: _selection_key(*c),
             )
-            chosen.append(ranked)
-        slot_ord, prog_ord, _ = _coalesce(chosen)
 
     if set(slot_ord) != set(model):
         raise InternalCheckError("coalesced choice does not cover the min-model")

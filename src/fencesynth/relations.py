@@ -14,10 +14,10 @@ and trace re-verification in exact agreement.
 
 On a plain execution hb is a witness-free fixpoint over per-event
 bitmasks: the consistency check reads only the pairs.  On an intermediate
-trace every derived hb pair also carries one canonical witness: the
+trace every hb_closed pair also carries one canonical witness: the
 underlying sb/sw/dob step sequence, chosen to rely on as few candidate
-fences as possible.  Witnesses let cycle analysis name the fences a cycle
-needs and read off each fence's release/acquire role.
+fences as possible.  The forced sc order reads them to name the candidate
+fences each of its edges relies on.
 """
 
 from __future__ import annotations
@@ -57,10 +57,9 @@ class HbInfo:
 
 @dataclass(frozen=True)
 class WitnessedHbInfo(HbInfo):
-    """HbInfo of an intermediate trace, with one witness per derived pair."""
+    """HbInfo of an intermediate trace, with one witness per hb_closed pair."""
 
-    witness: Mapping[tuple[int, int], SyncPath]  # for every hb pair
-    closed_witness: Mapping[tuple[int, int], SyncPath]  # for every hb_closed pair
+    closed_witness: Mapping[tuple[int, int], SyncPath]
 
 
 def _candidates(tr) -> frozenset[int]:
@@ -296,7 +295,6 @@ def _witnessed_hb_info(tr, sw: Relation, dob: Relation) -> WitnessedHbInfo:
         ithb=ithb,
         hb=hb,
         hb_closed=Relation(closed.keys()),
-        witness=witness,
         closed_witness=closed,
     )
 

@@ -41,9 +41,11 @@ def test_query_rwrw(rwrw):
     tr = find_buggy_traces(rwrw)[0]
     sols = analyze_trace(tr)
     fence_sets = {s.fences for s in sols}
+    pair = {FenceSlot("t1", 1): O.AR, FenceSlot("t2", 1): O.AR}
     assert frozenset({FenceSlot("t1", 1)}) in fence_sets
-    assert frozenset({FenceSlot("t1", 1), FenceSlot("t2", 1)}) in fence_sets
-    q = build_query([sols])
+    # The analysis drops the dominated pair itself; the query prunes it too.
+    assert frozenset(pair) not in fence_sets
+    q = build_query([sols + [sol(0, pair)]])
     # Dominated conjunctions are pruned; the two singletons remain.
     assert q.clauses[0][1] == (
         frozenset({FenceSlot("t1", 1)}),
@@ -202,6 +204,51 @@ def test_assign_orders_greedy_flagged_when_over_budget():
     )
     assert not ts.orders_exact
     assert ts.assignment_map[F1] in (O.REL, O.ACQ, O.AR)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_greedy_coalescing_matches_full_recoalescing(seed):
+    # Over budget, each trace's pick is the first solution minimizing the
+    # key of the earlier picks plus that solution, all coalesced anew; the
+    # running lubs must reproduce exactly that choice.
+    from fencesynth.errors import InternalCheckError
+    from fencesynth.limits import Limits
+    from fencesynth.model import SourceLocation
+    from fencesynth.optimize import _coalesce, _selection_key
+
+    rng = random.Random(seed)
+    slots = [F1, F2, F3, F4]
+    locs = [SourceLocation("t", 7), SourceLocation("u", 2)]
+    orders = (O.REL, O.ACQ, O.AR, O.SC)
+    per_trace = []
+    for t in range(rng.randint(3, 9)):
+        sols = []
+        for _ in range(rng.randint(1, 4)):
+            fences = rng.sample(slots, rng.randint(1, 3))
+            prog = rng.sample(locs, rng.randint(0, 2))
+            sols.append(CandidateSolution(
+                kind="weak", condition="co-rh", trace_id=t, cycle=(),
+                fences=frozenset(fences),
+                orders=tuple(sorted((f, rng.choice(orders)) for f in fences)),
+                program_fences=tuple(sorted((l, rng.choice(orders[:3])) for l in prog)),
+            ))
+        per_trace.append(sols)
+    model = frozenset(f for sols in per_trace for s in sols for f in s.fences)
+
+    chosen = []
+    for sols in per_trace:
+        chosen.append(min(sols, key=lambda s: _selection_key(*_coalesce(chosen + [s]))))
+    slot_ord, prog_ord, _ = _coalesce(chosen)
+
+    limits = Limits(coalesce_budget=0)
+    if set(slot_ord) != model:
+        with pytest.raises(InternalCheckError):
+            assign_memory_orders(model, per_trace, limits)
+        return
+    ts = assign_memory_orders(model, per_trace, limits)
+    assert not ts.orders_exact
+    assert ts.assignment == tuple(sorted(slot_ord.items()))
+    assert ts.strengthened == tuple(sorted(prog_ord.items()))
 
 
 def test_solution_weight_examples():
