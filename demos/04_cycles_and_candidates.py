@@ -6,12 +6,14 @@ The weak analysis assumes they can release and acquire: it closes
 happens-before over the fewest release/acquire roles each pair needs and
 reads violations off the six coherence-axiom compositions, keeping only
 the solutions no other one beats.  The strong analysis assumes they are
-sequentially consistent and hunts for cycles in the forced sc order.
-Each violation's fences form one candidate solution.
+sequentially consistent and closes the forced sc order over the fewest
+candidate fences each of its edges needs: each minimal fence set that
+closes a cycle is one candidate solution.
 """
 
 from fencesynth import elaborate, find_buggy_traces, parse_program
 from fencesynth.cycles import find_strong_cycles, find_weak_cycles, insert_candidate_fences
+from fencesynth.relations import fence_order
 
 SOURCE = """\
 program rwrw
@@ -44,6 +46,20 @@ print("\nstrong candidate solutions (sc-order cycles):")
 for sol in strong:
     orders = ", ".join("%s:%s" % (s, o) for s, o in sol.orders)
     print("  %-8s fences {%s}" % (sol.condition, orders))
+
+# Each sc-order edge carries the minimal sets of candidate fences it relies
+# on, as masks: bit 2i stands for the i-th fence of fence_order.
+fences = fence_order(it)
+
+
+def fence_set(mask):
+    return "{" + ", ".join(str(it.slot_of[f]) for i, f in enumerate(fences) if mask >> 2 * i & 1) + "}"
+
+
+relying = sorted((a, b, deps) for (a, b), deps in it.so_info.deps.items() if deps != (0,))
+print("\n%d of the %d sc-order edges rely on candidate fences, e.g.:" % (len(relying), len(it.so)))
+for a, b, deps in relying[:4]:
+    print("  %s -> %s needs %s" % (it.event(a).loc, it.event(b).loc, " or ".join(map(fence_set, deps))))
 
 print(
     "\nthe single-fence solutions {t1@1:rel} and {t2@1:rel} exist because a"

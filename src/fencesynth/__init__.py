@@ -59,7 +59,6 @@ from .optimize import (
 from .orders import MemoryOrder, lub
 from .relations import (
     compute_fr,
-    compute_so,
     derive_sync,
     release_sequence,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "candidate_values",
     "coherence_violations",
     "compute_fr",
-    "compute_so",
     "derive_sync",
     "dump_trace",
     "elaborate",

@@ -5,10 +5,12 @@ gap adjacent to its events.  The weak analysis closes hb over the minimal
 release/acquire roles of the fences each hb pair needs, then reads
 coherence violations off the six axiom compositions (hb, rf;hb, mo;hb,
 mo;rf;hb, mo;hb;rf⁻¹, mo;rf;hb;rf⁻¹) without enumerating cycles.  The
-strong analysis finds the elementary cycles of the forced sc-order with
-Johnson's algorithm.  Each violation's candidate fences form one candidate
-solution, with a locally weakest memory order read off each fence's
-synchronization role.
+strong analysis closes the forced sc order over the same minimal fence
+sets and reads its cycles off the diagonal.  Each violation's candidate
+fences form one candidate solution, with a locally weakest memory order
+read off each fence's synchronization role (sc for the strong analysis).
+Johnson's elementary-cycles algorithm stays available as a utility; the
+analyses do not call it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import InternalCheckError, ResourceLimitError
 from .limits import Limits
 from .model import Event, FenceSlot, IntermediateTrace, Relation, SourceLocation, Trace
 from .orders import MemoryOrder
+from .relations import _IN, _OUT, _minimal, close_masks, fence_order
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,9 @@ class CandidateSolution:
     """The fences of one detected cycle, with their locally assigned orders.
 
     A weak solution's ``cycle`` is its axiom composition: the rf, mo and
-    rf-inverse edges with the closing hb path collapsed to one hb edge.
+    rf-inverse edges with the closing hb path collapsed to one hb edge.  A
+    strong solution's is its so cycle collapsed to one so edge from a
+    vertex of the cycle back to itself.
 
     ``fences`` are candidate slots (the decision variables); pre-existing
     program fences the cycle relies on are recorded separately with the
@@ -270,21 +275,8 @@ def _sccs(vertices: Sequence[int], adj: Mapping[int, Sequence[int]]) -> list[lis
 
 
 # ---------------------------------------------------------------------------
-# Weak analysis: the coherence compositions over a role-mask closure of hb
-#
-# Every non-init fence f owns two bits of a role mask: in(f), its acquire
-# role, and out(f), its release role.  An sb step needs no role; an sw(a, b)
-# step needs out(a) and in(b) of whichever ends are fences; a dob(a, b) step
-# needs in(b) if b is a fence (its head is a write).  The masks of the hb
-# paths between two events form an antichain of ⊆-minimal masks: union of
-# antichains (keeping the minimal elements) is addition, the pairwise OR is
-# multiplication, and the empty mask is the unit.  Going around a cycle only
-# adds bits, so the closure needs no star and a Floyd–Warshall pivot loop
-# computes it.  Its support is exactly hb_closed, and every fence in one of
-# its masks entered through an sw or dob endpoint, so it plays a role.
-
-_IN, _OUT = 1, 2  # a fence's two bits, shifted to its position in a mask
-_FREE = (0,)  # the antichain of a pair that needs no fence
+# Weak analysis: the coherence compositions over the role-mask closure of hb
+# (``relations.role_closure``)
 
 
 def _role_order(has_in: bool, has_out: bool) -> MemoryOrder | None:
@@ -298,70 +290,6 @@ def _role_order(has_in: bool, has_out: bool) -> MemoryOrder | None:
     return None
 
 
-def _minimal(masks: Iterable[int]) -> tuple[int, ...]:
-    """The ⊆-minimal masks, fewest bits first."""
-    out: list[int] = []
-    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
-        if not any(k & m == k for k in out):
-            out.append(m)
-    return tuple(out)
-
-
-def _times(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The minimal masks of a path through a step of ``a`` then one of ``b``."""
-    if a == _FREE:
-        return b
-    if b == _FREE:
-        return a
-    return _minimal(x | y for x in a for y in b)
-
-
-def _role_closure(
-    it: IntermediateTrace, fence_bit: Mapping[int, int], limits: Limits
-) -> dict[int, dict[int, tuple[int, ...]]]:
-    """Row a, column b: the minimal role masks of the hb paths from a to b.
-
-    The deadline is checked once per pivot.
-    """
-    info = it._hb_info
-
-    def bits(e: int, role: int) -> int:
-        return role << fence_bit[e] if e in fence_bit else 0
-
-    steps: dict[tuple[int, int], list[int]] = {}
-    for a, b in it.sb.pairs:
-        steps.setdefault((a, b), []).append(0)
-    for a, b in info.sw.pairs:
-        steps.setdefault((a, b), []).append(bits(a, _OUT) | bits(b, _IN))
-    for a, b in info.dob.pairs:
-        steps.setdefault((a, b), []).append(bits(b, _IN))
-
-    nodes = [e.id for e in it.events]
-    rows: dict[int, dict[int, tuple[int, ...]]] = {v: {} for v in nodes}
-    for (a, b), masks in steps.items():
-        rows[a][b] = _minimal(masks)
-    for k in nodes:
-        limits.check_time("cycle-detection")
-        row_k = list(rows[k].items())
-        if not row_k:
-            continue
-        for i in nodes:
-            row_i = rows[i]
-            via = row_i.get(k)
-            if via is None:
-                continue
-            for j, after in row_k:
-                cur = row_i.get(j)
-                if cur == _FREE:
-                    continue
-                new = _times(via, after)
-                if cur is None:
-                    row_i[j] = new
-                elif not all(any(c & n == c for c in cur) for n in new):
-                    row_i[j] = _minimal(cur + new)
-    return rows
-
-
 def find_weak_cycles(
     it: IntermediateTrace, trace_id: int = 0, limits: Limits | None = None
 ) -> list[CandidateSolution]:
@@ -373,10 +301,8 @@ def find_weak_cycles(
     Solutions whose mask strictly contains another's are dropped: they need
     more fences or stronger orders for no gain.
     """
-    limits = limits or Limits()
-    fence_ids = [e.id for e in it.fences if not e.is_init]
-    fence_bit = {f: 2 * i for i, f in enumerate(fence_ids)}
-    closed = _role_closure(it, fence_bit, limits)
+    fence_ids = fence_order(it)
+    closed = it.role_closure(limits or Limits())
 
     rf = sorted(it.rf.pairs)
     mo = sorted(it.mo.pairs)
@@ -459,46 +385,70 @@ def _weak_solution(it, trace_id, condition, cycle, mask, fence_ids):
 def find_strong_cycles(
     it: IntermediateTrace, trace_id: int = 0, limits: Limits | None = None
 ) -> list[CandidateSolution]:
-    """All candidate solutions from cycles in the sc-order relation."""
-    limits = limits or Limits()
-    so = it.so_info
-    adj: dict[int, set[int]] = {}
-    for a, b in so.so.pairs:
-        adj.setdefault(a, set()).add(b)
-    cycles = enumerate_simple_cycles(
-        {v: sorted(ws) for v, ws in adj.items()}, limit=limits.max_cycles, limits=limits
-    )
+    """The non-dominated candidate solutions from cycles in the sc order.
 
-    out: dict[tuple, CandidateSolution] = {}
-    for cyc in cycles:
-        pairs = [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
-        fence_ids: set[int] = set()
+    Each so edge carries the minimal masks of the candidate fences it relies
+    on, plus the bits of its fence ends: a candidate, or a program sc fence
+    that the solution records as needing sc.  The edges are closed over the
+    same antichain semiring as hb's role masks; each minimal mask on the
+    diagonal is one solution, whose cycle is one collapsed so edge.
+    """
+    limits = limits or Limits()
+    it.role_closure(limits)  # so_info reads it; build it under this deadline
+    deps = it.so_info.deps
+    fences = fence_order(it)
+    bit = {f: 1 << 2 * i for i, f in enumerate(fences)}
+    adj: dict[int, list[int]] = {}
+    for a, b in sorted(deps):
+        adj.setdefault(a, []).append(b)
+    # Only the edges inside one strongly connected component lie on cycles.
+    comp = {v: i for i, c in enumerate(_sccs(list(adj), adj)) for v in c}
+    rows: dict[int, dict[int, tuple[int, ...]]] = {}
+    for (a, b), masks in sorted(deps.items()):
+        if comp[a] == comp.get(b):
+            ends = bit.get(a, 0) | bit.get(b, 0)
+            rows.setdefault(a, {})[b] = _minimal(m | ends for m in masks)
+    close_masks(rows, limits)
+
+    through: dict[int, int] = {}  # each diagonal mask, with the first vertex it closes at
+    for v, row in rows.items():
+        for mask in row.get(v, ()):
+            through.setdefault(mask, v)
+    out: list[CandidateSolution] = []
+    for mask in _minimal(through):
+        slots: set[FenceSlot] = set()
         program_req: dict[SourceLocation, MemoryOrder] = {}
-        for v in cyc:
-            ev = it.event(v)
-            if it.is_candidate(v):
-                fence_ids.add(v)
-            elif ev.is_fence:
-                program_req[ev.loc] = MemoryOrder.SC
-        for p in pairs:
-            fence_ids.update(so.deps[p])
-        if not fence_ids:
+        for i, f in enumerate(fences):
+            if mask >> 2 * i & 1:
+                if it.is_candidate(f):
+                    slots.add(it.slot_of[f])
+                else:
+                    program_req[it.event(f).loc] = MemoryOrder.SC
+        if not slots:
             raise InternalCheckError(
                 "sc-order cycle without candidate fences in a consistent base trace"
             )
-        slots = frozenset(it.slot_of[i] for i in fence_ids)
-        sol = CandidateSolution(
-            kind="strong",
-            condition="to-sc",
-            trace_id=trace_id,
-            cycle=tuple(LabeledEdge(a, b, "so") for a, b in pairs),
-            fences=slots,
-            orders=tuple((s, MemoryOrder.SC) for s in sorted(slots)),
-            program_fences=tuple(sorted(program_req.items())),
+        v = through[mask]
+        out.append(
+            CandidateSolution(
+                kind="strong",
+                condition="to-sc",
+                trace_id=trace_id,
+                cycle=(LabeledEdge(v, v, "so"),),
+                fences=frozenset(slots),
+                orders=tuple((s, MemoryOrder.SC) for s in sorted(slots)),
+                program_fences=tuple(sorted(program_req.items())),
+            )
         )
-        key = (sol.fences, sol.program_fences)
-        out.setdefault(key, sol)
-    return list(out.values())
+    return out
+
+
+def _covers(weak: CandidateSolution, strong: CandidateSolution) -> bool:
+    """``weak`` needs no fence and no program-fence order beyond ``strong``'s."""
+    prog = dict(strong.program_fences)
+    return weak.fences <= strong.fences and all(
+        loc in prog and o.at_most(prog[loc]) for loc, o in weak.program_fences
+    )
 
 
 def analyze_trace(
@@ -506,11 +456,11 @@ def analyze_trace(
 ) -> list[CandidateSolution]:
     """Weak plus strong solutions for one buggy trace.
 
-    A strong solution whose fence set contains some weak solution's is
-    dropped: the weak one needs no other fence, at orders never heavier
-    than sc.
+    A strong solution is dropped when some weak solution needs a subset of
+    its fences and of its program-fence requirements, at orders never
+    heavier than sc.
     """
     it = insert_candidate_fences(tr)
     weak = find_weak_cycles(it, trace_id, limits)
     strong = find_strong_cycles(it, trace_id, limits)
-    return weak + [s for s in strong if not any(w.fences <= s.fences for w in weak)]
+    return weak + [s for s in strong if not any(_covers(w, s) for w in weak)]

@@ -13,16 +13,15 @@ class Limits:
     """Budget for one synthesis run.
 
     ``max_traces`` bounds how many consistent executions the enumerator may
-    produce, ``timeout_secs`` is a global soft deadline (armed by ``start``),
-    ``max_cycles`` bounds the strong analysis's elementary-cycle enumeration
-    per trace, ``coalesce_budget`` bounds the cross-trace order-coalescing
-    product and ``max_iters`` bounds the iterative (one-trace-at-a-time)
-    driver loop.
+    produce, ``timeout_secs`` is a global soft deadline (armed by ``start``)
+    that every exponential search checks inside its loops, ``coalesce_budget``
+    bounds the cross-trace order-coalescing product above which orders are
+    assigned greedily, and ``max_iters`` bounds the iterative
+    (one-trace-at-a-time) driver loop.
     """
 
     max_traces: int | None = None
     timeout_secs: float | None = None
-    max_cycles: int = 200_000
     coalesce_budget: int = 20_000
     max_iters: int = 64
     _deadline: float | None = field(default=None, repr=False)

@@ -331,6 +331,7 @@ class IntermediateTrace(_TraceOps):
         self.sb = sb
         self.rf = base.rf
         self.mo = base.mo
+        self._roles = None
 
     @cached_property
     def fence_event_ids(self) -> frozenset[int]:
@@ -346,6 +347,15 @@ class IntermediateTrace(_TraceOps):
 
     def is_candidate(self, eid: int) -> bool:
         return eid in self.fence_event_ids
+
+    def role_closure(self, limits=None):
+        """The minimal fence-role masks of every hb_closed pair, computed
+        once (see ``relations.role_closure``); ``limits`` bounds that run."""
+        if self._roles is None:
+            from .relations import role_closure
+
+            self._roles = role_closure(self, limits)
+        return self._roles
 
     @cached_property
     def so_info(self):

@@ -168,18 +168,22 @@ def assign_memory_orders(
 
     exact = total <= limits.coalesce_budget
     if exact:
-        # Traces with one minimum cycle contribute the same lubs to every
-        # choice; fold them once and take the product over the rest.
-        base_slots, base_prog, _ = _coalesce([mc[0] for mc in min_cycles if len(mc) == 1])
-        best = None
-        best_key = None
-        for choice in itertools.product(*(mc for mc in min_cycles if len(mc) > 1)):
-            limits.check_time("order-assignment")
-            slot_ord, prog_ord, weight = _coalesce(choice, base_slots, base_prog)
-            key = _selection_key(slot_ord, prog_ord, weight)
-            if best_key is None or key < best_key:
-                best, best_key = (slot_ord, prog_ord), key
-        slot_ord, prog_ord = best
+        # Fold the traces one at a time into the distinct running lubs: the
+        # key names the lubs, so choices that reach the same lubs are kept
+        # once.  Traces with one minimum cycle fold into every state alike.
+        state = _coalesce([mc[0] for mc in min_cycles if len(mc) == 1])
+        states = {_selection_key(*state): state}
+        for mc in min_cycles:
+            if len(mc) == 1:
+                continue
+            grown = {}
+            for slot_ord, prog_ord, _ in states.values():
+                limits.check_time("order-assignment")
+                for sol in mc:
+                    state = _coalesce([sol], slot_ord, prog_ord)
+                    grown.setdefault(_selection_key(*state), state)
+            states = grown
+        slot_ord, prog_ord, _ = states[min(states)]
     else:
         # Greedy: per trace, the first solution whose fold into the running
         # lubs of the earlier picks has the least key.

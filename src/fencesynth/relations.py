@@ -12,36 +12,21 @@ and hb = sb ∪ ithb.  The coherence axioms are evaluated on hb's transitive
 closure (see ``hb_closed``), which keeps cycle detection over hb-edge runs
 and trace re-verification in exact agreement.
 
-On a plain execution hb is a witness-free fixpoint over per-event
-bitmasks: the consistency check reads only the pairs.  On an intermediate
-trace every hb_closed pair also carries one canonical witness: the
-underlying sb/sw/dob step sequence, chosen to rely on as few candidate
-fences as possible.  The forced sc order reads them to name the candidate
-fences each of its edges relies on.
+hb is a witness-free fixpoint over per-event bitmasks.  On an intermediate
+trace, the fence analyses also need to know which fences each pair relies
+on: ``role_closure`` closes the sb/sw/dob steps over antichains of
+⊆-minimal fence-role masks, and ``compute_so_info`` carries them, projected
+onto candidate fences, through the four clauses of the forced sc order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InternalCheckError
-from .model import Event, IntermediateTrace, Relation
-
-
-@dataclass(frozen=True)
-class SyncPath:
-    """A derivation of one hb pair as concrete sb/sw/dob steps."""
-
-    nodes: tuple[int, ...]
-    labels: tuple[str, ...]
-
-    def compose(self, other: "SyncPath") -> "SyncPath":
-        if self.nodes[-1] != other.nodes[0]:
-            raise InternalCheckError(
-                "sync paths %r and %r do not meet" % (self.nodes, other.nodes)
-            )
-        return SyncPath(self.nodes + other.nodes[1:], self.labels + other.labels)
+from .limits import Limits
+from .model import Event, Relation
 
 
 @dataclass(frozen=True)
@@ -53,17 +38,6 @@ class HbInfo:
     ithb: Relation
     hb: Relation
     hb_closed: Relation
-
-
-@dataclass(frozen=True)
-class WitnessedHbInfo(HbInfo):
-    """HbInfo of an intermediate trace, with one witness per hb_closed pair."""
-
-    closed_witness: Mapping[tuple[int, int], SyncPath]
-
-
-def _candidates(tr) -> frozenset[int]:
-    return getattr(tr, "fence_event_ids", frozenset())
 
 
 def release_sequence(tr, w: Event) -> list[Event]:
@@ -134,22 +108,11 @@ def derive_sync(tr) -> tuple[Relation, Relation]:
     return Relation(sw), Relation(dob)
 
 
-def _witness_key(path: SyncPath, candidates: frozenset[int]):
-    deps = sum(1 for n in path.nodes[1:-1] if n in candidates)
-    return (deps, len(path.nodes), path.nodes)
-
-
 def compute_hb_info(tr) -> HbInfo:
-    """sw, dob, ithb, hb and hb_closed; with witnesses for an intermediate trace."""
-    sw, dob = derive_sync(tr)
-    if isinstance(tr, IntermediateTrace):
-        return _witnessed_hb_info(tr, sw, dob)
-    return _plain_hb_info(tr, sw, dob)
-
-
-def _plain_hb_info(tr, sw: Relation, dob: Relation) -> HbInfo:
+    """sw, dob, ithb, hb and hb_closed of a plain or an intermediate trace."""
     # Row a of each table is the bitmask of the events b with (a, b) in it.
     # sb is transitive, so the least fixpoint is ithb = (sb? ; (sw ∪ sw;sb ∪ dob))+.
+    sw, dob = derive_sync(tr)
     sb = dict.fromkeys((e.id for e in tr.events), 0)
     for a, b in tr.sb.pairs:
         sb[a] |= 1 << b
@@ -192,6 +155,14 @@ def _closure(rows: dict[int, int]) -> dict[int, int]:
     return out
 
 
+def _bits(row: int) -> Iterator[int]:
+    """The members of a bitmask row, lowest first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
 def _from_rows(rows: dict[int, int]) -> Relation:
     pairs = []
     for a, row in rows.items():
@@ -202,103 +173,6 @@ def _from_rows(rows: dict[int, int]) -> Relation:
     return Relation(pairs)
 
 
-def _witnessed_hb_info(tr, sw: Relation, dob: Relation) -> WitnessedHbInfo:
-    candidates = _candidates(tr)
-    sb = tr.sb.pairs
-    sb_by_src: dict[int, list[int]] = {}
-    for a, b in sb:
-        sb_by_src.setdefault(a, []).append(b)
-
-    best: dict[tuple[int, int], SyncPath] = {}
-
-    def offer(a: int, b: int, path: SyncPath) -> bool:
-        cur = best.get((a, b))
-        if cur is None or _witness_key(path, candidates) < _witness_key(cur, candidates):
-            best[(a, b)] = path
-            return True
-        return False
-
-    for a, b in sw.pairs:
-        offer(a, b, SyncPath((a, b), ("sw",)))
-    for a, b in dob.pairs:
-        offer(a, b, SyncPath((a, b), ("dob",)))
-
-    sb_by_dst: dict[int, list[int]] = {}
-    for a, b in sb:
-        sb_by_dst.setdefault(b, []).append(a)
-
-    # Least fixpoint with best-witness relaxation; every update strictly
-    # improves a key, so the loop terminates.  Reflexive ithb pairs are
-    # genuine hb cycles and are kept.
-    changed = True
-    rounds = 0
-    while changed:
-        changed = False
-        rounds += 1
-        if rounds >= 10_000:
-            raise InternalCheckError("ithb fixpoint failed to converge")
-        snapshot = list(best.items())
-        by_src: dict[int, list[tuple[int, SyncPath]]] = {}
-        for (a, b), p in snapshot:
-            by_src.setdefault(a, []).append((b, p))
-        # sw;sb
-        for a, x in sw.pairs:
-            for b in sb_by_src.get(x, ()):
-                if offer(a, b, SyncPath((a, x, b), ("sw", "sb"))):
-                    changed = True
-        # sb;ithb
-        for (x, b), path in snapshot:
-            for a in sb_by_dst.get(x, ()):
-                if offer(a, b, SyncPath((a,) + path.nodes, ("sb",) + path.labels)):
-                    changed = True
-        # ithb;ithb
-        for (a, x), p1 in snapshot:
-            for b, p2 in by_src.get(x, ()):
-                if offer(a, b, p1.compose(p2)):
-                    changed = True
-
-    ithb = Relation(best.keys())
-    hb_pairs = set(best.keys()) | sb
-    witness = dict(best)
-    for a, b in sb:
-        path = SyncPath((a, b), ("sb",))
-        cur = witness.get((a, b))
-        if cur is None or _witness_key(path, candidates) < _witness_key(cur, candidates):
-            witness[(a, b)] = path
-    hb = Relation(hb_pairs)
-
-    # Transitive closure with witnesses (runs of hb edges).
-    closed = dict(witness)
-    changed = True
-    rounds = 0
-    while changed:
-        changed = False
-        rounds += 1
-        if rounds >= 10_000:
-            raise InternalCheckError("hb closure failed to converge")
-        snapshot = list(closed.items())
-        by_src: dict[int, list[tuple[int, SyncPath]]] = {}
-        for (a, b), p in snapshot:
-            by_src.setdefault(a, []).append((b, p))
-        for (a, x), p1 in snapshot:
-            for b, p2 in by_src.get(x, ()):
-                pair = (a, b)
-                path = p1.compose(p2)
-                cur = closed.get(pair)
-                if cur is None or _witness_key(path, candidates) < _witness_key(cur, candidates):
-                    closed[pair] = path
-                    changed = True
-
-    return WitnessedHbInfo(
-        sw=sw,
-        dob=dob,
-        ithb=ithb,
-        hb=hb,
-        hb_closed=Relation(closed.keys()),
-        closed_witness=closed,
-    )
-
-
 def compute_fr(tr) -> Relation:
     """from-reads: rf⁻¹;mo, minus reflexive pairs."""
     fr = tr.rf.inverse().compose(tr.mo)
@@ -306,15 +180,107 @@ def compute_fr(tr) -> Relation:
 
 
 # ---------------------------------------------------------------------------
-# The forced order on sc events (strong analysis)
+# Minimal fence sets: hb paths and the forced sc order over mask antichains
+#
+# Fence i of ``fence_order`` owns two bits of a mask: 2i, its in (acquire)
+# role, and 2i+1, its out (release) role.  The masks of the paths between
+# two events form an antichain of ⊆-minimal masks: union of antichains
+# (keeping the minimal elements) is addition, the pairwise OR is
+# multiplication, and the empty mask is the unit.  Going around a cycle only
+# adds bits, so a closure needs no star and a Floyd–Warshall pivot loop
+# computes it.
+
+_IN, _OUT = 1, 2  # a fence's two bits, shifted to its position in a mask
+_FREE = (0,)  # the antichain of a pair that needs no fence
+
+
+def fence_order(tr) -> tuple[int, ...]:
+    """The non-init fences of a trace, in the order that numbers their bits."""
+    return tuple(e.id for e in tr.fences if not e.is_init)
+
+
+def _minimal(masks: Iterable[int]) -> tuple[int, ...]:
+    """The ⊆-minimal masks, fewest bits first."""
+    masks = set(masks)
+    if len(masks) == 1 or 0 in masks:
+        return (min(masks),)
+    out: list[int] = []
+    for m in sorted(masks, key=lambda m: (m.bit_count(), m)):
+        if not any(k & m == k for k in out):
+            out.append(m)
+    return tuple(out)
+
+
+def _times(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The minimal masks of a path through a step of ``a`` then one of ``b``."""
+    if a == _FREE:
+        return b
+    if b == _FREE:
+        return a
+    return _minimal(x | y for x in a for y in b)
+
+
+def close_masks(rows: dict[int, dict[int, tuple[int, ...]]], limits: Limits) -> None:
+    """Close the step antichains in ``rows`` (row a, column b) under path
+    composition, in place.  Every endpoint needs a row.  The deadline is
+    checked once per pivot."""
+    for k, row_k in rows.items():
+        limits.check_time("cycle-detection")
+        if not row_k:
+            continue
+        row_k = list(row_k.items())
+        for row_i in rows.values():
+            via = row_i.get(k)
+            if via is None:
+                continue
+            for j, after in row_k:
+                cur = row_i.get(j)
+                if cur == _FREE:
+                    continue
+                new = _times(via, after)
+                if cur is None:
+                    row_i[j] = new
+                elif not all(any(c & n == c for c in cur) for n in new):
+                    row_i[j] = _minimal(cur + new)
+
+
+def role_closure(it, limits: Limits | None = None) -> dict[int, dict[int, tuple[int, ...]]]:
+    """Row a, column b: the minimal role masks of the hb paths from a to b.
+
+    An sb step needs no role; an sw(a, b) step needs out(a) and in(b) of
+    whichever ends are fences; a dob(a, b) step needs in(b) if b is a fence
+    (its head is a write).  The support is exactly hb_closed, and every
+    fence in one of its masks entered through an sw or dob endpoint, so it
+    plays a role.
+    """
+    info = it._hb_info
+    fence_bit = {f: 2 * i for i, f in enumerate(fence_order(it))}
+
+    def bits(e: int, role: int) -> int:
+        return role << fence_bit[e] if e in fence_bit else 0
+
+    steps: dict[tuple[int, int], list[int]] = {}
+    for a, b in it.sb.pairs:
+        steps.setdefault((a, b), []).append(0)
+    for a, b in info.sw.pairs:
+        steps.setdefault((a, b), []).append(bits(a, _OUT) | bits(b, _IN))
+    for a, b in info.dob.pairs:
+        steps.setdefault((a, b), []).append(bits(b, _IN))
+
+    rows: dict[int, dict[int, tuple[int, ...]]] = {e.id: {} for e in it.events}
+    for (a, b), masks in steps.items():
+        rows[a][b] = _minimal(masks)
+    close_masks(rows, limits or Limits())
+    return rows
 
 
 @dataclass(frozen=True)
 class SoInfo:
     so: Relation
-    # Candidate fences each so edge relies on beyond its own endpoints
-    # (an edge justified through a fence-enabled hb pair needs those fences).
-    deps: Mapping[tuple[int, int], frozenset[int]]
+    # Per so edge, the ⊆-minimal sets of candidate fences the pair it was
+    # derived from relies on, candidate ends included, as masks: fence i of
+    # fence_order is bit 2i.
+    deps: Mapping[tuple[int, int], tuple[int, ...]]
 
 
 def compute_so_info(it) -> SoInfo:
@@ -324,54 +290,42 @@ def compute_so_info(it) -> SoInfo:
     itself if both ends are sc; (e1, F) for an sc fence F sequenced after
     e2; (F, e2) for an sc fence F sequenced before e1; and (F1, F2) for sc
     fences around e1 and e2.  sc pairs with no forced order stay unordered.
+    An mo, rf or fr pair relies on no fence; a pair of hb_closed relies on
+    the candidate fences of its role masks and on its candidate ends.
+
+    The last three clauses add nothing for an hb pair: sb ⊆ hb, so the pair
+    they would add is itself in hb_closed, by paths that need no more
+    fences, and the first clause adds it.  They are applied to the
+    fence-free pairs only, over per-event bitmask rows.
     """
-    info = it._hb_info
-    candidates = _candidates(it)
-    sb = it.sb.pairs
-    sc = {e.id for e in it.sc_events}
-    sc_fences = [e for e in it.sc_events if e.is_fence]
+    # heads[a]: a if sc, and the sc fences sb-before a; tails[b]: b if sc,
+    # and the sc fences sb-after b.
+    sc = sum(1 << e.id for e in it.sc_events)
+    sc_fences = sum(1 << e.id for e in it.sc_events if e.is_fence)
+    heads = {e.id: sc & 1 << e.id for e in it.events}
+    tails = dict(heads)
+    for a, b in it.sb.pairs:
+        heads[b] |= sc_fences & 1 << a
+        tails[a] |= sc_fences & 1 << b
 
-    r_pairs: dict[tuple[int, int], frozenset[int]] = {}
-
-    def feed(pair, deps):
-        cur = r_pairs.get(pair)
-        if cur is None or (len(deps), sorted(deps)) < (len(cur), sorted(cur)):
-            r_pairs[pair] = deps
-
-    for pair, path in info.closed_witness.items():
-        feed(pair, frozenset(n for n in path.nodes if n in candidates))
+    reach = dict.fromkeys(heads, 0)  # row a: the y of each (a, b) ; (b, y)
     for rel in (it.mo, it.rf, it.fr):
-        for pair in rel.pairs:
-            feed(pair, frozenset())
+        for a, b in rel.pairs:
+            reach[a] |= tails[b]
+    free = dict.fromkeys(heads, 0)  # row x: the y of each (x, a) ; (a, y)
+    for a, row in reach.items():
+        for x in _bits(heads[a]):
+            free[x] |= row
 
-    so: dict[tuple[int, int], frozenset[int]] = {}
-
-    def add(u, v, deps):
-        cur = so.get((u, v))
-        if cur is None or (len(deps), sorted(deps)) < (len(cur), sorted(cur)):
-            so[(u, v)] = deps
-
-    for (a, b), rdeps in r_pairs.items():
-        a_sc = a in sc
-        b_sc = b in sc
-        if a_sc and b_sc:
-            add(a, b, rdeps)
-        if a_sc:
-            for f in sc_fences:
-                if (b, f.id) in sb:
-                    add(a, f.id, rdeps)
-        if b_sc:
-            for f in sc_fences:
-                if (f.id, a) in sb:
-                    add(f.id, b, rdeps)
-        before_a = [f for f in sc_fences if (f.id, a) in sb]
-        after_b = [f for f in sc_fences if (b, f.id) in sb]
-        for f1 in before_a:
-            for f2 in after_b:
-                add(f1.id, f2.id, rdeps)
-
-    return SoInfo(so=Relation(so.keys()), deps=so)
-
-
-def compute_so(it) -> Relation:
-    return it.so_info.so
+    bit = {f: 1 << 2 * i for i, f in enumerate(fence_order(it)) if it.is_candidate(f)}
+    cands = sum(bit.values())
+    deps: dict[tuple[int, int], tuple[int, ...]] = {}
+    for a in _bits(sc):
+        for b, masks in it.role_closure()[a].items():
+            if sc >> b & 1 and not free[a] >> b & 1:
+                ends = bit.get(a, 0) | bit.get(b, 0)
+                deps[(a, b)] = _minimal((m | m >> 1) & cands | ends for m in masks)
+    for x, row in free.items():
+        for y in _bits(row):
+            deps[(x, y)] = _FREE
+    return SoInfo(so=Relation(deps), deps=deps)

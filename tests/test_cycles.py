@@ -255,8 +255,9 @@ def test_weak_analysis_honors_an_expired_deadline(rwrw):
 
 
 def test_unrolled_poll_of_six_is_fixed_quickly():
-    # Simple-cycle enumeration exceeded max_cycles on this program's worst
-    # trace; the role-mask closure solves it with one rel and one acq fence.
+    # Simple-cycle enumeration exceeded its budget of 200,000 cycles on this
+    # program's worst trace; the role-mask closure solves it with one rel
+    # and one acq fence.
     source = """program mp_poll_6
 init d = 0, f = 0
 thread w {
@@ -301,11 +302,85 @@ def test_strong_cycles_rwrw(rwrw):
 
 
 def test_strong_solutions_are_sound():
-    for prog in ("sb_rlx", "rwrw", "sb_scw", "sb_one_sc"):
-        tr = find_buggy_traces(load(prog))[0]
-        for sol in find_strong_cycles(insert_candidate_fences(tr)):
-            mutant = with_fences(tr, {s: O.SC for s in sol.fences})
-            assert not exists_sc_total_order(mutant), (prog, sol)
+    # Each strong solution's fences at sc, with the program fences it
+    # relies on at sc, leave no sc total order.
+    checked = 0
+    for name in CORPUS:
+        for tr in find_buggy_traces(load(name)):
+            for sol in find_strong_cycles(insert_candidate_fences(tr)):
+                mutant = with_fences(
+                    tr, dict.fromkeys(sol.fences, O.SC), strengthen=dict(sol.program_fences)
+                )
+                assert not exists_sc_total_order(mutant), (name, sol)
+                checked += 1
+    assert checked >= 30
+
+
+def test_strong_solutions_match_so_cycles_on_every_slot_subset():
+    # For every subset S of candidate slots, the forced sc order of the
+    # trace with S's candidates is cyclic iff some strong solution's fences
+    # lie within S.
+    cyclic = 0
+    for name, tr in small_buggy_traces():
+        strong = find_strong_cycles(insert_candidate_fences(tr))
+        slots = candidate_slots(tr)
+        for k in range(len(slots) + 1):
+            for subset in itertools.combinations(slots, k):
+                sset = frozenset(subset)
+                so = insert_candidate_fences(tr, slots=sset).so
+                has_cycle = so.transitive_closure().is_reflexive()
+                assert has_cycle == any(s.fences <= sset for s in strong), (name, sset)
+                cyclic += has_cycle
+    assert cyclic >= 100
+
+
+def test_strong_solutions_are_not_dominated():
+    for name, tr in small_buggy_traces():
+        strong = find_strong_cycles(insert_candidate_fences(tr))
+        needs = [(s.fences, {loc for loc, _ in s.program_fences}) for s in strong]
+        for i, (fa, pa) in enumerate(needs):
+            for j, (fb, pb) in enumerate(needs):
+                assert i == j or not (fa <= fb and pa <= pb), (name, strong[i], strong[j])
+
+
+def test_strong_analysis_honors_an_expired_deadline():
+    tr = find_buggy_traces(load("sb_rlx"))[0]
+    for precomputed in (False, True):
+        it = insert_candidate_fences(tr)
+        if precomputed:
+            it.role_closure()  # only the closure of the sc order is left to run
+        with pytest.raises(ResourceLimitError) as exc:
+            find_strong_cycles(it, limits=Limits(timeout_secs=-1.0).start())
+        assert exc.value.phase == "cycle-detection"
+
+
+LB_FENCED = """program lb_fenced
+init x = 0, y = 0
+thread t1 {
+  a = load(x, rlx)
+  store(y, 1, rlx)
+}
+thread t2 {
+  fence(sc)
+  b = load(y, rlx)
+  fence(sc)
+  store(x, 1, rlx)
+}
+assert !(a == 1 && b == 1)
+"""
+
+
+def test_strong_solution_kept_beside_a_weak_subset_needing_a_program_fence():
+    # The weak solutions {t1@1} rely on the program fence t2:2 in a role;
+    # the strong {t1@1} closes an hb cycle through t2:2 and needs no program
+    # fence as an sc-order vertex, so no weak solution covers it.
+    tr = find_buggy_traces(elaborate(parse_program(LB_FENCED), 16))[0]
+    sols = analyze_trace(tr)
+    t1 = frozenset({FenceSlot("t1", 1)})
+    weak = [s for s in sols if s.kind == "weak" and s.fences == t1]
+    strong = [s for s in sols if s.kind == "strong" and s.fences == t1]
+    assert weak and all(s.program_fences for s in weak)
+    assert [s.program_fences for s in strong] == [()]
 
 
 def test_no_cycles_for_unfixable_traces():

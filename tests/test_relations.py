@@ -12,7 +12,6 @@ from fencesynth.errors import InternalCheckError
 from fencesynth.model import FenceSlot
 from fencesynth.relations import (
     compute_fr,
-    compute_so,
     derive_sync,
     release_sequence,
 )
@@ -254,13 +253,13 @@ def test_fr_both_reads_in_store_buffer():
 
 
 # ---------------------------------------------------------------------------
-# compute_so
+# so
 
 
 def test_so_cycle_in_sc_write_store_buffer():
     tr = find_buggy_traces(load("sb_scw"))[0]
     it = insert_candidate_fences(tr)
-    so = compute_so(it)
+    so = it.so
     wx = next(e for e in it.events if e.is_write and e.obj == "x" and not e.is_init)
     wy = next(e for e in it.events if e.is_write and e.obj == "y" and not e.is_init)
     f1 = next(i for i, s in it.slot_of.items() if s == FenceSlot("t1", 1))
@@ -271,13 +270,13 @@ def test_so_cycle_in_sc_write_store_buffer():
 
 def test_so_empty_without_sc_events():
     tr = find_buggy_traces(load("sb_rlx"))[0]
-    assert len(compute_so(insert_candidate_fences(tr, slots=()))) == 0
+    assert len(insert_candidate_fences(tr, slots=()).so) == 0
 
 
 def test_so_empty_for_unordered_sc_writes():
     # Both writes are sc but unrelated; no pair is forced without fences.
     tr = find_buggy_traces(load("sb_scw"))[0]
-    assert len(compute_so(insert_candidate_fences(tr, slots=()))) == 0
+    assert len(insert_candidate_fences(tr, slots=()).so) == 0
 
 
 def test_sync_monotone_under_added_fences():
@@ -300,7 +299,7 @@ def test_so_transitive_subset_of_every_accepted_order():
             if len(tr.sc_events) < 2:
                 continue
             it = insert_candidate_fences(tr, slots=())
-            so_plus = compute_so(it).transitive_closure()
+            so_plus = it.so.transitive_closure()
             for order in accepting_sc_orders(tr):
                 pos = {eid: i for i, eid in enumerate(order)}
                 for a, b in so_plus.pairs:
