@@ -30,7 +30,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--unroll", type=int, default=DEFAULT_UNROLL, metavar="N",
                     help="bound for 'repeat' unrolling (default %d)" % DEFAULT_UNROLL)
     ap.add_argument("--timeout-secs", type=float, default=None, metavar="N")
-    ap.add_argument("--max-traces", type=int, default=None, metavar="N")
+    ap.add_argument("--max-traces", type=int, default=None, metavar="N",
+                    help="bound on the consistent executions, buggy or not, of "
+                    "each program enumerated; exceeding it exits 2 "
+                    "(default: no bound)")
     ap.add_argument("--max-iters", type=int, default=64, metavar="N",
                     help="iteration guard for --mode fast (default 64)")
     ap.add_argument("--emit-traces", metavar="PATH",

@@ -9,7 +9,12 @@ order.  Output order is deterministic: lexicographic in the choice vectors.
 
 The product is pruned before it is taken: rf sources and mo orders that
 contradict sb are never combined, since coherence rejects every execution
-built from them.  The sc-order decision turns every sc rule it can into a
+built from them.  Buggy-trace enumeration also decides the assertion before
+any consistency check: the final locals are fixed by the thread runs and
+the final shared values by the mo choice, so a thread-run combination none
+of whose possible final states falsifies the assertion is skipped before
+its events are built, and mo choices that satisfy it are dropped before
+the rf product.  The sc-order decision turns every sc rule it can into a
 forced precedence edge, rejects a forced cycle at once, and searches only
 for the one disjunctive rule, checked as each read is placed.
 
@@ -344,13 +349,79 @@ def is_consistent(tr, limits: Limits | None = None) -> bool:
 # Enumeration
 
 
-def iter_consistent_traces(p: Program, limits: Limits | None = None) -> Iterator[Trace]:
+def _assertion_holds(p: Program, bindings, final_shared, final_locals) -> bool:
+    """The assertion's verdict on a final state of objects and registers."""
+
+    def lookup(name):
+        kind, where = bindings[name]
+        if kind == "object":
+            return final_shared[where]
+        return final_locals[where].get(name, 0)
+
+    return eval_expr(p.assertion, lookup)
+
+
+def _may_falsify(p: Program, bindings, asserted, combo, final_locals) -> bool:
+    """Whether some final state of a thread-run combination may falsify the
+    assertion.
+
+    An sb-respecting mo order ends in the last write of some thread that
+    writes the object, or in its initial write if no thread does; every
+    such choice for the asserted objects is tried.
+    """
+    choices = [
+        sorted({last[obj] for _, _, last in combo if obj in last}) or [p.init[obj]]
+        for obj in asserted
+    ]
+    return any(
+        not _assertion_holds(p, bindings, dict(zip(asserted, vals)), final_locals)
+        for vals in itertools.product(*choices)
+    )
+
+
+def _rf_sources(reads, writes, sb_pairs) -> list[list[int]] | None:
+    """Each read's candidate sources, or None if some read has none.
+
+    Sources sb-after the read (co-rh) or sb-overwritten before it (co-mhi)
+    are left out; the rest stay in id order.
+    """
+    source_lists = []
+    for r in reads:
+        same_obj = [w for w in writes if w.obj == r.obj and w.id != r.id]
+        before_r = [w.id for w in same_obj if (w.id, r.id) in sb_pairs]
+        srcs = [
+            w.id
+            for w in same_obj
+            if w.wval == r.rval
+            and (r.id, w.id) not in sb_pairs
+            and not any(b != w.id and (w.is_init or (w.id, b) in sb_pairs) for b in before_r)
+        ]
+        if not srcs:
+            return None
+        source_lists.append(srcs)
+    return source_lists
+
+
+def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Trace]:
+    """The consistent executions in lexicographic choice order; with
+    ``buggy_only``, only those that falsify the assertion."""
     if not p.elaborated:
         raise LitmusError("program must be elaborated before enumeration")
     limits = limits or Limits()
+    # Without a trace bound, candidates whose assertion holds are dropped
+    # before they are built; with one, every consistent execution counts.
+    prune = buggy_only and limits.max_traces is None
     cand = candidate_values(p)
     bindings = p.assertion_bindings()
-    per_thread = [_thread_runs(t.body, {}, cand) for t in p.threads]
+    asserted = sorted({where for kind, where in bindings.values() if kind == "object"})
+    # Each thread run with the value of its last write to each object.
+    per_thread = [
+        [
+            (specs, env, {s.obj: s.wval for s in specs if s.act in ("write", "rmw")})
+            for specs, env in _thread_runs(t.body, {}, cand)
+        ]
+        for t in p.threads
+    ]
 
     init_events = []
     for k, (obj, val) in enumerate(p.init.items()):
@@ -358,17 +429,18 @@ def iter_consistent_traces(p: Program, limits: Limits | None = None) -> Iterator
             Event(id=k, thr=None, idx=k, act="write", obj=obj, ord=MemoryOrder.RLX, wval=val)
         )
     n_init = len(init_events)
+    objects = list(p.init)
 
     count = 0
     for combo in itertools.product(*per_thread):
         limits.check_time("trace-enumeration")
+        final_locals = {thread.tid: env for thread, (_, env, _) in zip(p.threads, combo)}
+        if prune and not _may_falsify(p, bindings, asserted, combo, final_locals):
+            continue
         events = list(init_events)
-        final_locals: dict[str, dict[str, int]] = {}
         sb_pairs: set[tuple[int, int]] = set()
         next_id = n_init
-        ok = True
-        for thread, (specs, env) in zip(p.threads, combo):
-            final_locals[thread.tid] = env
+        for thread, (specs, _, _) in zip(p.threads, combo):
             ids = []
             for i, spec in enumerate(specs):
                 events.append(
@@ -391,81 +463,49 @@ def iter_consistent_traces(p: Program, limits: Limits | None = None) -> Iterator
                 for b in ids[i + 1 :]:
                     sb_pairs.add((a, b))
 
-        # Choices the coherence axioms always reject are dropped here, and
-        # the survivors keep their lexicographic order: rf sources sb-after
-        # the read (co-rh) or sb-overwritten before it (co-mhi), and mo
-        # orders against sb (co-mh).  Events are in id order, so every
-        # list below is sorted.
-        reads = [e for e in events if e.is_read]
+        # mo orders against sb are never built (co-mh rejects them).  The
+        # final shared state depends on the mo choice alone, so the
+        # assertion is decided here, before the rf product is taken.
         writes = [e for e in events if e.is_write]
-        source_lists = []
-        for r in reads:
-            same_obj = [w for w in writes if w.obj == r.obj and w.id != r.id]
-            before_r = [w.id for w in same_obj if (w.id, r.id) in sb_pairs]
-            srcs = [
-                w.id
-                for w in same_obj
-                if w.wval == r.rval
-                and (r.id, w.id) not in sb_pairs
-                and not any(
-                    b != w.id and (w.is_init or (w.id, b) in sb_pairs) for b in before_r
-                )
-            ]
-            if not srcs:
-                ok = False
-                break
-            source_lists.append(srcs)
-        if not ok:
-            continue
-
-        objects = list(p.init)
+        by_id = {e.id: e for e in events}
+        rmw_ids = {w.id for w in writes if w.act == "rmw"}
         perm_lists = []
         for obj in objects:
             ids = tuple(w.id for w in writes if w.obj == obj and not w.is_init)
             perm_lists.append(list(_linear_extensions(ids, sb_pairs)))
-        rmw_ids = [e.id for e in events if e.act == "rmw"]
-        sb = Relation(sb_pairs)
+        mo_choices = []
+        for mo_choice in itertools.product(*perm_lists):
+            # Init events take ids 0.. in object order.
+            chains = [(k,) + perm for k, perm in enumerate(mo_choice)]
+            final_shared = {obj: by_id[chain[-1]].wval for obj, chain in zip(objects, chains)}
+            holds = _assertion_holds(p, bindings, final_shared, final_locals)
+            if prune and holds:
+                continue
+            mo = Relation((a, b) for chain in chains for i, a in enumerate(chain) for b in chain[i + 1 :])
+            # rmw atomicity: an rmw reads from its immediate mo predecessor.
+            mo_pred = {u: chain[i - 1] for chain in chains for i, u in enumerate(chain) if u in rmw_ids}
+            mo_choices.append((mo, mo_pred, final_shared, holds))
+        if not mo_choices:
+            continue
 
-        by_id = {e.id: e for e in events}
+        reads = [e for e in events if e.is_read]
+        source_lists = _rf_sources(reads, writes, sb_pairs)
+        if source_lists is None:
+            continue
+        sb = Relation(sb_pairs)
         for rf_choice in itertools.product(*source_lists):
             limits.check_time("trace-enumeration")
             rf = Relation((w, r.id) for w, r in zip(rf_choice, reads))
             rf_src = {r.id: w for w, r in zip(rf_choice, reads)}
-            for mo_choice in itertools.product(*perm_lists):
-                chains = {}
-                mo_pairs = set()
-                for obj, perm in zip(objects, mo_choice):
-                    init_id = objects.index(obj)
-                    chain = (init_id,) + perm
-                    chains[obj] = chain
-                    for i, a in enumerate(chain):
-                        for b in chain[i + 1 :]:
-                            mo_pairs.add((a, b))
-                # rmw atomicity: the source is the immediate mo predecessor.
-                atomic = True
-                for u in rmw_ids:
-                    chain = chains[by_id[u].obj]
-                    at = chain.index(u)
-                    if at == 0 or chain[at - 1] != rf_src[u]:
-                        atomic = False
-                        break
-                if not atomic:
+            for mo, mo_pred, final_shared, holds in mo_choices:
+                if any(rf_src[u] != w for u, w in mo_pred.items()):
                     continue
-
-                final_shared = {obj: by_id[chains[obj][-1]].wval for obj in objects}
-
-                def lookup(name):
-                    kind, where = bindings[name]
-                    if kind == "object":
-                        return final_shared[where]
-                    return final_locals[where].get(name, 0)
-
                 tr = Trace(
                     events,
                     sb,
                     rf,
-                    Relation(mo_pairs),
-                    assertion_holds=eval_expr(p.assertion, lookup),
+                    mo,
+                    assertion_holds=holds,
                     final_shared=final_shared,
                     final_locals=final_locals,
                 )
@@ -475,7 +515,8 @@ def iter_consistent_traces(p: Program, limits: Limits | None = None) -> Iterator
                         raise ResourceLimitError(
                             "trace-enumeration", "more than %d traces" % limits.max_traces
                         )
-                    yield tr
+                    if not (buggy_only and holds):
+                        yield tr
 
 
 def _linear_extensions(ids: tuple[int, ...], before) -> Iterator[tuple[int, ...]]:
@@ -491,14 +532,27 @@ def _linear_extensions(ids: tuple[int, ...], before) -> Iterator[tuple[int, ...]
             yield (x,) + rest
 
 
+def iter_consistent_traces(p: Program, limits: Limits | None = None) -> Iterator[Trace]:
+    return _traces(p, limits, buggy_only=False)
+
+
 def enumerate_consistent_traces(p: Program, limits: Limits | None = None) -> list[Trace]:
     return list(iter_consistent_traces(p, limits))
 
 
 def iter_buggy_traces(p: Program, limits: Limits | None = None) -> Iterator[Trace]:
-    for tr in iter_consistent_traces(p, limits):
-        if not tr.assertion_holds:
-            yield tr
+    """The consistent executions that falsify the assertion, in the order
+    ``iter_consistent_traces`` yields them.
+
+    The assertion is decided from the choices before any consistency
+    check: a thread-run combination none of whose reachable final states
+    falsifies it is skipped before its events are built, and mo choices
+    whose final state satisfies it are dropped before the rf product.
+    With ``limits.max_traces`` set, consistency is still checked on every
+    candidate, so the bound counts the same executions as in
+    ``iter_consistent_traces``.
+    """
+    return _traces(p, limits, buggy_only=True)
 
 
 def find_buggy_traces(p: Program, limits: Limits | None = None) -> list[Trace]:

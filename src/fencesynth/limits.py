@@ -13,11 +13,14 @@ class Limits:
     """Budget for one synthesis run.
 
     ``max_traces`` bounds how many consistent executions the enumerator may
-    produce, ``timeout_secs`` is a global soft deadline (armed by ``start``)
-    that every exponential search checks inside its loops, ``coalesce_budget``
-    bounds the cross-trace order-coalescing product above which orders are
-    assigned greedily, and ``max_iters`` bounds the iterative
-    (one-trace-at-a-time) driver loop.
+    see.  Buggy-trace enumeration counts the same executions: with the
+    bound set, it also checks consistency on the candidates that satisfy
+    the assertion, which it otherwise drops unchecked.  ``timeout_secs`` is
+    a global soft deadline (armed by ``start``) that every exponential
+    search checks inside its loops, ``coalesce_budget`` bounds the
+    cross-trace order-coalescing product above which orders are assigned
+    greedily, and ``max_iters`` bounds the iterative (one-trace-at-a-time)
+    driver loop.
     """
 
     max_traces: int | None = None

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import CORPUS, O, load, with_fences
 from oracle import accepting_sc_orders, oracle_traces, trace_signature
+from test_litmus import random_litmus_program
 from fencesynth.cycles import candidate_slots
 from fencesynth.enumerator import (
     coherence_violations,
@@ -146,4 +147,51 @@ def test_enumerator_matches_oracle_on_generated_programs(name):
     p = elaborate(parse_program(FAMILIES[name]), 16)
     mine = [trace_signature(t) for t in enumerate_consistent_traces(p)]
     assert len(set(mine)) == len(mine), "duplicate traces emitted"
-    assert set(mine) == oracle_traces(p)
+    expected = oracle_traces(p)
+    assert set(mine) == expected
+    buggy = [trace_signature(t) for t in find_buggy_traces(p)]
+    assert buggy == [s for s in mine if not s[3]]
+    assert set(buggy) == {s for s in expected if not s[3]}
+
+
+def test_buggy_traces_are_the_falsifying_consistent_traces(monkeypatch):
+    # On every corpus program and on every mutant the sanity check builds
+    # for a corpus opt fix, buggy-trace enumeration yields exactly the
+    # consistent executions that falsify the assertion, in the same order.
+    from fencesynth import driver
+
+    probed = []
+    iter_buggy = driver.iter_buggy_traces
+
+    def recording(p, limits=None):
+        probed.append(p)
+        return iter_buggy(p, limits)
+
+    monkeypatch.setattr(driver, "iter_buggy_traces", recording)
+    for name in CORPUS:
+        result = driver.synthesize(load(name), mode="opt")
+        if result.status == driver.FIXED:
+            driver.sanity_check(result.fixed_program, result)
+    monkeypatch.undo()
+    assert len(probed) > 40
+    for p in [load(name) for name in CORPUS] + probed:
+        expected = [trace_signature(t) for t in enumerate_consistent_traces(p) if not t.assertion_holds]
+        assert [trace_signature(t) for t in find_buggy_traces(p)] == expected, p.name
+
+
+@pytest.mark.parametrize("seeds", [range(0, 75), range(75, 150)])
+def test_enumerators_match_oracle_on_random_programs(seeds):
+    # Random loop-free programs of 2-3 threads on fixed seeds: both
+    # enumerations against the oracle's executions and verdicts.
+    buggy_programs = holding_programs = 0
+    for seed in seeds:
+        p = elaborate(parse_program(random_litmus_program(seed)), 16)
+        expected = oracle_traces(p)
+        mine = [trace_signature(t) for t in enumerate_consistent_traces(p)]
+        assert len(set(mine)) == len(mine) and set(mine) == expected, seed
+        buggy = [trace_signature(t) for t in find_buggy_traces(p)]
+        assert buggy == [s for s in mine if not s[3]], seed
+        buggy_programs += bool(buggy)
+        holding_programs += len(buggy) < len(mine)
+    # Neither verdict is vacuous over the seeds.
+    assert buggy_programs > len(seeds) // 3 and holding_programs > len(seeds) // 3

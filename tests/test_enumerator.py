@@ -190,26 +190,31 @@ def test_sc_rmw_may_read_the_initial_value():
     assert outcomes(traces, "u") == [(0,)]
 
 
+def _count_coherence_checks(monkeypatch):
+    from fencesynth import enumerator
+
+    checked = []
+    check = enumerator.coherence_violations
+
+    def counted_check(tr):
+        checked.append(tr)
+        return check(tr)
+
+    monkeypatch.setattr(enumerator, "coherence_violations", counted_check)
+    return checked
+
+
 def test_pruned_choices_shrink_the_candidate_set(monkeypatch):
     # Message passing with 5 same-thread data stores: of the 5! orders of
     # those stores only the program order survives, and sources that are
     # sb-overwritten before a read are never tried.
-    from fencesynth import enumerator
-
     stores = "\n".join("  store(d, %d, rlx)" % v for v in range(1, 6))
     p = elaborate(parse_program(
         "program mp5\ninit d = 0, f = 0\nthread w {\n%s\n  store(f, 1, rlx)\n}\n"
         "thread r {\n  a = load(f, rlx)\n  b = load(d, rlx)\n}\n"
         "assert !(a == 1 && b != 5)\n" % stores
     ))
-    built = []
-    check = enumerator.coherence_violations
-
-    def counted_check(tr):
-        built.append(tr)
-        return check(tr)
-
-    monkeypatch.setattr(enumerator, "coherence_violations", counted_check)
+    built = _count_coherence_checks(monkeypatch)
     assert len(enumerate_consistent_traces(p)) == 12
     # Unpruned, this enumeration builds 1,440 candidate executions.
     assert len(built) <= 144
@@ -274,3 +279,79 @@ def test_candidate_fences_never_in_rf_mo_fr(rwrw):
     it = insert_candidate_fences(tr)
     touched = {i for pair in (it.rf.pairs | it.mo.pairs | compute_fr(it).pairs) for i in pair}
     assert not (touched & it.fence_event_ids)
+
+
+# ---------------------------------------------------------------------------
+# Buggy-trace enumeration decides the assertion before checking consistency
+
+
+def _buggy_equals_filtered(src):
+    from oracle import trace_signature
+
+    p = elaborate(parse_program(src))
+    buggy = find_buggy_traces(p)
+    expected = [trace_signature(t) for t in enumerate_consistent_traces(p) if not t.assertion_holds]
+    assert [trace_signature(t) for t in buggy] == expected
+    return buggy
+
+
+TWO_WRITERS = (
+    "program two_writers\ninit x = 0\n"
+    "thread t1 {\n  store(x, 1, rlx)\n  store(x, 2, rlx)\n}\n"
+    "thread t2 {\n  store(x, 3, rlx)\n}\n"
+    "assert %s\n"
+)
+
+
+def test_precheck_tries_the_last_write_of_every_writing_thread():
+    # mo ends in t1's last write (2) or in t2's (3), never in t1's first.
+    cases = (("x == 2", [3]), ("x == 3", [2, 2]), ("x != 2", [2, 2]), ("x != 1", []))
+    for assertion, finals in cases:
+        buggy = _buggy_equals_filtered(TWO_WRITERS % assertion)
+        assert [tr.final_shared["x"] for tr in buggy] == finals, assertion
+
+
+def test_precheck_counts_the_value_an_rmw_writes():
+    # Only the fadd's written value, read 1 plus 2, can falsify the
+    # assertion; no store writes 3.
+    buggy = _buggy_equals_filtered(
+        "program rmw_final\ninit x = 0\n"
+        "thread t1 {\n  u = fadd(x, 2, rlx)\n}\n"
+        "thread t2 {\n  store(x, 1, rlx)\n}\n"
+        "assert x != 3\n"
+    )
+    assert outcomes(buggy, "u") == [(1,)]
+    assert [tr.final_shared["x"] for tr in buggy] == [3]
+
+
+def _ring_of_six():
+    from test_differential import sb_ring
+
+    return elaborate(parse_program(sb_ring(6)))
+
+
+def test_buggy_enumeration_checks_only_falsifying_candidates(monkeypatch):
+    # Each of the ring's 64 candidates is consistent, and only the one
+    # where every load reads 0 falsifies the assertion: that one alone is
+    # checked, in the buggy program and in its fix.
+    from fencesynth.driver import synthesize
+
+    p = _ring_of_six()
+    fixed = synthesize(p).fixed_program
+    checked = _count_coherence_checks(monkeypatch)
+    assert len(find_buggy_traces(p)) == 1 and len(checked) == 1
+    checked.clear()
+    assert find_buggy_traces(fixed) == [] and len(checked) == 1
+    checked.clear()
+    assert len(enumerate_consistent_traces(p)) == 64 and len(checked) == 64
+
+
+def test_max_traces_counts_every_consistent_execution_in_buggy_enumeration(monkeypatch):
+    # With a trace bound, candidates that satisfy the assertion are still
+    # checked and counted, so the bound trips where the full enumeration's
+    # does.
+    p = _ring_of_six()
+    checked = _count_coherence_checks(monkeypatch)
+    assert len(find_buggy_traces(p, Limits(max_traces=64))) == 1 and len(checked) == 64
+    with pytest.raises(ResourceLimitError):
+        find_buggy_traces(p, Limits(max_traces=63))

@@ -178,6 +178,54 @@ def _random_program(seed):
     return "\n".join(lines) + "\n"
 
 
+ORDERS = ("rlx", "rel", "acq", "ar", "sc")
+
+
+def random_litmus_program(seed):
+    """A random loop-free program for differential testing.
+
+    2-3 threads of loads, stores (of constants or of the thread's own
+    locals), fences and at most one fadd over x and y, each at a random
+    order, and an assertion over final objects and locals.  At most four
+    statements in all keep the brute-force oracle fast.
+    """
+    rng = random.Random(seed)
+    n_threads = rng.randint(2, 3)
+    lines = ["program rand%d" % seed, "init x = 0, y = 0"]
+    names = ["x", "y"]
+    kinds = ["load", "load", "store", "store", "fadd", "fence"]
+    for t in range(n_threads):
+        lines.append("thread t%d {" % t)
+        mine = []
+        for i in range(rng.randint(1, 5 - n_threads)):
+            kind = rng.choice(kinds)
+            obj, ordv = rng.choice("xy"), rng.choice(ORDERS)
+            if kind == "fence":
+                lines.append("  fence(%s)" % ordv)
+            elif kind == "store":
+                value = rng.choice(mine) if mine and rng.random() < 0.3 else rng.randint(1, 2)
+                lines.append("  store(%s, %s, %s)" % (obj, value, ordv))
+            else:
+                dest = "r%d%d" % (t, i)
+                mine.append(dest)
+                if kind == "load":
+                    lines.append("  %s = load(%s, %s)" % (dest, obj, ordv))
+                else:
+                    kinds.remove("fadd")  # one per program keeps the value pools small
+                    lines.append("  %s = fadd(%s, 1, %s)" % (dest, obj, ordv))
+        names += mine
+        lines.append("}")
+    atoms = [
+        "%s %s %d" % (rng.choice(names), rng.choice(("==", "!=")), rng.randint(0, 2))
+        for _ in range(rng.randint(1, 3))
+    ]
+    assertion = (" && " if rng.random() < 0.5 else " || ").join(atoms)
+    if rng.random() < 0.5:
+        assertion = "!(%s)" % assertion
+    lines.append("assert " + assertion)
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_print_parse_round_trip(seed):
     src = _random_program(seed)
@@ -186,6 +234,14 @@ def test_print_parse_round_trip(seed):
     p2 = parse_program(printed)
     assert print_program(p2) == printed
     assert p1 == p2  # metadata fields are excluded from equality
+
+
+def test_random_litmus_programs_round_trip():
+    for seed in range(150):
+        p = parse_program(random_litmus_program(seed))
+        printed = print_program(p)
+        assert parse_program(printed) == p, seed
+        assert print_program(elaborate(p)) == printed, seed
 
 
 def _expected_count(block):
