@@ -54,7 +54,6 @@ from .optimize import (
     assign_memory_orders,
     build_query,
     find_min_model,
-    solution_weight,
 )
 from .orders import MemoryOrder, lub
 from .relations import (
@@ -108,7 +107,6 @@ __all__ = [
     "print_program",
     "release_sequence",
     "sanity_check",
-    "solution_weight",
     "synthesize",
     "synthesize_fast",
     "synthesize_optimal",

@@ -9,6 +9,14 @@ strong analysis closes the forced sc order over the same minimal fence
 sets and reads its cycles off the diagonal.  Each violation's candidate
 fences form one candidate solution, with a locally weakest memory order
 read off each fence's synchronization role (sc for the strong analysis).
+
+No hb path, coherence composition or sc-order cycle leaves a connected
+component of threads and objects (a thread joins each object it
+accesses).  Given a memo, ``analyze_trace`` analyses each component of a
+trace on its own, and each distinct component once per memo, then maps
+the solutions back to the trace's event ids and merges them into the
+order of the whole-trace analysis.
+
 Johnson's elementary-cycles algorithm stays available as a utility; the
 analyses do not call it.
 """
@@ -451,16 +459,152 @@ def _covers(weak: CandidateSolution, strong: CandidateSolution) -> bool:
     )
 
 
+def _analyze(it: IntermediateTrace, trace_id: int, limits: Limits | None):
+    weak = find_weak_cycles(it, trace_id, limits)
+    strong = find_strong_cycles(it, trace_id, limits)
+    return weak, [s for s in strong if not any(_covers(w, s) for w in weak)]
+
+
 def analyze_trace(
-    tr: Trace, trace_id: int = 0, limits: Limits | None = None
+    tr: Trace,
+    trace_id: int = 0,
+    limits: Limits | None = None,
+    memo: dict | None = None,
 ) -> list[CandidateSolution]:
     """Weak plus strong solutions for one buggy trace.
 
     A strong solution is dropped when some weak solution needs a subset of
     its fences and of its program-fence requirements, at orders never
     heavier than sc.
+
+    With a ``memo`` (one dict per run), a trace whose threads and objects
+    fall into several connected components is analysed per component, and
+    each distinct component once per memo: no hb path, coherence
+    composition or sc-order cycle leaves a component.  The merged list is
+    equal, order included, to the whole-trace analysis.
     """
-    it = insert_candidate_fences(tr)
-    weak = find_weak_cycles(it, trace_id, limits)
-    strong = find_strong_cycles(it, trace_id, limits)
-    return weak + [s for s in strong if not any(_covers(w, s) for w in weak)]
+    parts = None if memo is None else _split(tr)
+    if parts is None:
+        weak, strong = _analyze(insert_candidate_fences(tr), trace_id, limits)
+        return weak + strong
+    if limits is not None:
+        limits.check_time("cycle-detection")
+    entries = []
+    for key, ids in parts:
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = _Component(key, limits)
+        entries.append((entry, ids))
+    # Candidate fences take the ids after the last event, thread by thread
+    # in thread order and gap by gap (``insert_candidate_fences``).
+    count = {thr: n for entry, _ in entries for thr, n in entry.slot_counts}
+    first = {}
+    base = tr.events[-1].id + 1
+    for e in tr.events:
+        if e.thr is not None and e.thr not in first:
+            first[e.thr], base = base, base + count[e.thr]
+    # Weak solutions first, by condition, cycle, then mask (fence ids order
+    # the fence bits as ``fence_order`` does); strong ones by mask.
+    merged = []
+    for entry, ids in entries:
+        ids = ids + [first[thr] + k for thr, k in entry.fence_pos]
+        for sol, rank, mask in entry.solutions:
+            cycle = tuple(LabeledEdge(ids[e.src], ids[e.dst], e.label) for e in sol.cycle)
+            bits = sum(role << 2 * ids[f] for f, role in mask)
+            edges = tuple((e.src, e.dst) for e in cycle) if sol.kind == "weak" else ()
+            sol = CandidateSolution(
+                sol.kind, sol.condition, trace_id, cycle, sol.fences, sol.orders, sol.program_fences
+            )
+            merged.append(((rank, edges, bits.bit_count(), bits), sol))
+    merged.sort(key=lambda ks: ks[0])
+    return [sol for _, sol in merged]
+
+
+# The weak conditions in the order find_weak_cycles lists them.
+_CONDITIONS = ("co-h", "co-rh", "co-mh", "co-mrh", "co-mhi", "co-mrhi")
+_ROLES = {MemoryOrder.ACQ: _IN, MemoryOrder.REL: _OUT, MemoryOrder.AR: _IN | _OUT}
+
+
+def _split(tr: Trace):
+    """The memo key and the event ids of each connected component of ``tr``
+    that has a thread, or None when there is only one such component.
+
+    A thread joins each object it accesses, and an init write joins its
+    object.  The key renumbers the component's events in id order and
+    restricts sb, rf and mo to them.
+    """
+    parent: dict = {}
+
+    def find(x):
+        while x in parent:
+            x = parent[x]
+        return x
+
+    accesses = {(e.thr, e.obj) for e in tr.events if e.thr is not None}
+    for thr, obj in accesses:
+        if obj is not None:
+            a, b = find((0, thr)), find((1, obj))
+            if a != b:
+                parent[a] = b
+    if len({find((0, thr)) for thr, _ in accesses}) < 2:
+        return None
+    groups: dict = {}
+    roots: dict = {}
+    for e in tr.events:
+        node = (0, e.thr) if e.thr is not None else (1, e.obj)
+        root = roots.get(node)
+        if root is None:
+            root = roots[node] = find(node)
+        groups.setdefault(root, []).append(e)
+    groups = list(groups.values())
+    parts = [k for k, g in enumerate(groups) if any(e.thr is not None for e in g)]
+    where = {e.id: (k, i) for k, g in enumerate(groups) for i, e in enumerate(g)}
+    rels = [([], [], []) for _ in groups]
+    for j, rel in enumerate((tr.sb, tr.rf, tr.mo)):
+        for a, b in rel.pairs:
+            (ka, ia), (kb, ib) = where[a], where[b]
+            if ka != kb:
+                return None  # a relation across components: no split
+            rels[ka][j].append((ia, ib))
+    out = []
+    for k in parts:
+        fields = tuple(
+            (e.thr, e.idx, e.act, e.obj, e.ord, e.loc, e.rval, e.wval, e.cont) for e in groups[k]
+        )
+        out.append(((fields, *map(frozenset, rels[k])), [e.id for e in groups[k]]))
+    return out
+
+
+class _Component:
+    """The analysis of one component, in its own event numbering.
+
+    ``fence_pos`` gives each candidate fence's thread and rank among that
+    thread's candidates, ``slot_counts`` each thread's number of
+    candidates, and each solution comes with its rank (its weak condition's,
+    or after them all if strong) and its mask as (fence id, role bits)
+    pairs.
+    """
+
+    def __init__(self, key, limits: Limits | None):
+        fields, sb, rf, mo = key
+        events = [Event(i, *f) for i, f in enumerate(fields)]
+        it = insert_candidate_fences(Trace(events, Relation(sb), Relation(rf), Relation(mo)))
+        counts: dict[str, int] = {}
+        self.fence_pos = []
+        for f in it.fence_events:
+            self.fence_pos.append((f.thr, counts.get(f.thr, 0)))
+            counts[f.thr] = counts.get(f.thr, 0) + 1
+        self.slot_counts = tuple(counts.items())
+        fence_of = {f.loc: f.id for f in it.fences}
+        weak, strong = _analyze(it, 0, limits)
+        sc = {MemoryOrder.SC: _IN}
+        self.solutions = [
+            (sol, _CONDITIONS.index(sol.condition), self._mask(sol, fence_of, _ROLES))
+            for sol in weak
+        ] + [(sol, len(_CONDITIONS), self._mask(sol, fence_of, sc)) for sol in strong]
+
+    @staticmethod
+    def _mask(sol, fence_of, roles):
+        return tuple(
+            (fence_of[where], roles[order]) for where, order in sol.orders + sol.program_fences
+        )

@@ -241,8 +241,9 @@ def synthesize_optimal(p: Program, limits: Limits | None = None) -> SynthesisRes
         return result
 
     t0 = time.monotonic()
+    memo: dict = {}
     for tid, tr in enumerate(buggy):
-        sols = analyze_trace(tr, tid, limits)
+        sols = analyze_trace(tr, tid, limits, memo=memo)
         if not sols:
             timings["analyze"] = time.monotonic() - t0
             result.status = NO_FIX
@@ -385,7 +386,7 @@ def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | Non
     Passes iff every mutant program has at least one buggy trace; a mutant
     hitting a resource limit is reported inconclusive.
     """
-    limits = limits or Limits()
+    limits = ensure_started(limits)
     report = SanityReport()
     if result.status != FIXED:
         return report

@@ -101,29 +101,6 @@ class Relation:
     def inverse(self) -> "Relation":
         return Relation((b, a) for a, b in self.pairs)
 
-    def transitive_closure(self) -> "Relation":
-        reach: dict[int, set[int]] = {}
-        nodes = {a for a, _ in self.pairs}
-        for start in nodes:
-            seen: set[int] = set()
-            stack = list(self.successors(start))
-            while stack:
-                v = stack.pop()
-                if v in seen:
-                    continue
-                seen.add(v)
-                stack.extend(self.successors(v))
-            reach[start] = seen
-        return Relation((a, b) for a, bs in reach.items() for b in bs)
-
-    def restrict(self, keep) -> "Relation":
-        """Pairs whose both endpoints satisfy the predicate."""
-        return Relation((a, b) for a, b in self.pairs if keep(a) and keep(b))
-
-    def is_reflexive(self) -> bool:
-        """True iff some (e, e) pair is present."""
-        return any(a == b for a, b in self.pairs)
-
 
 # ---------------------------------------------------------------------------
 # Events

@@ -112,11 +112,6 @@ class TypedSolution:
         return sum(o.weight for _, o in self.assignment)
 
 
-def solution_weight(ts: TypedSolution) -> int:
-    """Total weight of the synthesized fences (rel/acq 1, ar 2, sc 3)."""
-    return ts.weight
-
-
 def _coalesce(choice: Sequence[CandidateSolution], slot_ord=None, prog_ord=None):
     """Per-slot least upper bounds of the choice's orders and their weight,
     folded into copies of the running lubs ``slot_ord``/``prog_ord`` if given."""

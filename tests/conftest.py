@@ -57,6 +57,21 @@ EXPECT_STATUS = {
 O = MemoryOrder
 
 
+def closure(pairs) -> set[tuple[int, int]]:
+    """Transitive closure of a pair set, by naive squaring."""
+    out = set(pairs)
+    while True:
+        new = out | {(a, c) for a, b in out for b2, c in out if b == b2}
+        if new == out:
+            return out
+        out = new
+
+
+def reflexive(pairs) -> bool:
+    """Some (e, e) pair is present."""
+    return any(a == b for a, b in pairs)
+
+
 def corpus_text(name: str) -> str:
     return (CORPUS_DIR / (name + ".lit")).read_text()
 

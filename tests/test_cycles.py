@@ -1,4 +1,5 @@
-"""Candidate fences, elementary-cycle enumeration, weak/strong analyses."""
+"""Candidate fences, elementary-cycle enumeration, weak/strong analyses and
+their per-component memo."""
 
 import itertools
 import random
@@ -6,8 +7,10 @@ import time
 
 import pytest
 
-from conftest import CORPUS, load, make_trace, with_fences, O
+from conftest import CORPUS, O, closure, corpus_text, load, make_trace, reflexive, with_fences
 from oracle import brute_force_cycles
+from test_differential import mp_pairs, mp_program, program, sb_ring
+from test_litmus import random_litmus_program
 from fencesynth.cycles import (
     analyze_trace,
     candidate_slots,
@@ -26,7 +29,7 @@ from fencesynth.driver import sanity_check, synthesize_optimal
 from fencesynth.errors import ResourceLimitError
 from fencesynth.limits import Limits
 from fencesynth.litmus import elaborate, parse_program
-from fencesynth.model import FenceSlot, Trace
+from fencesynth.model import FenceSlot, Relation, Trace
 
 
 def slot_names(sol):
@@ -328,7 +331,7 @@ def test_strong_solutions_match_so_cycles_on_every_slot_subset():
             for subset in itertools.combinations(slots, k):
                 sset = frozenset(subset)
                 so = insert_candidate_fences(tr, slots=sset).so
-                has_cycle = so.transitive_closure().is_reflexive()
+                has_cycle = reflexive(closure(so.pairs))
                 assert has_cycle == any(s.fences <= sset for s in strong), (name, sset)
                 cyclic += has_cycle
     assert cyclic >= 100
@@ -395,3 +398,178 @@ def test_strong_duplicate_of_weak_is_dropped():
     weak_sets = {s.fences for s in sols if s.kind == "weak"}
     strong_sets = {s.fences for s in sols if s.kind == "strong"}
     assert not (weak_sets & strong_sets)
+
+
+# ---------------------------------------------------------------------------
+# Per-component analysis with a memo
+
+
+def padded_pairs(m):
+    # m independent store-buffering pairs, one private store between each
+    # thread's store and its load.
+    threads, bugs = [], []
+    for i in range(m):
+        x, y, a, b = "x%d" % i, "y%d" % i, "a%d" % i, "b%d" % i
+        for tid, mine, pad, reg, other in (("s", x, "p", a, y), ("u", y, "q", b, x)):
+            body = ["store(%s, 1, rlx)" % mine, "store(%s%d, 1, rlx)" % (pad, i)]
+            threads.append(("%s%d" % (tid, i), body + ["%s = load(%s, rlx)" % (reg, other)]))
+        bugs.append("(%s == 0 && %s == 0)" % (a, b))
+    return program("padded_pairs_%d" % m, threads, "!(%s)" % " || ".join(bugs))
+
+
+# The mp pair is the bug; the store-buffering pair beside it is not in the
+# assertion, but its execution that reads 0 twice has an sc-order cycle.
+MP_BESIDE_SB = program(
+    "mp_beside_sb",
+    [
+        ("w", ["store(d, 1, rlx)", "store(f, 1, rlx)"]),
+        ("r", ["a = load(f, rlx)", "b = load(d, rlx)"]),
+        ("s0", ["store(x, 1, rlx)", "c = load(y, rlx)"]),
+        ("s1", ["store(y, 1, rlx)", "e = load(x, rlx)"]),
+    ],
+    "!(a == 1 && b == 0)",
+)
+
+# Components whose threads interleave, so that event ids and fence masks
+# order their solutions differently: an sb ring of three on t0, t1, t3
+# beside an sb pair on t2, t4, and two mp pairs, writers first.
+RING_BESIDE_PAIR = program(
+    "ring_beside_pair",
+    [
+        ("t0", ["store(x0, 1, rlx)", "a = load(x1, rlx)"]),
+        ("t1", ["store(x1, 1, rlx)", "b = load(x2, rlx)"]),
+        ("t2", ["store(y0, 1, rlx)", "c = load(y1, rlx)"]),
+        ("t3", ["store(x2, 1, rlx)", "d = load(x0, rlx)"]),
+        ("t4", ["store(y1, 1, rlx)", "e = load(y0, rlx)"]),
+    ],
+    "!((a == 0 && b == 0 && d == 0) || (c == 0 && e == 0))",
+)
+CROSSED_MP = program(
+    "crossed_mp",
+    [
+        ("w0", ["store(a_d, 1, rlx)", "store(a_f, 1, rlx)"]),
+        ("w1", ["store(b_d, 1, rlx)", "store(b_f, 1, rlx)"]),
+        ("r1", ["c = load(b_f, rlx)", "d = load(b_d, rlx)"]),
+        ("r0", ["a = load(a_f, rlx)", "b = load(a_d, rlx)"]),
+    ],
+    "!((a == 1 && b == 0) || (c == 1 && d == 0))",
+)
+
+# Weak solutions of two conditions, the later one on the lower ids.
+MP_BESIDE_LB = program(
+    "mp_beside_lb",
+    [
+        ("w", ["store(a_d, 1, rlx)", "store(a_f, 1, rlx)"]),
+        ("r", ["a = load(a_f, rlx)", "b = load(a_d, rlx)"]),
+        ("l0", ["c = load(b_x, rlx)", "store(b_y, 1, rlx)"]),
+        ("l1", ["d = load(b_y, rlx)", "store(b_x, 1, rlx)"]),
+    ],
+    "!((a == 1 && b == 0) || (c == 1 && d == 1))",
+)
+# One cycle with three minimal masks: t1's fence after its load as ar,
+# before its last store as ar, or one of each as acq and rel.
+WRC_RELAY = program(
+    "wrc_relay",
+    [
+        ("t0", ["store(x, 1, rlx)", "store(z, 1, rlx)"]),
+        ("t1", ["a = load(z, rlx)", "store(p, 1, rlx)", "store(y, 1, rlx)"]),
+        ("t2", ["b = load(y, rlx)", "c = load(x, rlx)"]),
+    ],
+    "!(a == 1 && b == 1 && c == 0)",
+)
+
+
+def beside_a_lone_thread(text):
+    # The same program with a first thread that stores to an object of its
+    # own: every trace then has at least two components.
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("init "))
+    lines[at] += ", zz = 0"
+    lines[at + 1 : at + 1] = ["thread lone {", "  store(zz, 1, rlx)", "}"]
+    return "\n".join(lines) + "\n"
+
+
+MEMO_PROGRAMS = {
+    **{name: load(name) for name in CORPUS},
+    **{name + "_beside_lone": beside_a_lone_thread(corpus_text(name)) for name in CORPUS},
+    "ring_beside_pair": RING_BESIDE_PAIR,
+    "crossed_mp": CROSSED_MP,
+    "mp_beside_lb": MP_BESIDE_LB,
+    "wrc_relay_beside_lone": beside_a_lone_thread(WRC_RELAY),
+    **{"sb_ring_%d" % n: sb_ring(n) for n in range(2, 7)},
+    **{"mp_poll_%d" % k: mp_program("mp_poll_%d" % k, polls=k) for k in range(1, 6)},
+    **{"mp_stores_%d" % k: mp_program("mp_stores_%d" % k, k_stores=k) for k in range(1, 6)},
+    **{"mp_pairs_%d" % m: mp_pairs(m) for m in range(1, 6)},
+    **{"padded_pairs_%d" % m: padded_pairs(m) for m in range(1, 4)},
+    **{"random_%d" % seed: random_litmus_program(seed) for seed in range(150)},
+    "mp_beside_sb": MP_BESIDE_SB,
+}
+
+
+def test_memoized_analysis_equals_the_whole_trace_analysis():
+    # Every buggy trace's solution list, order, cycles and trace ids
+    # included, is the same with one memo per program as without.
+    split = 0
+    for name, p in MEMO_PROGRAMS.items():
+        if isinstance(p, str):
+            p = elaborate(parse_program(p), 16)
+        memo = {}
+        for i, tr in enumerate(find_buggy_traces(p)):
+            assert analyze_trace(tr, i, memo=memo) == analyze_trace(tr, i), (name, i)
+        split += bool(memo)
+    # The memo is only used on traces of several components.
+    assert split >= 60
+
+
+def test_memo_is_not_used_across_a_relation_between_components():
+    # A hand-made sb pair from one store-buffering core to the other joins
+    # the two components: the trace is analysed whole.
+    tr = find_buggy_traces(load("two_bugs"))[0]
+    t1, t3 = tr.thread_events["t1"], tr.thread_events["t3"]
+    joined = Trace(tr.events, tr.sb | Relation({(t1[-1].id, t3[0].id)}), tr.rf, tr.mo)
+    memo = {}
+    assert analyze_trace(joined, 0, memo=memo) == analyze_trace(joined, 0)
+    assert memo == {}
+
+
+def test_memo_keeps_the_solutions_of_a_component_outside_the_bug():
+    p = elaborate(parse_program(MP_BESIDE_SB), 16)
+    sb_slots = {FenceSlot(t, g) for t in ("s0", "s1") for g in range(3)}
+    kept = 0
+    memo = {}
+    for i, tr in enumerate(find_buggy_traces(p)):
+        sols = analyze_trace(tr, i, memo=memo)
+        assert sols == analyze_trace(tr, i)
+        kept += any(s.fences <= sb_slots for s in sols)
+    assert kept == 1
+    # One entry per distinct execution of each pair.
+    assert len(memo) == 4 + 1
+
+
+def test_opt_closes_each_distinct_component_once(monkeypatch):
+    import fencesynth.relations
+
+    closures = []
+    role_closure = fencesynth.relations.role_closure
+
+    def counting(it, limits=None):
+        closures.append(it)
+        return role_closure(it, limits)
+
+    monkeypatch.setattr(fencesynth.relations, "role_closure", counting)
+    result = synthesize_optimal(elaborate(parse_program(mp_pairs(4)), 16))
+    assert result.status == "fixed" and len(result.synthesized) == 8
+    assert len(result.buggy_traces) == 175
+    # Four executions of each of the four pairs, each closed once.
+    assert len(closures) == 16
+
+
+def test_memoized_analysis_honors_an_expired_deadline():
+    traces = find_buggy_traces(elaborate(parse_program(mp_pairs(2)), 16))
+    memo = {}
+    for i, tr in enumerate(traces):
+        analyze_trace(tr, i, memo=memo)
+    for cache in (memo, {}):
+        with pytest.raises(ResourceLimitError) as exc:
+            analyze_trace(traces[0], 0, Limits(timeout_secs=-1.0).start(), memo=cache)
+        assert exc.value.phase == "cycle-detection"

@@ -262,3 +262,14 @@ def test_sanity_check_ar_fence_tries_both_weakenings():
         o.mutation for o in report.outcomes if o.fence.startswith("fence(ar)")
     }
     assert ar_mutations == {"removed", "weakened to rel", "weakened to acq"}
+
+
+def test_sanity_check_arms_an_unarmed_deadline():
+    # A Limits nobody started bounds the check as it bounds synthesis: with
+    # no time left, every mutant is inconclusive.
+    res = synthesize_optimal(load("two_bugs"))
+    with pytest.raises(ResourceLimitError):
+        synthesize_optimal(load("two_bugs"), Limits(timeout_secs=0.0))
+    report = sanity_check(res.fixed_program, res, Limits(timeout_secs=0.0))
+    assert len(report.outcomes) >= 2 and not report.passed
+    assert {o.verdict for o in report.outcomes} == {"inconclusive"}

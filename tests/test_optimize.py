@@ -16,7 +16,6 @@ from fencesynth.optimize import (
     assign_memory_orders,
     build_query,
     find_min_model,
-    solution_weight,
 )
 
 F1, F2, F3, F4 = (FenceSlot("t", i) for i in range(1, 5))
@@ -252,9 +251,9 @@ def test_greedy_coalescing_matches_full_recoalescing(seed):
 
 
 def test_solution_weight_examples():
-    assert solution_weight(TypedSolution(assignment=((F1, O.REL), (F2, O.ACQ)))) == 2
-    assert solution_weight(TypedSolution(assignment=())) == 0
-    assert solution_weight(TypedSolution(assignment=((F1, O.SC), (F2, O.SC)))) == 6
+    assert TypedSolution(assignment=((F1, O.REL), (F2, O.ACQ))).weight == 2
+    assert TypedSolution(assignment=()).weight == 0
+    assert TypedSolution(assignment=((F1, O.SC), (F2, O.SC))).weight == 6
 
 
 def test_end_to_end_weight_and_orders_lb3():
