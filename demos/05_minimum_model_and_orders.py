@@ -25,7 +25,6 @@ def sol(trace_id, orders):
         kind="weak",
         condition="co-rh",
         trace_id=trace_id,
-        cycle=(),
         fences=frozenset(orders),
         orders=tuple(sorted(orders.items())),
     )

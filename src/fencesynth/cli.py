@@ -34,8 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="bound on the consistent executions, buggy or not, of "
                     "each program enumerated; exceeding it exits 2 "
                     "(default: no bound)")
-    ap.add_argument("--max-iters", type=int, default=64, metavar="N",
-                    help="iteration guard for --mode fast (default 64)")
+    ap.add_argument("--max-iters", type=int, default=Limits.max_iters, metavar="N",
+                    help="iteration guard for --mode fast (default %d)" % Limits.max_iters)
     ap.add_argument("--emit-traces", metavar="PATH",
                     help="dump the analyzed buggy traces, one fact per line")
     ap.add_argument("--emit-cycles", metavar="PATH",

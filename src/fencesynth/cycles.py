@@ -10,12 +10,14 @@ sets and reads its cycles off the diagonal.  Each violation's candidate
 fences form one candidate solution, with a locally weakest memory order
 read off each fence's synchronization role (sc for the strong analysis).
 
-No hb path, coherence composition or sc-order cycle leaves a connected
-component of threads and objects (a thread joins each object it
-accesses).  Given a memo, ``analyze_trace`` analyses each component of a
-trace on its own, and each distinct component once per memo, then maps
-the solutions back to the trace's event ids and merges them into the
-order of the whole-trace analysis.
+A solution names source coordinates only: fence slots and program-fence
+locations, never event ids.  No hb path, coherence composition or
+sc-order cycle leaves a connected component of threads and objects (a
+thread joins each object it accesses; Shasha and Snir, TOPLAS 1988), so
+``analyze_trace`` analyses each component of a trace on its own, each
+distinct one once per memo.  Every list of solutions comes in one
+canonical order: by condition (the six weak ones in the order above, then
+``to-sc``), then fences, orders and program fences.
 
 Johnson's elementary-cycles algorithm stays available as a utility; the
 analyses do not call it.
@@ -24,7 +26,7 @@ analyses do not call it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalCheckError, ResourceLimitError
@@ -35,20 +37,8 @@ from .relations import _IN, _OUT, _minimal, close_masks, fence_order
 
 
 @dataclass(frozen=True)
-class LabeledEdge:
-    src: int
-    dst: int
-    label: str
-
-
-@dataclass(frozen=True)
 class CandidateSolution:
     """The fences of one detected cycle, with their locally assigned orders.
-
-    A weak solution's ``cycle`` is its axiom composition: the rf, mo and
-    rf-inverse edges with the closing hb path collapsed to one hb edge.  A
-    strong solution's is its so cycle collapsed to one so edge from a
-    vertex of the cycle back to itself.
 
     ``fences`` are candidate slots (the decision variables); pre-existing
     program fences the cycle relies on are recorded separately with the
@@ -58,7 +48,6 @@ class CandidateSolution:
     kind: str  # 'weak' | 'strong'
     condition: str
     trace_id: int
-    cycle: tuple[LabeledEdge, ...]
     fences: frozenset[FenceSlot]
     orders: tuple[tuple[FenceSlot, MemoryOrder], ...]
     program_fences: tuple[tuple[SourceLocation, MemoryOrder], ...] = ()
@@ -307,59 +296,43 @@ def find_weak_cycles(
     mo;rf;hb;rf⁻¹) closed by an hb pair of the role-mask closure, over
     distinct events, yields one solution per minimal mask of that pair.
     Solutions whose mask strictly contains another's are dropped: they need
-    more fences or stronger orders for no gain.
+    more fences or stronger orders for no gain.  The list is in canonical
+    order.
     """
     fence_ids = fence_order(it)
     closed = it.role_closure(limits or Limits())
 
-    rf = sorted(it.rf.pairs)
-    mo = sorted(it.mo.pairs)
+    rf, mo = it.rf.pairs, it.mo.pairs
     readers: dict[int, list[int]] = {}
     for w, r in rf:
         readers.setdefault(w, []).append(r)
 
-    # Each composition over distinct events, as a cycle with one hb edge.
-    E = LabeledEdge
-    shapes: list[tuple[str, tuple[LabeledEdge, ...]]] = []
-    shapes += [("co-h", (E(a, a, "hb"),)) for a in closed]
-    shapes += [("co-rh", (E(w, r, "rf"), E(r, w, "hb"))) for w, r in rf]
-    shapes += [("co-mh", (E(a, b, "mo"), E(b, a, "hb"))) for a, b in mo]
+    # Each composition over distinct events, as its condition and the ends
+    # of its one hb edge.
+    shapes = [("co-h", a, a) for a in closed]
+    shapes += [("co-rh", r, w) for w, r in rf]
+    shapes += [("co-mh", b, a) for a, b in mo]
+    shapes += [("co-mrh", c, a) for a, b in mo for c in readers.get(b, ()) if c != a]
+    shapes += [("co-mhi", b, c) for a, b in mo for c in readers.get(a, ()) if c != b]
     shapes += [
-        ("co-mrh", (E(a, b, "mo"), E(b, c, "rf"), E(c, a, "hb")))
-        for a, b in mo
-        for c in readers.get(b, ())
-        if c != a
-    ]
-    shapes += [
-        ("co-mhi", (E(a, b, "mo"), E(b, c, "hb"), E(c, a, "rf-inv")))
-        for a, b in mo
-        for c in readers.get(a, ())
-        if c != b
-    ]
-    shapes += [
-        ("co-mrhi", (E(a, b, "mo"), E(b, c, "rf"), E(c, d, "hb"), E(d, a, "rf-inv")))
+        ("co-mrhi", c, d)
         for a, b in mo
         for c in readers.get(b, ())
         for d in readers.get(a, ())
         if len({a, b, c, d}) == 4
     ]
 
-    def masks(cycle: tuple[LabeledEdge, ...]) -> tuple[int, ...]:
-        edge = next(e for e in cycle if e.label == "hb")
-        return closed[edge.src].get(edge.dst, ())
-
-    minimal = set(_minimal(m for _, cycle in shapes for m in masks(cycle)))
-    out: dict[tuple, CandidateSolution] = {}
-    for condition, cycle in shapes:
-        for mask in masks(cycle):
-            if mask in minimal:
-                sol = _weak_solution(it, trace_id, condition, cycle, mask, fence_ids)
-                key = (sol.condition, sol.fences, sol.orders, sol.program_fences)
-                out.setdefault(key, sol)
-    return list(out.values())
+    minimal = set(_minimal(m for _, a, b in shapes for m in closed[a].get(b, ())))
+    sols = {
+        _weak_solution(it, trace_id, condition, mask, fence_ids)
+        for condition, a, b in shapes
+        for mask in closed[a].get(b, ())
+        if mask in minimal
+    }
+    return sorted(sols, key=_canonical)
 
 
-def _weak_solution(it, trace_id, condition, cycle, mask, fence_ids):
+def _weak_solution(it, trace_id, condition, mask, fence_ids):
     orders: dict[FenceSlot, MemoryOrder] = {}
     program_req: dict[SourceLocation, MemoryOrder] = {}
     for i, f in enumerate(fence_ids):
@@ -379,7 +352,6 @@ def _weak_solution(it, trace_id, condition, cycle, mask, fence_ids):
         kind="weak",
         condition=condition,
         trace_id=trace_id,
-        cycle=cycle,
         fences=frozenset(orders),
         orders=tuple(sorted(orders.items())),
         program_fences=tuple(sorted(program_req.items())),
@@ -399,7 +371,7 @@ def find_strong_cycles(
     on, plus the bits of its fence ends: a candidate, or a program sc fence
     that the solution records as needing sc.  The edges are closed over the
     same antichain semiring as hb's role masks; each minimal mask on the
-    diagonal is one solution, whose cycle is one collapsed so edge.
+    diagonal is one solution.  The list is in canonical order.
     """
     limits = limits or Limits()
     it.role_closure(limits)  # so_info reads it; build it under this deadline
@@ -418,12 +390,8 @@ def find_strong_cycles(
             rows.setdefault(a, {})[b] = _minimal(m | ends for m in masks)
     close_masks(rows, limits)
 
-    through: dict[int, int] = {}  # each diagonal mask, with the first vertex it closes at
-    for v, row in rows.items():
-        for mask in row.get(v, ()):
-            through.setdefault(mask, v)
     out: list[CandidateSolution] = []
-    for mask in _minimal(through):
+    for mask in _minimal(m for v, row in rows.items() for m in row.get(v, ())):
         slots: set[FenceSlot] = set()
         program_req: dict[SourceLocation, MemoryOrder] = {}
         for i, f in enumerate(fences):
@@ -436,19 +404,32 @@ def find_strong_cycles(
             raise InternalCheckError(
                 "sc-order cycle without candidate fences in a consistent base trace"
             )
-        v = through[mask]
         out.append(
             CandidateSolution(
                 kind="strong",
                 condition="to-sc",
                 trace_id=trace_id,
-                cycle=(LabeledEdge(v, v, "so"),),
                 fences=frozenset(slots),
                 orders=tuple((s, MemoryOrder.SC) for s in sorted(slots)),
                 program_fences=tuple(sorted(program_req.items())),
             )
         )
-    return out
+    return sorted(out, key=_canonical)
+
+
+# The weak conditions in the order of their compositions, then the strong one.
+_CONDITIONS = ("co-h", "co-rh", "co-mh", "co-mrh", "co-mhi", "co-mrhi", "to-sc")
+
+
+def _canonical(sol: CandidateSolution):
+    """The sort key of the canonical order: condition, then fences, orders
+    and program fences."""
+    return (
+        _CONDITIONS.index(sol.condition),
+        sorted(sol.fences),
+        [o.rank for _, o in sol.orders],
+        [(loc, o.rank) for loc, o in sol.program_fences],
+    )
 
 
 def _covers(weak: CandidateSolution, strong: CandidateSolution) -> bool:
@@ -459,10 +440,11 @@ def _covers(weak: CandidateSolution, strong: CandidateSolution) -> bool:
     )
 
 
-def _analyze(it: IntermediateTrace, trace_id: int, limits: Limits | None):
+def _analyze(tr: Trace, trace_id: int, limits: Limits | None) -> list[CandidateSolution]:
+    it = insert_candidate_fences(tr)
     weak = find_weak_cycles(it, trace_id, limits)
     strong = find_strong_cycles(it, trace_id, limits)
-    return weak, [s for s in strong if not any(_covers(w, s) for w in weak)]
+    return weak + [s for s in strong if not any(_covers(w, s) for w in weak)]
 
 
 def analyze_trace(
@@ -471,67 +453,45 @@ def analyze_trace(
     limits: Limits | None = None,
     memo: dict | None = None,
 ) -> list[CandidateSolution]:
-    """Weak plus strong solutions for one buggy trace.
+    """Weak plus strong solutions for one buggy trace, in canonical order.
 
     A strong solution is dropped when some weak solution needs a subset of
     its fences and of its program-fence requirements, at orders never
     heavier than sc.
 
-    With a ``memo`` (one dict per run), a trace whose threads and objects
-    fall into several connected components is analysed per component, and
-    each distinct component once per memo: no hb path, coherence
-    composition or sc-order cycle leaves a component.  The merged list is
-    equal, order included, to the whole-trace analysis.
+    A trace of several connected components is analysed per component,
+    each distinct component once per ``memo`` (one dict per run; a fresh
+    one when none is given): no hb path, coherence composition or sc-order
+    cycle leaves a component, and no weak solution of one covers a strong
+    solution of another.
     """
-    parts = None if memo is None else _split(tr)
-    if parts is None:
-        weak, strong = _analyze(insert_candidate_fences(tr), trace_id, limits)
-        return weak + strong
+    keys = _components(tr)
+    if keys is None:
+        return _analyze(tr, trace_id, limits)
     if limits is not None:
         limits.check_time("cycle-detection")
-    entries = []
-    for key, ids in parts:
-        entry = memo.get(key)
-        if entry is None:
-            entry = memo[key] = _Component(key, limits)
-        entries.append((entry, ids))
-    # Candidate fences take the ids after the last event, thread by thread
-    # in thread order and gap by gap (``insert_candidate_fences``).
-    count = {thr: n for entry, _ in entries for thr, n in entry.slot_counts}
-    first = {}
-    base = tr.events[-1].id + 1
-    for e in tr.events:
-        if e.thr is not None and e.thr not in first:
-            first[e.thr], base = base, base + count[e.thr]
-    # Weak solutions first, by condition, cycle, then mask (fence ids order
-    # the fence bits as ``fence_order`` does); strong ones by mask.
-    merged = []
-    for entry, ids in entries:
-        ids = ids + [first[thr] + k for thr, k in entry.fence_pos]
-        for sol, rank, mask in entry.solutions:
-            cycle = tuple(LabeledEdge(ids[e.src], ids[e.dst], e.label) for e in sol.cycle)
-            bits = sum(role << 2 * ids[f] for f, role in mask)
-            edges = tuple((e.src, e.dst) for e in cycle) if sol.kind == "weak" else ()
-            sol = CandidateSolution(
-                sol.kind, sol.condition, trace_id, cycle, sol.fences, sol.orders, sol.program_fences
+    memo = {} if memo is None else memo
+    sols: list[CandidateSolution] = []
+    for key in keys:
+        found = memo.get(key)
+        if found is None:
+            fields, sb, rf, mo = key
+            events = [Event(i, *f) for i, f in enumerate(fields)]
+            found = memo[key] = _analyze(
+                Trace(events, Relation(sb), Relation(rf), Relation(mo)), 0, limits
             )
-            merged.append(((rank, edges, bits.bit_count(), bits), sol))
-    merged.sort(key=lambda ks: ks[0])
-    return [sol for _, sol in merged]
+        sols += found
+    return [replace(s, trace_id=trace_id) for s in sorted(sols, key=_canonical)]
 
 
-# The weak conditions in the order find_weak_cycles lists them.
-_CONDITIONS = ("co-h", "co-rh", "co-mh", "co-mrh", "co-mhi", "co-mrhi")
-_ROLES = {MemoryOrder.ACQ: _IN, MemoryOrder.REL: _OUT, MemoryOrder.AR: _IN | _OUT}
+def _components(tr: Trace):
+    """The memo key of each connected component of ``tr`` that has a
+    thread, or None when there is only one such component.
 
-
-def _split(tr: Trace):
-    """The memo key and the event ids of each connected component of ``tr``
-    that has a thread, or None when there is only one such component.
-
-    A thread joins each object it accesses, and an init write joins its
-    object.  The key renumbers the component's events in id order and
-    restricts sb, rf and mo to them.
+    A thread joins each object it accesses, an init write joins its
+    object, and the two ends of every sb, rf and mo pair join each other.
+    The key renumbers the component's events in id order and restricts sb,
+    rf and mo to them.
     """
     parent: dict = {}
 
@@ -540,71 +500,38 @@ def _split(tr: Trace):
             x = parent[x]
         return x
 
+    def union(a, b):
+        a, b = find(a), find(b)
+        if a != b:
+            parent[a] = b
+
     accesses = {(e.thr, e.obj) for e in tr.events if e.thr is not None}
+    threads = {(0, thr) for thr, _ in accesses}
     for thr, obj in accesses:
         if obj is not None:
-            a, b = find((0, thr)), find((1, obj))
-            if a != b:
-                parent[a] = b
-    if len({find((0, thr)) for thr, _ in accesses}) < 2:
+            union((0, thr), (1, obj))
+    if len(set(map(find, threads))) < 2:
+        return None
+    node = {e.id: (0, e.thr) if e.thr is not None else (1, e.obj) for e in tr.events}
+    for rel in (tr.sb, tr.rf, tr.mo):
+        for a, b in rel.pairs:
+            union(node[a], node[b])
+    root = {n: find(n) for n in set(node.values())}
+    if len({root[t] for t in threads}) < 2:
         return None
     groups: dict = {}
-    roots: dict = {}
     for e in tr.events:
-        node = (0, e.thr) if e.thr is not None else (1, e.obj)
-        root = roots.get(node)
-        if root is None:
-            root = roots[node] = find(node)
-        groups.setdefault(root, []).append(e)
-    groups = list(groups.values())
-    parts = [k for k, g in enumerate(groups) if any(e.thr is not None for e in g)]
-    where = {e.id: (k, i) for k, g in enumerate(groups) for i, e in enumerate(g)}
-    rels = [([], [], []) for _ in groups]
+        groups.setdefault(root[node[e.id]], []).append(e)
+    where = {e.id: i for g in groups.values() for i, e in enumerate(g)}
+    rels: dict = {r: ([], [], []) for r in groups}
     for j, rel in enumerate((tr.sb, tr.rf, tr.mo)):
         for a, b in rel.pairs:
-            (ka, ia), (kb, ib) = where[a], where[b]
-            if ka != kb:
-                return None  # a relation across components: no split
-            rels[ka][j].append((ia, ib))
-    out = []
-    for k in parts:
-        fields = tuple(
-            (e.thr, e.idx, e.act, e.obj, e.ord, e.loc, e.rval, e.wval, e.cont) for e in groups[k]
+            rels[root[node[a]]][j].append((where[a], where[b]))
+    return [
+        (
+            tuple((e.thr, e.idx, e.act, e.obj, e.ord, e.loc, e.rval, e.wval, e.cont) for e in g),
+            *map(frozenset, rels[r]),
         )
-        out.append(((fields, *map(frozenset, rels[k])), [e.id for e in groups[k]]))
-    return out
-
-
-class _Component:
-    """The analysis of one component, in its own event numbering.
-
-    ``fence_pos`` gives each candidate fence's thread and rank among that
-    thread's candidates, ``slot_counts`` each thread's number of
-    candidates, and each solution comes with its rank (its weak condition's,
-    or after them all if strong) and its mask as (fence id, role bits)
-    pairs.
-    """
-
-    def __init__(self, key, limits: Limits | None):
-        fields, sb, rf, mo = key
-        events = [Event(i, *f) for i, f in enumerate(fields)]
-        it = insert_candidate_fences(Trace(events, Relation(sb), Relation(rf), Relation(mo)))
-        counts: dict[str, int] = {}
-        self.fence_pos = []
-        for f in it.fence_events:
-            self.fence_pos.append((f.thr, counts.get(f.thr, 0)))
-            counts[f.thr] = counts.get(f.thr, 0) + 1
-        self.slot_counts = tuple(counts.items())
-        fence_of = {f.loc: f.id for f in it.fences}
-        weak, strong = _analyze(it, 0, limits)
-        sc = {MemoryOrder.SC: _IN}
-        self.solutions = [
-            (sol, _CONDITIONS.index(sol.condition), self._mask(sol, fence_of, _ROLES))
-            for sol in weak
-        ] + [(sol, len(_CONDITIONS), self._mask(sol, fence_of, sc)) for sol in strong]
-
-    @staticmethod
-    def _mask(sol, fence_of, roles):
-        return tuple(
-            (fence_of[where], roles[order]) for where, order in sol.orders + sol.program_fences
-        )
+        for r, g in groups.items()
+        if any(e.thr is not None for e in g)
+    ]

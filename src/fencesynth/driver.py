@@ -17,14 +17,7 @@ from .cycles import CandidateSolution, analyze_trace
 from .errors import InternalCheckError, LitmusError, ResourceLimitError
 from .enumerator import find_buggy_traces, iter_buggy_traces
 from .limits import Limits, ensure_started
-from .litmus import (
-    Fence,
-    If,
-    Program,
-    copy_program,
-    elaborate,
-    renumber,
-)
+from .litmus import Fence, If, Program, copy_program, elaborate, preorder, renumber
 from .model import FenceSlot, SourceLocation, Trace
 from .optimize import Query, TypedSolution, assign_memory_orders, build_query, find_min_model
 from .orders import MemoryOrder, lub
@@ -171,51 +164,28 @@ def _merge_adjacent(block) -> None:
 def _diff(original: Program, fixed: Program):
     """Synthesized and strengthened fences of ``fixed`` relative to
     ``original``, in the original program's coordinates."""
-    orig_stmts: dict[int, tuple[str, object]] = {}
-    for t in original.threads:
-
-        def walk(block, tid=t.tid):
-            for s in block:
-                orig_stmts[s.uid] = (tid, s)
-                if isinstance(s, If):
-                    walk(s.then)
-                    walk(s.orelse)
-
-        walk(t.body)
-
+    orig_stmts = {s.uid: s for t in original.threads for _, _, s in preorder(t.body)}
     synthesized: list[SynthesizedFence] = []
     strengthened: list[StrengthenedFence] = []
     for t in fixed.threads:
         counter = 0
-
-        def walk(block, tid=t.tid):
-            nonlocal counter
-            for s in block:
-                if s.uid in orig_stmts:
-                    _, orig = orig_stmts[s.uid]
-                    if isinstance(s, Fence) and s.ord is not orig.ord:
-                        strengthened.append(
-                            StrengthenedFence(
-                                SourceLocation(tid, orig.idx), orig.ord, s.ord
-                            )
-                        )
-                    counter += 1
-                else:
-                    if not (isinstance(s, Fence) and s.synthesized):
-                        raise InternalCheckError(
-                            "fixed program has a statement that is neither in the "
-                            "original nor a synthesized fence: %r" % (s,)
-                        )
-                    synthesized.append(
-                        SynthesizedFence(
-                            FenceSlot(tid, counter), s.ord, s.synth_iter, s.iter_tag
-                        )
+        for _, _, s in preorder(t.body):
+            orig = orig_stmts.get(s.uid)
+            if orig is not None:
+                if isinstance(s, Fence) and s.ord is not orig.ord:
+                    strengthened.append(
+                        StrengthenedFence(SourceLocation(t.tid, orig.idx), orig.ord, s.ord)
                     )
-                if isinstance(s, If):
-                    walk(s.then)
-                    walk(s.orelse)
-
-        walk(t.body)
+                counter += 1
+            elif isinstance(s, Fence) and s.synthesized:
+                synthesized.append(
+                    SynthesizedFence(FenceSlot(t.tid, counter), s.ord, s.synth_iter, s.iter_tag)
+                )
+            else:
+                raise InternalCheckError(
+                    "fixed program has a statement that is neither in the "
+                    "original nor a synthesized fence: %r" % (s,)
+                )
     return synthesized, strengthened
 
 
@@ -290,13 +260,13 @@ def synthesize_fast(p: Program, limits: Limits | None = None) -> SynthesisResult
 
     iteration = 0
     while True:
-        if iteration >= limits.max_iters:
-            raise ResourceLimitError("iterative-synthesis", "max iterations reached")
         t0 = time.monotonic()
         first = next(iter_buggy_traces(p, limits), None)
         timings["enumerate"] += time.monotonic() - t0
         if first is None:
             break
+        if iteration >= limits.max_iters:
+            raise ResourceLimitError("iterative-synthesis", "max iterations reached")
         result.buggy_traces.append(first)
         result.traces_analyzed += 1
 
@@ -391,29 +361,18 @@ def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | Non
     if result.status != FIXED:
         return report
 
-    synth_uids = []
-
-    def collect(block):
-        for s in block:
-            if isinstance(s, Fence) and s.synthesized:
-                synth_uids.append(s.uid)
-            if isinstance(s, If):
-                collect(s.then)
-                collect(s.orelse)
-
-    for t in p_fixed.threads:
-        collect(t.body)
+    synth_uids = [
+        s.uid
+        for t in p_fixed.threads
+        for _, _, s in preorder(t.body)
+        if isinstance(s, Fence) and s.synthesized
+    ]
 
     def locate(program, uid):
         for t in program.threads:
-            stack = [t.body]
-            while stack:
-                block = stack.pop()
-                for i, s in enumerate(block):
-                    if s.uid == uid:
-                        return block, i, s
-                    if isinstance(s, If):
-                        stack.extend([s.then, s.orelse])
+            for block, i, s in preorder(t.body):
+                if s.uid == uid:
+                    return block, i, s
         raise InternalCheckError("lost a synthesized fence while mutating")
 
     def probe(mutant, fence_name, mutation):

@@ -19,8 +19,9 @@ class Limits:
     a global soft deadline (armed by ``start``) that every exponential
     search checks inside its loops, ``coalesce_budget`` bounds the
     cross-trace order-coalescing product above which orders are assigned
-    greedily, and ``max_iters`` bounds the iterative (one-trace-at-a-time)
-    driver loop.
+    greedily, and ``max_iters`` bounds the fix passes of the iterative
+    (one-trace-at-a-time) driver: a buggy trace left after that many
+    passes is a limit error.
     """
 
     max_traces: int | None = None

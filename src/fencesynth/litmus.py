@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import LitmusError
 from .orders import ORDER_NAMES, MemoryOrder
@@ -304,6 +304,16 @@ class Repeat(Stmt):
 LEAF_TYPES = (Load, Store, FetchAdd, Fence)
 
 
+def preorder(block: list[Stmt]) -> Iterator[tuple[list[Stmt], int, Stmt]]:
+    """Each statement of an elaborated block with its block and offset, in
+    pre-order: an ``If`` comes before its then-branch, then its else-branch."""
+    for i, s in enumerate(block):
+        yield block, i, s
+        if isinstance(s, If):
+            yield from preorder(s.then)
+            yield from preorder(s.orelse)
+
+
 @dataclass
 class Thread:
     tid: str
@@ -366,38 +376,17 @@ class Program:
 
     def statements(self, tid: str) -> dict[int, Stmt]:
         """Elaborated statements of a thread, keyed by their pre-order index."""
-        out: dict[int, Stmt] = {}
-
-        def walk(block):
-            for s in block:
-                out[s.idx] = s
-                if isinstance(s, If):
-                    walk(s.then)
-                    walk(s.orelse)
-
-        walk(self.thread(tid).body)
-        return out
+        return {s.idx: s for _, _, s in preorder(self.thread(tid).body)}
 
     def locate_gap(self, tid: str, gap: int) -> tuple[list[Stmt], int]:
         """Block list and offset where a fence for this gap is inserted."""
         thread = self.thread(tid)
         if gap == thread.size:
             return thread.body, len(thread.body)
-
-        def find(block):
-            for i, s in enumerate(block):
-                if s.idx == gap:
-                    return block, i
-                if isinstance(s, If):
-                    hit = find(s.then) or find(s.orelse)
-                    if hit:
-                        return hit
-            return None
-
-        hit = find(thread.body)
-        if hit is None:
-            raise LitmusError("no gap %d in thread %s" % (gap, tid))
-        return hit
+        for block, i, s in preorder(thread.body):
+            if s.idx == gap:
+                return block, i
+        raise LitmusError("no gap %d in thread %s" % (gap, tid))
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,6 @@ def _sol(trace_id, orders, kind="weak"):
         kind=kind,
         condition="to-sc" if kind == "strong" else "co-rh",
         trace_id=trace_id,
-        cycle=(),
         fences=frozenset(orders),
         orders=tuple(sorted(orders.items())),
     )

@@ -3,7 +3,8 @@
 
 from conftest import CORPUS_DIR
 from fencesynth import enumerator
-from fencesynth.cli import main
+from fencesynth.cli import build_parser, main
+from fencesynth.limits import Limits
 from fencesynth.litmus import parse_program, print_program
 
 
@@ -146,6 +147,22 @@ def test_fast_mode_flag(capsys):
     code, out, _ = run(capsys, str(CORPUS_DIR / "two_bugs.lit"), "--mode", "fast")
     assert code == 0
     assert "iterations: 2" in out
+
+
+def test_fast_mode_needs_no_pass_beyond_the_fix(capsys):
+    # mp_rlx is fixed in exactly one pass, and a correct program needs none:
+    # the guard fires only on a buggy trace left after max-iters passes.
+    code, out, _ = run(capsys, str(CORPUS_DIR / "mp_rlx.lit"), "--mode", "fast", "--max-iters", "1")
+    assert code == 0 and "status: fixed" in out and "iterations: 1" in out
+    code, out, _ = run(
+        capsys, str(CORPUS_DIR / "assert_true.lit"), "--mode", "fast", "--max-iters", "0"
+    )
+    assert code == 0 and "status: already-correct" in out
+
+
+def test_max_iters_defaults_to_the_limits_default():
+    args = build_parser().parse_args([str(CORPUS_DIR / "mp_rlx.lit")])
+    assert args.max_iters == Limits().max_iters
 
 
 def test_usage_error_exits_three(capsys):

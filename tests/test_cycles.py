@@ -506,29 +506,89 @@ MEMO_PROGRAMS = {
 }
 
 
-def test_memoized_analysis_equals_the_whole_trace_analysis():
-    # Every buggy trace's solution list, order, cycles and trace ids
-    # included, is the same with one memo per program as without.
-    split = 0
+# The documented canonical order of a solution list: condition (the six
+# weak ones in the order of their compositions, then the strong one), then
+# fences, orders and program fences.
+CONDITIONS = ("co-h", "co-rh", "co-mh", "co-mrh", "co-mhi", "co-mrhi", "to-sc")
+
+
+def canonical_key(sol):
+    return (
+        CONDITIONS.index(sol.condition),
+        sorted(sol.fences),
+        [o.rank for _, o in sol.orders],
+        [(loc, o.rank) for loc, o in sol.program_fences],
+    )
+
+
+def whole_trace_analysis(tr, trace_id):
+    # Both analyses on all of the trace's candidate fences at once, without
+    # splitting it; a strong solution goes when a weak one needs a subset of
+    # its fences and no program-fence order beyond its own.
+    it = insert_candidate_fences(tr)
+    weak = find_weak_cycles(it, trace_id)
+    strong = find_strong_cycles(it, trace_id)
+
+    def covers(w, s):
+        prog = dict(s.program_fences)
+        return w.fences <= s.fences and all(
+            loc in prog and o.at_most(prog[loc]) for loc, o in w.program_fences
+        )
+
+    kept = [s for s in strong if not any(covers(w, s) for w in weak)]
+    return sorted(weak + kept, key=canonical_key)
+
+
+@pytest.fixture(scope="module")
+def memo_program_traces():
+    out = {}
     for name, p in MEMO_PROGRAMS.items():
         if isinstance(p, str):
             p = elaborate(parse_program(p), 16)
+        out[name] = find_buggy_traces(p)
+    return out
+
+
+def test_memoized_analysis_equals_the_whole_trace_analysis(memo_program_traces):
+    # Every buggy trace's solution list, order and trace ids included, is
+    # the whole-trace analysis, with one memo per program and without one.
+    split = 0
+    for name, traces in memo_program_traces.items():
         memo = {}
-        for i, tr in enumerate(find_buggy_traces(p)):
-            assert analyze_trace(tr, i, memo=memo) == analyze_trace(tr, i), (name, i)
+        for i, tr in enumerate(traces):
+            reference = whole_trace_analysis(tr, i)
+            assert analyze_trace(tr, i, memo=memo) == reference, (name, i)
+            assert analyze_trace(tr, i) == reference, (name, i)
         split += bool(memo)
     # The memo is only used on traces of several components.
     assert split >= 60
 
 
+def test_every_solution_list_is_in_canonical_order(memo_program_traces):
+    lists = []
+    for name, traces in memo_program_traces.items():
+        memo = {}
+        lists += [((name, i), analyze_trace(tr, i, memo=memo)) for i, tr in enumerate(traces)]
+    for name in CORPUS:
+        for i, tr in enumerate(memo_program_traces[name]):
+            it = insert_candidate_fences(tr)
+            lists += [((name, i), find_weak_cycles(it, i)), ((name, i), find_strong_cycles(it, i))]
+    for where, sols in lists:
+        assert sols == sorted(sols, key=canonical_key), where
+    assert sum(len(sols) > 1 for _, sols in lists) >= 500
+
+
 def test_memo_is_not_used_across_a_relation_between_components():
     # A hand-made sb pair from one store-buffering core to the other joins
-    # the two components: the trace is analysed whole.
+    # the two components: the trace is one component, analysed whole.
     tr = find_buggy_traces(load("two_bugs"))[0]
+    memo = {}
+    analyze_trace(tr, 0, memo=memo)
+    assert len(memo) == 2
     t1, t3 = tr.thread_events["t1"], tr.thread_events["t3"]
     joined = Trace(tr.events, tr.sb | Relation({(t1[-1].id, t3[0].id)}), tr.rf, tr.mo)
     memo = {}
-    assert analyze_trace(joined, 0, memo=memo) == analyze_trace(joined, 0)
+    assert analyze_trace(joined, 0, memo=memo) == whole_trace_analysis(joined, 0)
     assert memo == {}
 
 
@@ -539,7 +599,7 @@ def test_memo_keeps_the_solutions_of_a_component_outside_the_bug():
     memo = {}
     for i, tr in enumerate(find_buggy_traces(p)):
         sols = analyze_trace(tr, i, memo=memo)
-        assert sols == analyze_trace(tr, i)
+        assert sols == whole_trace_analysis(tr, i)
         kept += any(s.fences <= sb_slots for s in sols)
     assert kept == 1
     # One entry per distinct execution of each pair.

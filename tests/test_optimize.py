@@ -26,7 +26,6 @@ def sol(trace_id, orders, kind="weak"):
         kind=kind,
         condition="to-sc" if kind == "strong" else "co-rh",
         trace_id=trace_id,
-        cycle=(),
         fences=frozenset(orders),
         orders=tuple(sorted(orders.items())),
     )
@@ -226,7 +225,7 @@ def test_greedy_coalescing_matches_full_recoalescing(seed):
             fences = rng.sample(slots, rng.randint(1, 3))
             prog = rng.sample(locs, rng.randint(0, 2))
             sols.append(CandidateSolution(
-                kind="weak", condition="co-rh", trace_id=t, cycle=(),
+                kind="weak", condition="co-rh", trace_id=t,
                 fences=frozenset(fences),
                 orders=tuple(sorted((f, rng.choice(orders)) for f in fences)),
                 program_fences=tuple(sorted((l, rng.choice(orders[:3])) for l in prog)),
