@@ -42,7 +42,6 @@ from .litmus import Program, elaborate, parse_program, print_program
 from .model import (
     Event,
     FenceSlot,
-    IntermediateTrace,
     Relation,
     SourceLocation,
     Trace,
@@ -66,7 +65,6 @@ __all__ = [
     "CandidateSolution",
     "Event",
     "FenceSlot",
-    "IntermediateTrace",
     "InternalCheckError",
     "Limits",
     "LitmusError",

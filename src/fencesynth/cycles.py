@@ -1,10 +1,11 @@
 """Candidate fences and cycle detection over intermediate traces.
 
 A buggy execution is extended with one untyped candidate fence per source
-gap adjacent to its events.  The weak analysis closes hb over the minimal
-release/acquire roles of the fences each hb pair needs, then reads
-coherence violations off the six axiom compositions (hb, rf;hb, mo;hb,
-mo;rf;hb, mo;hb;rf⁻¹, mo;rf;hb;rf⁻¹) without enumerating cycles.  The
+gap adjacent to its events; the result, the intermediate trace, is a
+``Trace`` whose ``candidates`` name those fences.  The weak analysis closes
+hb over the minimal release/acquire roles of the fences each hb pair needs,
+then reads coherence violations off the six axiom compositions (hb, rf;hb,
+mo;hb, mo;rf;hb, mo;hb;rf⁻¹, mo;rf;hb;rf⁻¹) without enumerating cycles.  The
 strong analysis closes the forced sc order over the same minimal fence
 sets and reads its cycles off the diagonal.  Each violation's candidate
 fences form one candidate solution, with a locally weakest memory order
@@ -26,12 +27,13 @@ analyses do not call it.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalCheckError, ResourceLimitError
 from .limits import Limits
-from .model import Event, FenceSlot, IntermediateTrace, Relation, SourceLocation, Trace
+from .model import Event, FenceSlot, Relation, SourceLocation, Trace
 from .orders import MemoryOrder
 from .relations import _IN, _OUT, _minimal, close_masks, fence_order
 
@@ -86,9 +88,7 @@ def candidate_slots(tr: Trace) -> list[FenceSlot]:
     return slots
 
 
-def insert_candidate_fences(
-    tr: Trace, slots: Iterable[FenceSlot] | None = None
-) -> IntermediateTrace:
+def insert_candidate_fences(tr: Trace, slots: Iterable[FenceSlot] | None = None) -> Trace:
     """Splice one candidate fence per slot into sb; rf/mo/fr are untouched.
 
     Candidates carry the strongest order; the weak analysis relies only on
@@ -97,49 +97,29 @@ def insert_candidate_fences(
     """
     chosen = candidate_slots(tr) if slots is None else sorted(slots)
     next_id = max((e.id for e in tr.events), default=-1) + 1
-    fence_events: list[Event] = []
+    fences: list[Event] = []
     sb_pairs: set[tuple[int, int]] = set()
-
-    by_thread: dict[str, list[FenceSlot]] = {}
-    for slot in chosen:
-        by_thread.setdefault(slot.thread, []).append(slot)
-
     for tid in tr.thread_order:
-        evs = list(tr.thread_events[tid])
-        pending = sorted(by_thread.get(tid, ()), key=lambda s: s.gap)
-        seq: list[Event] = []
-        base_count = len(evs)
-
-        def make(slot: FenceSlot) -> Event:
-            nonlocal next_id
-            ev = Event(
-                id=next_id,
-                thr=tid,
-                idx=base_count + slot.gap,
-                act="fence",
-                obj=None,
-                ord=MemoryOrder.SC,
-                loc=slot,
-            )
+        evs = tr.thread_events[tid]
+        at = [e.loc.index for e in evs]
+        seq = list(evs)
+        # Gap g sits before the statement with index g and after every
+        # candidate of a smaller gap; the slots come in gap order.
+        for n, slot in enumerate(s for s in chosen if s.thread == tid):
+            fence = Event(next_id, tid, len(evs) + slot.gap, "fence", None, MemoryOrder.SC, slot)
             next_id += 1
-            fence_events.append(ev)
-            return ev
-
-        k = 0
-        for e in evs:
-            while k < len(pending) and pending[k].gap <= e.loc.index:
-                seq.append(make(pending[k]))
-                k += 1
-            seq.append(e)
-        while k < len(pending):
-            seq.append(make(pending[k]))
-            k += 1
-
+            fences.append(fence)
+            seq.insert(bisect_left(at, slot.gap) + n, fence)
         for i, a in enumerate(seq):
             for b in seq[i + 1 :]:
                 sb_pairs.add((a.id, b.id))
-
-    return IntermediateTrace(tr, fence_events, Relation(sb_pairs))
+    return Trace(
+        tr.events + tuple(fences),
+        Relation(sb_pairs),
+        tr.rf,
+        tr.mo,
+        candidates=(f.id for f in fences),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -276,19 +256,13 @@ def _sccs(vertices: Sequence[int], adj: Mapping[int, Sequence[int]]) -> list[lis
 # (``relations.role_closure``)
 
 
-def _role_order(has_in: bool, has_out: bool) -> MemoryOrder | None:
-    """Locally weakest order for a fence given its sw/dob incidence."""
-    if has_in and has_out:
-        return MemoryOrder.AR
-    if has_in:
-        return MemoryOrder.ACQ
-    if has_out:
-        return MemoryOrder.REL
-    return None
+# The locally weakest order of a fence, by the roles (``_IN``, ``_OUT``)
+# it plays in the sw/dob steps of a weak solution.
+_ROLE_ORDER = {_IN: MemoryOrder.ACQ, _OUT: MemoryOrder.REL, _IN | _OUT: MemoryOrder.AR}
 
 
 def find_weak_cycles(
-    it: IntermediateTrace, trace_id: int = 0, limits: Limits | None = None
+    it: Trace, trace_id: int = 0, limits: Limits | None = None
 ) -> list[CandidateSolution]:
     """The non-dominated candidate solutions from coherence violations.
 
@@ -324,7 +298,7 @@ def find_weak_cycles(
 
     minimal = set(_minimal(m for _, a, b in shapes for m in closed[a].get(b, ())))
     sols = {
-        _weak_solution(it, trace_id, condition, mask, fence_ids)
+        _solution(it, trace_id, "weak", condition, mask, fence_ids, _ROLE_ORDER)
         for condition, a, b in shapes
         for mask in closed[a].get(b, ())
         if mask in minimal
@@ -332,38 +306,12 @@ def find_weak_cycles(
     return sorted(sols, key=_canonical)
 
 
-def _weak_solution(it, trace_id, condition, mask, fence_ids):
-    orders: dict[FenceSlot, MemoryOrder] = {}
-    program_req: dict[SourceLocation, MemoryOrder] = {}
-    for i, f in enumerate(fence_ids):
-        role = (mask >> 2 * i) & 3
-        if not role:
-            continue
-        order = _role_order(bool(role & _IN), bool(role & _OUT))
-        if it.is_candidate(f):
-            orders[it.slot_of[f]] = order
-        else:
-            program_req[it.event(f).loc] = order
-    if not orders:
-        raise InternalCheckError(
-            "coherence cycle without candidate fences in a consistent base trace"
-        )
-    return CandidateSolution(
-        kind="weak",
-        condition=condition,
-        trace_id=trace_id,
-        fences=frozenset(orders),
-        orders=tuple(sorted(orders.items())),
-        program_fences=tuple(sorted(program_req.items())),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Strong analysis: cycles in the forced sc-order with candidates at sc
 
 
 def find_strong_cycles(
-    it: IntermediateTrace, trace_id: int = 0, limits: Limits | None = None
+    it: Trace, trace_id: int = 0, limits: Limits | None = None
 ) -> list[CandidateSolution]:
     """The non-dominated candidate solutions from cycles in the sc order.
 
@@ -390,31 +338,40 @@ def find_strong_cycles(
             rows.setdefault(a, {})[b] = _minimal(m | ends for m in masks)
     close_masks(rows, limits)
 
-    out: list[CandidateSolution] = []
-    for mask in _minimal(m for v, row in rows.items() for m in row.get(v, ())):
-        slots: set[FenceSlot] = set()
-        program_req: dict[SourceLocation, MemoryOrder] = {}
-        for i, f in enumerate(fences):
-            if mask >> 2 * i & 1:
-                if it.is_candidate(f):
-                    slots.add(it.slot_of[f])
-                else:
-                    program_req[it.event(f).loc] = MemoryOrder.SC
-        if not slots:
-            raise InternalCheckError(
-                "sc-order cycle without candidate fences in a consistent base trace"
-            )
-        out.append(
-            CandidateSolution(
-                kind="strong",
-                condition="to-sc",
-                trace_id=trace_id,
-                fences=frozenset(slots),
-                orders=tuple((s, MemoryOrder.SC) for s in sorted(slots)),
-                program_fences=tuple(sorted(program_req.items())),
-            )
+    diagonal = _minimal(m for v, row in rows.items() for m in row.get(v, ()))
+    sc = {_IN: MemoryOrder.SC}  # strong masks set only a fence's in bit
+    return sorted(
+        (_solution(it, trace_id, "strong", "to-sc", m, fences, sc) for m in diagonal),
+        key=_canonical,
+    )
+
+
+def _solution(it, trace_id, kind, condition, mask, fences, order_of) -> CandidateSolution:
+    """The solution of one minimal mask over ``fences`` (``fence_order``):
+    each fence with a bit set takes the order ``order_of`` gives its two
+    bits, as a candidate slot or as a program-fence requirement."""
+    orders: dict[FenceSlot, MemoryOrder] = {}
+    program_req: dict[SourceLocation, MemoryOrder] = {}
+    for i, f in enumerate(fences):
+        role = mask >> 2 * i & 3
+        if not role:
+            continue
+        if it.is_candidate(f):
+            orders[it.slot_of[f]] = order_of[role]
+        else:
+            program_req[it.event(f).loc] = order_of[role]
+    if not orders:
+        raise InternalCheckError(
+            "%s cycle without candidate fences in a consistent base trace" % condition
         )
-    return sorted(out, key=_canonical)
+    return CandidateSolution(
+        kind=kind,
+        condition=condition,
+        trace_id=trace_id,
+        fences=frozenset(orders),
+        orders=tuple(sorted(orders.items())),
+        program_fences=tuple(sorted(program_req.items())),
+    )
 
 
 # The weak conditions in the order of their compositions, then the strong one.

@@ -258,6 +258,9 @@ def synthesize_fast(p: Program, limits: Limits | None = None) -> SynthesisResult
     timings = {"enumerate": 0.0, "analyze": 0.0, "solve": 0.0}
     result = SynthesisResult(status=FIXED, timings=timings)
 
+    # A component no pass has touched keeps its source positions, and so
+    # its memo key, from one pass to the next.
+    memo: dict = {}
     iteration = 0
     while True:
         t0 = time.monotonic()
@@ -271,7 +274,7 @@ def synthesize_fast(p: Program, limits: Limits | None = None) -> SynthesisResult
         result.traces_analyzed += 1
 
         t0 = time.monotonic()
-        sols = analyze_trace(first, iteration, limits)
+        sols = analyze_trace(first, iteration, limits, memo=memo)
         timings["analyze"] += time.monotonic() - t0
         result.solutions_by_trace.append(sols)
         if not sols:

@@ -36,6 +36,7 @@ from .litmus import (
     Program,
     Store,
     eval_expr,
+    preorder,
 )
 from .model import Event, Relation, SourceLocation, Trace
 from .orders import MemoryOrder
@@ -54,38 +55,23 @@ def candidate_values(p: Program) -> dict[str, tuple[int, ...]]:
     """
     vals: dict[str, set[int]] = {o: {v} for o, v in p.init.items()}
     local_vals: dict[str, dict[str, set[int]]] = {t.tid: {} for t in p.threads}
-
-    def leaf_count(block) -> int:
-        n = 0
-        for s in block:
-            if isinstance(s, If):
-                n += leaf_count(s.then) + leaf_count(s.orelse)
-            else:
-                n += 1
-        return n
-
-    rounds = sum(leaf_count(t.body) for t in p.threads) + 1
+    stmts = {
+        t.tid: [s for _, _, s in preorder(t.body) if not isinstance(s, If)] for t in p.threads
+    }
+    rounds = sum(map(len, stmts.values())) + 1
     for _ in range(rounds):
-        for t in p.threads:
-            lv = local_vals[t.tid]
-
-            def walk(block):
-                for s in block:
-                    if isinstance(s, Load):
-                        lv.setdefault(s.dest, set()).update(vals[s.obj])
-                    elif isinstance(s, FetchAdd):
-                        lv.setdefault(s.dest, set()).update(vals[s.obj])
-                        vals[s.obj].update([v + s.addend for v in vals[s.obj]])
-                    elif isinstance(s, Store):
-                        if isinstance(s.value, int):
-                            vals[s.obj].add(s.value)
-                        else:
-                            vals[s.obj].update(lv.get(s.value, ()))
-                    elif isinstance(s, If):
-                        walk(s.then)
-                        walk(s.orelse)
-
-            walk(t.body)
+        for tid, block in stmts.items():
+            lv = local_vals[tid]
+            for s in block:
+                if isinstance(s, (Load, FetchAdd)):
+                    lv.setdefault(s.dest, set()).update(vals[s.obj])
+                if isinstance(s, FetchAdd):
+                    vals[s.obj].update([v + s.addend for v in vals[s.obj]])
+                elif isinstance(s, Store):
+                    if isinstance(s.value, int):
+                        vals[s.obj].add(s.value)
+                    else:
+                        vals[s.obj].update(lv.get(s.value, ()))
     return {o: tuple(sorted(v)) for o, v in vals.items()}
 
 
@@ -121,24 +107,16 @@ def _thread_runs(block, env, cand) -> list[tuple[list[_EventSpec], dict[str, int
 
 
 def _stmt_runs(stmt, env, cand):
-    if isinstance(stmt, Load):
+    if isinstance(stmt, (Load, FetchAdd)):
         out = []
         for v in cand[stmt.obj]:
             env1 = dict(env)
             env1[stmt.dest] = v
-            out.append(([_EventSpec("read", stmt.obj, stmt.ord, stmt, rval=v)], env1))
-        return out
-    if isinstance(stmt, FetchAdd):
-        out = []
-        for v in cand[stmt.obj]:
-            env1 = dict(env)
-            env1[stmt.dest] = v
-            out.append(
-                (
-                    [_EventSpec("rmw", stmt.obj, stmt.ord, stmt, rval=v, wval=v + stmt.addend)],
-                    env1,
-                )
-            )
+            if isinstance(stmt, Load):
+                spec = _EventSpec("read", stmt.obj, stmt.ord, stmt, rval=v)
+            else:
+                spec = _EventSpec("rmw", stmt.obj, stmt.ord, stmt, rval=v, wval=v + stmt.addend)
+            out.append(([spec], env1))
         return out
     if isinstance(stmt, Store):
         value = stmt.value if isinstance(stmt.value, int) else env.get(stmt.value, 0)

@@ -21,6 +21,7 @@ its destination local.  Locals read before assignment evaluate to 0.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -223,7 +224,7 @@ def format_expr(e: Expr) -> str:
         return " && ".join(_fmt_and_child(a) for a in e.args)
     if isinstance(e, Or):
         return " || ".join(
-            "(%s)" % format_expr(a) if isinstance(a, Or) else _fmt_or_child(a)
+            "(%s)" % format_expr(a) if isinstance(a, Or) else format_expr(a)
             for a in e.args
         )
     raise TypeError(e)
@@ -236,10 +237,6 @@ def _fmt_operand(op: Var | Lit) -> str:
 def _fmt_and_child(e: Expr) -> str:
     if isinstance(e, (Or, And)):
         return "(%s)" % format_expr(e)
-    return format_expr(e)
-
-
-def _fmt_or_child(e: Expr) -> str:
     return format_expr(e)
 
 
@@ -301,17 +298,17 @@ class Repeat(Stmt):
     body: list[Stmt]
 
 
-LEAF_TYPES = (Load, Store, FetchAdd, Fence)
-
-
 def preorder(block: list[Stmt]) -> Iterator[tuple[list[Stmt], int, Stmt]]:
-    """Each statement of an elaborated block with its block and offset, in
-    pre-order: an ``If`` comes before its then-branch, then its else-branch."""
+    """Each statement of a block with its block and offset, in pre-order:
+    an ``If`` comes before its then-branch, then its else-branch, and a
+    ``Repeat`` before its body."""
     for i, s in enumerate(block):
         yield block, i, s
         if isinstance(s, If):
             yield from preorder(s.then)
             yield from preorder(s.orelse)
+        elif isinstance(s, Repeat):
+            yield from preorder(s.body)
 
 
 @dataclass
@@ -337,26 +334,18 @@ class Program:
         raise KeyError(tid)
 
     def locals_of(self, tid: str) -> frozenset[str]:
-        out: set[str] = set()
-
-        def walk(block):
-            for s in block:
-                if isinstance(s, (Load, FetchAdd)):
-                    out.add(s.dest)
-                elif isinstance(s, If):
-                    walk(s.then)
-                    walk(s.orelse)
-                elif isinstance(s, Repeat):
-                    walk(s.body)
-
-        walk(self.thread(tid).body)
-        return frozenset(out)
+        return frozenset(
+            s.dest
+            for _, _, s in preorder(self.thread(tid).body)
+            if isinstance(s, (Load, FetchAdd))
+        )
 
     def assertion_bindings(self) -> dict[str, tuple[str, str]]:
         """Resolve each assertion name to ('object', obj) or ('local', tid)."""
         bindings: dict[str, tuple[str, str]] = {}
+        locals_by_thread = {t.tid: self.locals_of(t.tid) for t in self.threads}
         for name in sorted(expr_vars(self.assertion)):
-            owners = [t.tid for t in self.threads if name in self.locals_of(t.tid)]
+            owners = [tid for tid, names in locals_by_thread.items() if name in names]
             if name in self.init and owners:
                 raise LitmusError(
                     "assertion name %r is both a shared object and a local" % name
@@ -541,33 +530,25 @@ def parse_program(text: str) -> Program:
 def _validate(p: Program) -> None:
     for thread in p.threads:
         locals_here = p.locals_of(thread.tid)
-
-        def walk(block):
-            for s in block:
-                if isinstance(s, (Load, Store, FetchAdd)):
-                    if s.obj not in p.init:
-                        raise LitmusError("undeclared object %r" % s.obj, s.line)
-                if isinstance(s, Store) and isinstance(s.value, str):
-                    if s.value not in locals_here:
-                        raise LitmusError(
-                            "store value %r is not a local of thread %s"
-                            % (s.value, thread.tid),
-                            s.line,
-                        )
-                if isinstance(s, If):
-                    bad = expr_vars(s.cond) - locals_here
-                    if bad:
-                        raise LitmusError(
-                            "branch condition may reference only locals of its "
-                            "thread; %s not allowed" % ", ".join(sorted(bad)),
-                            s.line,
-                        )
-                    walk(s.then)
-                    walk(s.orelse)
-                elif isinstance(s, Repeat):
-                    walk(s.body)
-
-        walk(thread.body)
+        for _, _, s in preorder(thread.body):
+            if isinstance(s, (Load, Store, FetchAdd)):
+                if s.obj not in p.init:
+                    raise LitmusError("undeclared object %r" % s.obj, s.line)
+            if isinstance(s, Store) and isinstance(s.value, str):
+                if s.value not in locals_here:
+                    raise LitmusError(
+                        "store value %r is not a local of thread %s"
+                        % (s.value, thread.tid),
+                        s.line,
+                    )
+            if isinstance(s, If):
+                bad = expr_vars(s.cond) - locals_here
+                if bad:
+                    raise LitmusError(
+                        "branch condition may reference only locals of its "
+                        "thread; %s not allowed" % ", ".join(sorted(bad)),
+                        s.line,
+                    )
     p.assertion_bindings()  # raises on undeclared/ambiguous names
 
 
@@ -594,23 +575,15 @@ def elaborate(p: Program, unroll_bound: int = DEFAULT_UNROLL) -> Program:
                     )
                 for i in range(s.count):
                     out.extend(expand(s.body, tag + (i,), True))
-            elif isinstance(s, If):
-                out.append(
-                    If(
-                        s.cond,
-                        expand(s.then, tag, fresh),
-                        expand(s.orelse, tag, fresh),
-                        uid=None if fresh else s.uid,
-                        iter_tag=tag or s.iter_tag,
-                        line=s.line,
-                    )
-                )
             else:
-                copy = _copy_leaf(s)
+                c = copy.copy(s)
                 if fresh:
-                    copy.uid = None
-                copy.iter_tag = tag or s.iter_tag
-                out.append(copy)
+                    c.uid = None
+                c.iter_tag = tag or s.iter_tag
+                if isinstance(s, If):
+                    c.then = expand(s.then, tag, fresh)
+                    c.orelse = expand(s.orelse, tag, fresh)
+                out.append(c)
         return out
 
     threads = [Thread(t.tid, expand(t.body, (), False)) for t in p.threads]
@@ -620,32 +593,17 @@ def elaborate(p: Program, unroll_bound: int = DEFAULT_UNROLL) -> Program:
     return out
 
 
-def _copy_leaf(s: Stmt) -> Stmt:
-    if isinstance(s, Load):
-        return Load(s.dest, s.obj, s.ord, uid=s.uid, line=s.line)
-    if isinstance(s, Store):
-        return Store(s.obj, s.value, s.ord, uid=s.uid, line=s.line)
-    if isinstance(s, FetchAdd):
-        return FetchAdd(s.dest, s.obj, s.addend, s.ord, uid=s.uid, line=s.line)
-    if isinstance(s, Fence):
-        return Fence(s.ord, uid=s.uid, line=s.line, synth_iter=s.synth_iter)
-    raise TypeError(s)
-
-
 def copy_program(p: Program) -> Program:
     """Structural deep copy preserving statement identity (uid/idx/cont)."""
 
     def copy_block(block: list[Stmt]) -> list[Stmt]:
         out = []
         for s in block:
+            c = copy.copy(s)
             if isinstance(s, If):
-                c: Stmt = If(s.cond, copy_block(s.then), copy_block(s.orelse))
+                c.then, c.orelse = copy_block(s.then), copy_block(s.orelse)
             elif isinstance(s, Repeat):
-                c = Repeat(s.count, copy_block(s.body))
-            else:
-                c = _copy_leaf(s)
-            c.uid, c.idx, c.cont = s.uid, s.idx, s.cont
-            c.iter_tag, c.line = s.iter_tag, s.line
+                c.body = copy_block(s.body)
             out.append(c)
         return out
 
@@ -662,17 +620,12 @@ def renumber(p: Program) -> Program:
 
     for thread in p.threads:
         idx = itertools.count()
-
-        def number(block):
-            for s in block:
-                if s.uid is None:
-                    s.uid = next(counter)
-                s.idx = next(idx)
-                if isinstance(s, If):
-                    number(s.then)
-                    number(s.orelse)
-                elif isinstance(s, Repeat):
-                    raise LitmusError("renumber requires an elaborated program")
+        for _, _, s in preorder(thread.body):
+            if isinstance(s, Repeat):
+                raise LitmusError("renumber requires an elaborated program")
+            if s.uid is None:
+                s.uid = next(counter)
+            s.idx = next(idx)
 
         def continuations(block, cont_after):
             for i, s in enumerate(block):
@@ -682,7 +635,6 @@ def renumber(p: Program) -> Program:
                     continuations(s.then, nxt)
                     continuations(s.orelse, nxt)
 
-        number(thread.body)
         thread.size = next(idx)
         continuations(thread.body, thread.size)
 

@@ -4,6 +4,10 @@ Executions are stored exactly: every relation is an explicit set of
 event-id pairs and all closure/composition operations are exact.  Values
 are immutable after construction; derived relations are computed lazily
 and cached, so precompute them before sharing a trace across threads.
+
+One ``Trace`` class serves both an enumerated execution and the
+intermediate trace of the fence analyses: the latter is a ``Trace`` whose
+``candidates`` id set names the candidate fences spliced into its sb.
 """
 
 from __future__ import annotations
@@ -160,13 +164,41 @@ class Event:
 # Traces
 
 
-class _TraceOps:
-    """Shared lookups and lazily-cached derived relations."""
+class Trace:
+    """One execution: events plus the sb, rf and mo relations.
 
-    events: tuple[Event, ...]
-    sb: Relation
-    rf: Relation
-    mo: Relation
+    ``candidates`` are the ids of the untyped candidate fences spliced into
+    sb (see ``cycles.insert_candidate_fences``); an enumerated execution has
+    none.  Candidate fences extend sb (and hence sw/dob/ithb/hb and so) but
+    never participate in rf, mo or fr.  All candidates carry the strongest
+    order; the coherence analysis only relies on their release/acquire
+    capability.
+
+    ``assertion_holds`` is the final-state verdict, ``final_shared`` the
+    mo-maximal value per object and ``final_locals`` each thread's register
+    file after its last assignment.
+    """
+
+    def __init__(
+        self,
+        events: Iterable[Event],
+        sb: Relation,
+        rf: Relation,
+        mo: Relation,
+        assertion_holds: bool | None = None,
+        final_shared: Mapping[str, int] | None = None,
+        final_locals: Mapping[str, Mapping[str, int]] | None = None,
+        candidates: Iterable[int] = (),
+    ):
+        self.events = tuple(sorted(events, key=lambda e: e.id))
+        self.sb = sb
+        self.rf = rf
+        self.mo = mo
+        self.assertion_holds = assertion_holds
+        self.final_shared = dict(final_shared or {})
+        self.final_locals = {t: dict(env) for t, env in (final_locals or {}).items()}
+        self.fence_event_ids = frozenset(candidates)
+        self._roles = None
 
     @cached_property
     def _by_id(self) -> Mapping[int, Event]:
@@ -194,10 +226,6 @@ class _TraceOps:
     @cached_property
     def init_events(self) -> tuple[Event, ...]:
         return tuple(e for e in self.events if e.is_init)
-
-    @cached_property
-    def reads(self) -> tuple[Event, ...]:
-        return tuple(e for e in self.events if e.is_read and not e.is_init)
 
     @cached_property
     def writes(self) -> tuple[Event, ...]:
@@ -262,57 +290,11 @@ class _TraceOps:
 
         return compute_fr(self)
 
-
-class Trace(_TraceOps):
-    """One execution: events plus the sb, rf and mo relations.
-
-    ``assertion_holds`` is the final-state verdict, ``final_shared`` the
-    mo-maximal value per object and ``final_locals`` each thread's register
-    file after its last assignment.
-    """
-
-    def __init__(
-        self,
-        events: Iterable[Event],
-        sb: Relation,
-        rf: Relation,
-        mo: Relation,
-        assertion_holds: bool | None = None,
-        final_shared: Mapping[str, int] | None = None,
-        final_locals: Mapping[str, Mapping[str, int]] | None = None,
-    ):
-        self.events = tuple(sorted(events, key=lambda e: e.id))
-        self.sb = sb
-        self.rf = rf
-        self.mo = mo
-        self.assertion_holds = assertion_holds
-        self.final_shared = dict(final_shared or {})
-        self.final_locals = {t: dict(env) for t, env in (final_locals or {}).items()}
-
-    def __repr__(self) -> str:
-        return "Trace(%d events, assertion_holds=%r)" % (len(self.events), self.assertion_holds)
-
-
-class IntermediateTrace(_TraceOps):
-    """A buggy execution with one untyped candidate fence per adjacent slot.
-
-    Candidate fences extend sb (and hence sw/dob/ithb/hb and so) but never
-    participate in rf, mo or fr.  All candidates carry the strongest order;
-    the coherence analysis only relies on their release/acquire capability.
-    """
-
-    def __init__(self, base: Trace, fence_events: Iterable[Event], sb: Relation):
-        self.base = base
-        self.fence_events = tuple(fence_events)
-        self.events = tuple(sorted(base.events + self.fence_events, key=lambda e: e.id))
-        self.sb = sb
-        self.rf = base.rf
-        self.mo = base.mo
-        self._roles = None
+    # Candidate fences and the relations the fence analyses read.
 
     @cached_property
-    def fence_event_ids(self) -> frozenset[int]:
-        return frozenset(e.id for e in self.fence_events)
+    def fence_events(self) -> tuple[Event, ...]:
+        return tuple(e for e in self.events if e.id in self.fence_event_ids)
 
     @cached_property
     def slot_of(self) -> Mapping[int, FenceSlot]:
@@ -345,17 +327,14 @@ class IntermediateTrace(_TraceOps):
         return self.so_info.so
 
     def __repr__(self) -> str:
-        return "IntermediateTrace(%d events, %d candidate fences)" % (
-            len(self.events),
-            len(self.fence_events),
-        )
+        return "Trace(%d events, assertion_holds=%r)" % (len(self.events), self.assertion_holds)
 
 
 # ---------------------------------------------------------------------------
 # Dump format (`--emit-traces`)
 
 
-def dump_trace(tr: _TraceOps, include_derived: bool = True) -> str:
+def dump_trace(tr: Trace, include_derived: bool = True) -> str:
     """One fact per line, stable sort: events, then sb/rf/mo, then derived."""
     lines = [str(e) for e in tr.events]
     for name in ("sb", "rf", "mo"):
@@ -366,13 +345,5 @@ def dump_trace(tr: _TraceOps, include_derived: bool = True) -> str:
             rel = getattr(tr, name)
             lines.extend("%s %d %d" % (name, a, b) for a, b in rel)
         lines.extend("fr %d %d" % (a, b) for a, b in tr.fr)
-        if isinstance(tr, IntermediateTrace):
-            so = tr.so
-        else:
-            from .cycles import insert_candidate_fences
-            from .relations import compute_so_info
-
-            # A plain trace has no candidate fences; so covers program events only.
-            so = compute_so_info(insert_candidate_fences(tr, slots=())).so
-        lines.extend("so %d %d" % (a, b) for a, b in so)
+        lines.extend("so %d %d" % (a, b) for a, b in tr.so)
     return "\n".join(lines) + "\n"

@@ -3,7 +3,8 @@ inter-thread happens-before, from-reads, and the forced order on
 sequentially-consistent events.
 
 All functions are pure over immutable traces and accept either a plain
-execution or an intermediate one (candidate fences spliced into sb).
+execution or an intermediate one: a ``Trace`` whose candidate fences are
+spliced into sb (see ``cycles.insert_candidate_fences``).
 Inter-thread happens-before is derived by the least fixpoint of
 
     sw ⊆ ithb;  dob ⊆ ithb;  sw;sb ⊆ ithb;  sb;ithb ⊆ ithb;  ithb;ithb ⊆ ithb

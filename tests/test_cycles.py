@@ -25,7 +25,7 @@ from fencesynth.enumerator import (
     exists_sc_total_order,
     find_buggy_traces,
 )
-from fencesynth.driver import sanity_check, synthesize_optimal
+from fencesynth.driver import sanity_check, synthesize_fast, synthesize_optimal
 from fencesynth.errors import ResourceLimitError
 from fencesynth.limits import Limits
 from fencesynth.litmus import elaborate, parse_program
@@ -73,8 +73,8 @@ def test_candidate_fences_single_event_thread():
 def test_candidate_fences_sit_between_their_neighbors(rwrw):
     tr = find_buggy_traces(rwrw)[0]
     it = insert_candidate_fences(tr)
-    load_ev = next(e for e in it.base.events if e.thr == "t1" and e.is_read)
-    store_ev = next(e for e in it.base.events if e.thr == "t1" and e.is_write)
+    load_ev = next(e for e in tr.events if e.thr == "t1" and e.is_read)
+    store_ev = next(e for e in tr.events if e.thr == "t1" and e.is_write)
     mid = next(i for i, s in it.slot_of.items() if s == FenceSlot("t1", 1))
     assert (load_ev.id, mid) in it.sb.pairs and (mid, store_ev.id) in it.sb.pairs
 
@@ -622,6 +622,28 @@ def test_opt_closes_each_distinct_component_once(monkeypatch):
     assert len(result.buggy_traces) == 175
     # Four executions of each of the four pairs, each closed once.
     assert len(closures) == 16
+
+
+@pytest.mark.parametrize("m, distinct", [(3, 7), (4, 10)])
+def test_fast_closes_each_distinct_component_once(monkeypatch, m, distinct):
+    import fencesynth.relations
+
+    closures = []
+    role_closure = fencesynth.relations.role_closure
+
+    def counting(it, limits=None):
+        closures.append(it)
+        return role_closure(it, limits)
+
+    monkeypatch.setattr(fencesynth.relations, "role_closure", counting)
+    result = synthesize_fast(elaborate(parse_program(mp_pairs(m)), 16))
+    assert result.status == "fixed" and result.iterations == m
+    assert len(result.synthesized) == 2 * m
+    # m passes over traces of m components each: a component that an
+    # earlier pass already closed is not closed again.
+    assert len(closures) == distinct
+    for i, tr in enumerate(result.buggy_traces):
+        assert result.solutions_by_trace[i] == whole_trace_analysis(tr, i)
 
 
 def test_memoized_analysis_honors_an_expired_deadline():

@@ -14,6 +14,7 @@ from fencesynth.litmus import (
     Store,
     elaborate,
     parse_program,
+    preorder,
     print_program,
 )
 from fencesynth.orders import MemoryOrder as O
@@ -65,6 +66,38 @@ def test_branch_condition_locals_only():
     )
     with pytest.raises(LitmusError, match="only locals"):
         parse_program(src)
+
+
+def nested(stmt):
+    # ``stmt`` sits on line 8, inside repeat inside if inside repeat.
+    return (
+        "program nested\ninit x = 0\nthread t1 {\n  a = load(x, rlx)\n"
+        "  repeat 2 {\n    if (a == 0) {\n      repeat 2 {\n"
+        "        %s\n      }\n    }\n  }\n}\nassert true\n" % stmt
+    )
+
+
+@pytest.mark.parametrize(
+    "stmt, message",
+    [
+        ("store(z, 1, rlx)", "undeclared object"),
+        ("store(x, r, rlx)", "store value 'r' is not a local"),
+        ("if (x == 0) {\n        }", "only locals"),
+    ],
+)
+def test_nested_statement_rejected_at_its_line(stmt, message):
+    with pytest.raises(LitmusError, match=message) as exc:
+        parse_program(nested(stmt))
+    assert exc.value.line == 8
+
+
+def test_preorder_walks_nested_repeat_and_if():
+    p = parse_program(nested("b = load(x, rlx)"))
+    assert p.locals_of("t1") == {"a", "b"}
+    walked = list(preorder(p.threads[0].body))
+    assert [type(s).__name__ for _, _, s in walked] == ["Load", "Repeat", "If", "Repeat", "Load"]
+    assert [s.line for _, _, s in walked] == [4, 5, 6, 7, 8]
+    assert all(block[i] is s for block, i, s in walked)
 
 
 def test_ambiguous_assert_local_rejected():

@@ -5,9 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import O, closure, load, make_trace, reflexive, with_fences
+from conftest import CORPUS, O, closure, load, make_trace, reflexive, with_fences
 from fencesynth.cycles import insert_candidate_fences
-from fencesynth.enumerator import find_buggy_traces
+from fencesynth.enumerator import enumerate_consistent_traces, find_buggy_traces
 from fencesynth.errors import InternalCheckError
 from fencesynth.model import FenceSlot
 from fencesynth.relations import (
@@ -277,6 +277,20 @@ def test_so_empty_for_unordered_sc_writes():
     # Both writes are sc but unrelated; no pair is forced without fences.
     tr = find_buggy_traces(load("sb_scw"))[0]
     assert len(insert_candidate_fences(tr, slots=()).so) == 0
+
+
+def test_plain_trace_so_is_that_of_the_trace_without_candidates():
+    # dump_trace reads a plain trace's so directly: it must equal the so of
+    # the same trace with no candidate fences spliced in.  Every consistent
+    # execution of the corpus is checked, its 34 buggy ones among them.
+    traces = [tr for name in CORPUS for tr in enumerate_consistent_traces(load(name))]
+    for tr in traces:
+        it = insert_candidate_fences(tr, slots=())
+        assert it.sb == tr.sb
+        assert tr.slots == tr.fence_events == ()
+        assert tr.so == it.so
+    assert sum(not tr.assertion_holds for tr in traces) == 34
+    assert sum(len(tr.so) > 0 for tr in traces) >= 20
 
 
 def test_sync_monotone_under_added_fences():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import collections
 import os
 import subprocess
 import sys
@@ -44,6 +45,56 @@ def test_package_imports_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names | {"fencesynth"}
     ]
     assert foreign == []
+
+
+def test_every_module_level_name_is_used():
+    # A module-level function, class or constant of the package must be
+    # referenced outside its own definition, by a name, an attribute or an
+    # import, somewhere in the repository's code, or be exported by __all__.
+    root = PACKAGE.parent.parent
+    trees = [
+        ast.parse(path.read_text(), str(path))
+        for folder in ("src", "tests", "bench", "demos")
+        for path in sorted((root / folder).rglob("*.py"))
+    ]
+
+    def references(node):
+        found = collections.Counter()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                found[n.id] += 1
+            elif isinstance(n, ast.Attribute):
+                found[n.attr] += 1
+            elif isinstance(n, ast.alias):
+                found[n.name] += 1
+        return found
+
+    everywhere = collections.Counter()
+    for tree in trees:
+        everywhere.update(references(tree))
+    exported = set()
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            if names == ["__all__"]:
+                exported.update(ast.literal_eval(node.value))
+                continue
+            own = references(node)
+            defined += [(path.name, name, everywhere[name] - own[name]) for name in names]
+    assert len(defined) >= 100
+    unused = [
+        "%s: %s" % (where, name)
+        for where, name, uses in defined
+        if uses == 0 and name not in exported
+    ]
+    assert unused == []
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
