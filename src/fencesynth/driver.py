@@ -17,7 +17,7 @@ from .cycles import CandidateSolution, analyze_trace
 from .errors import InternalCheckError, LitmusError, ResourceLimitError
 from .enumerator import find_buggy_traces, iter_buggy_traces
 from .limits import Limits, ensure_started
-from .litmus import Fence, If, Program, copy_program, elaborate, preorder, renumber
+from .litmus import Fence, If, Program, elaborate, preorder, renumber
 from .model import FenceSlot, SourceLocation, Trace
 from .optimize import Query, TypedSolution, assign_memory_orders, build_query, find_min_model
 from .orders import MemoryOrder, lub
@@ -50,7 +50,6 @@ class SynthesisResult:
     iterations: int = 0
     traces_analyzed: int = 0
     timings: dict[str, float] = field(default_factory=dict)
-    orders_exact: bool = True
     notes: list[str] = field(default_factory=list)
     no_fix_trace: int | None = None
     fixed_program: Program | None = None
@@ -85,8 +84,6 @@ class SynthesisResult:
             lines.append("strengthened fences (%d):" % len(self.strengthened))
             for s in self.strengthened:
                 lines.append("  %s: %s -> %s" % (s.loc, s.old, s.new))
-        if not self.orders_exact:
-            lines.append("note: order coalescing exceeded its budget; orders may be nonoptimal")
         for n in self.notes:
             lines.append("note: %s" % n)
         lines.append("iterations: %d" % self.iterations)
@@ -107,7 +104,7 @@ def apply_solution(p: Program, ts: TypedSolution, synth_iter: int = 0) -> Progra
     """Insert the solution's fences, strengthen existing ones, merge
     synthesized fences that land adjacent to another fence (keeping the
     least upper bound), and renumber."""
-    q = copy_program(p)
+    q = elaborate(p)
 
     for loc, new_ord in ts.strengthened:
         stmt = q.statements(loc.thread).get(loc.index)
@@ -228,7 +225,6 @@ def synthesize_optimal(p: Program, limits: Limits | None = None) -> SynthesisRes
     result.queries.append(query)
     model = find_min_model(query, limits)
     typed = assign_memory_orders(model, result.solutions_by_trace, limits)
-    result.orders_exact = typed.orders_exact
     timings["solve"] = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -288,7 +284,6 @@ def synthesize_fast(p: Program, limits: Limits | None = None) -> SynthesisResult
         result.queries.append(query)
         model = find_min_model(query, limits)
         typed = assign_memory_orders(model, [sols], limits)
-        result.orders_exact = result.orders_exact and typed.orders_exact
         timings["solve"] += time.monotonic() - t0
 
         iteration += 1
@@ -394,13 +389,13 @@ def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | Non
         _, _, stmt = locate(p_fixed, uid)
         name = "fence(%s) uid=%d" % (stmt.ord, uid)
 
-        removal = copy_program(p_fixed)
+        removal = elaborate(p_fixed)
         block, i, _ = locate(removal, uid)
         del block[i]
         probe(removal, name, "removed")
 
         for weaker in _WEAKENINGS[stmt.ord]:
-            weakened = copy_program(p_fixed)
+            weakened = elaborate(p_fixed)
             _, _, target = locate(weakened, uid)
             target.ord = weaker
             probe(weakened, name, "weakened to %s" % weaker)

@@ -51,7 +51,8 @@ def candidate_values(p: Program) -> dict[str, tuple[int, ...]]:
 
     A monotone transfer iterated once per statement: any dynamically
     producible value needs a chain of distinct statement executions, and
-    loops are already unrolled, so that many rounds reach a fixpoint.
+    loops are already unrolled, so that many rounds reach a fixpoint.  A
+    round that grows no set, object or local, has reached it early.
     """
     vals: dict[str, set[int]] = {o: {v} for o, v in p.init.items()}
     local_vals: dict[str, dict[str, set[int]]] = {t.tid: {} for t in p.threads}
@@ -59,6 +60,7 @@ def candidate_values(p: Program) -> dict[str, tuple[int, ...]]:
         t.tid: [s for _, _, s in preorder(t.body) if not isinstance(s, If)] for t in p.threads
     }
     rounds = sum(map(len, stmts.values())) + 1
+    last = None
     for _ in range(rounds):
         for tid, block in stmts.items():
             lv = local_vals[tid]
@@ -72,6 +74,11 @@ def candidate_values(p: Program) -> dict[str, tuple[int, ...]]:
                         vals[s.obj].add(s.value)
                     else:
                         vals[s.obj].update(lv.get(s.value, ()))
+        size = sum(map(len, vals.values()))
+        size += sum(sum(map(len, lv.values())) for lv in local_vals.values())
+        if size == last:
+            break
+        last = size
     return {o: tuple(sorted(v)) for o, v in vals.items()}
 
 

@@ -17,16 +17,14 @@ class Limits:
     bound set, it also checks consistency on the candidates that satisfy
     the assertion, which it otherwise drops unchecked.  ``timeout_secs`` is
     a global soft deadline (armed by ``start``) that every exponential
-    search checks inside its loops, ``coalesce_budget`` bounds the
-    cross-trace order-coalescing product above which orders are assigned
-    greedily, and ``max_iters`` bounds the fix passes of the iterative
+    search checks inside its loops, order assignment included, and
+    ``max_iters`` bounds the fix passes of the iterative
     (one-trace-at-a-time) driver: a buggy trace left after that many
     passes is a limit error.
     """
 
     max_traces: int | None = None
     timeout_secs: float | None = None
-    coalesce_budget: int = 20_000
     max_iters: int = 64
     _deadline: float | None = field(default=None, repr=False)
 

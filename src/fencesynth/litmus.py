@@ -561,7 +561,9 @@ def elaborate(p: Program, unroll_bound: int = DEFAULT_UNROLL) -> Program:
 
     Idempotent on loop-free programs: statement uids are preserved where
     present, so repeated elaboration (after fence insertion, say) keeps
-    statement identity stable.
+    statement identity stable.  The result shares no statement with ``p``,
+    which makes this the program copier too: fence insertion and the
+    sanity mutants edit an elaborated copy in place.
     """
 
     def expand(block: list[Stmt], tag: tuple[int, ...], fresh: bool) -> list[Stmt]:
@@ -591,27 +593,6 @@ def elaborate(p: Program, unroll_bound: int = DEFAULT_UNROLL) -> Program:
                   next_uid=p.next_uid)
     renumber(out)
     return out
-
-
-def copy_program(p: Program) -> Program:
-    """Structural deep copy preserving statement identity (uid/idx/cont)."""
-
-    def copy_block(block: list[Stmt]) -> list[Stmt]:
-        out = []
-        for s in block:
-            c = copy.copy(s)
-            if isinstance(s, If):
-                c.then, c.orelse = copy_block(s.then), copy_block(s.orelse)
-            elif isinstance(s, Repeat):
-                c.body = copy_block(s.body)
-            out.append(c)
-        return out
-
-    threads = [Thread(t.tid, copy_block(t.body), size=t.size) for t in p.threads]
-    return Program(
-        p.name, dict(p.init), threads, p.assertion,
-        elaborated=p.elaborated, next_uid=p.next_uid,
-    )
 
 
 def renumber(p: Program) -> Program:

@@ -334,16 +334,10 @@ class Trace:
 # Dump format (`--emit-traces`)
 
 
-def dump_trace(tr: Trace, include_derived: bool = True) -> str:
+def dump_trace(tr: Trace) -> str:
     """One fact per line, stable sort: events, then sb/rf/mo, then derived."""
     lines = [str(e) for e in tr.events]
-    for name in ("sb", "rf", "mo"):
+    for name in ("sb", "rf", "mo", "sw", "dob", "hb", "fr", "so"):
         rel: Relation = getattr(tr, name)
         lines.extend("%s %d %d" % (name, a, b) for a, b in rel)
-    if include_derived:
-        for name in ("sw", "dob", "hb"):
-            rel = getattr(tr, name)
-            lines.extend("%s %d %d" % (name, a, b) for a, b in rel)
-        lines.extend("fr %d %d" % (a, b) for a, b in tr.fr)
-        lines.extend("so %d %d" % (a, b) for a, b in tr.so)
     return "\n".join(lines) + "\n"

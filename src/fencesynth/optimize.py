@@ -101,6 +101,7 @@ class TypedSolution:
 
     assignment: tuple[tuple[FenceSlot, MemoryOrder], ...]
     strengthened: tuple[tuple[SourceLocation, MemoryOrder], ...] = ()
+    # Always true (assignment is exact); bench/tracer.py still reads it.
     orders_exact: bool = True
 
     @property
@@ -145,9 +146,10 @@ def assign_memory_orders(
     Per trace, the minimum cycles are those whose fences all lie in the
     model; one is chosen per trace and the choices are coalesced by
     per-slot least upper bound.  The minimum-weight coalition wins, ties
-    broken lexicographically.  When the cartesian product of choices
-    exceeds the budget, a greedy per-trace pass is used instead and the
-    result is flagged as not order-exact.
+    broken lexicographically.  The traces are folded one at a time into
+    the distinct running lubs, so the search is exact without walking the
+    cartesian product: every state comes from some combination of choices,
+    and choices that reach the same lubs are kept once.
     """
     limits = limits or Limits()
     min_cycles: list[list[CandidateSolution]] = []
@@ -157,43 +159,25 @@ def assign_memory_orders(
             raise InternalCheckError("min-model leaves a trace without a cycle")
         min_cycles.append(mc)
 
-    total = 1
+    # The key names the lubs.  Traces with one minimum cycle fold into
+    # every state alike.
+    state = _coalesce([mc[0] for mc in min_cycles if len(mc) == 1])
+    states = {_selection_key(*state): state}
     for mc in min_cycles:
-        total *= len(mc)
-
-    exact = total <= limits.coalesce_budget
-    if exact:
-        # Fold the traces one at a time into the distinct running lubs: the
-        # key names the lubs, so choices that reach the same lubs are kept
-        # once.  Traces with one minimum cycle fold into every state alike.
-        state = _coalesce([mc[0] for mc in min_cycles if len(mc) == 1])
-        states = {_selection_key(*state): state}
-        for mc in min_cycles:
-            if len(mc) == 1:
-                continue
-            grown = {}
-            for slot_ord, prog_ord, _ in states.values():
-                limits.check_time("order-assignment")
-                for sol in mc:
-                    state = _coalesce([sol], slot_ord, prog_ord)
-                    grown.setdefault(_selection_key(*state), state)
-            states = grown
-        slot_ord, prog_ord, _ = states[min(states)]
-    else:
-        # Greedy: per trace, the first solution whose fold into the running
-        # lubs of the earlier picks has the least key.
-        slot_ord, prog_ord = {}, {}
-        for mc in min_cycles:
+        if len(mc) == 1:
+            continue
+        grown = {}
+        for slot_ord, prog_ord, _ in states.values():
             limits.check_time("order-assignment")
-            slot_ord, prog_ord, _ = min(
-                (_coalesce([s], slot_ord, prog_ord) for s in mc),
-                key=lambda c: _selection_key(*c),
-            )
+            for sol in mc:
+                state = _coalesce([sol], slot_ord, prog_ord)
+                grown.setdefault(_selection_key(*state), state)
+        states = grown
+    slot_ord, prog_ord, _ = states[min(states)]
 
     if set(slot_ord) != set(model):
         raise InternalCheckError("coalesced choice does not cover the min-model")
     return TypedSolution(
         assignment=tuple(sorted(slot_ord.items())),
         strengthened=tuple(sorted(prog_ord.items())),
-        orders_exact=exact,
     )

@@ -110,7 +110,11 @@ def derive_sync(tr) -> tuple[Relation, Relation]:
 
 
 def compute_hb_info(tr) -> HbInfo:
-    """sw, dob, ithb, hb and hb_closed of a plain or an intermediate trace."""
+    """sw, dob, ithb, hb and hb_closed of a trace.
+
+    Only plain executions need these: the fence analyses of an
+    intermediate trace read sw and dob through ``role_closure``.
+    """
     # Row a of each table is the bitmask of the events b with (a, b) in it.
     # sb is transitive, so the least fixpoint is ithb = (sb? ; (sw ∪ sw;sb ∪ dob))+.
     sw, dob = derive_sync(tr)
@@ -254,7 +258,7 @@ def role_closure(it, limits: Limits | None = None) -> dict[int, dict[int, tuple[
     fence in one of its masks entered through an sw or dob endpoint, so it
     plays a role.
     """
-    info = it._hb_info
+    sw, dob = derive_sync(it)
     fence_bit = {f: 2 * i for i, f in enumerate(fence_order(it))}
 
     def bits(e: int, role: int) -> int:
@@ -263,9 +267,9 @@ def role_closure(it, limits: Limits | None = None) -> dict[int, dict[int, tuple[
     steps: dict[tuple[int, int], list[int]] = {}
     for a, b in it.sb.pairs:
         steps.setdefault((a, b), []).append(0)
-    for a, b in info.sw.pairs:
+    for a, b in sw.pairs:
         steps.setdefault((a, b), []).append(bits(a, _OUT) | bits(b, _IN))
-    for a, b in info.dob.pairs:
+    for a, b in dob.pairs:
         steps.setdefault((a, b), []).append(bits(b, _IN))
 
     rows: dict[int, dict[int, tuple[int, ...]]] = {e.id: {} for e in it.events}

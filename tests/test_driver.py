@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from conftest import load, with_fences, O
+from conftest import EXPECT_STATUS, load, with_fences, O
 from fencesynth.driver import (
     apply_solution,
     sanity_check,
@@ -18,9 +18,9 @@ from fencesynth.enumerator import (
 )
 from fencesynth.errors import ResourceLimitError
 from fencesynth.limits import Limits
-from fencesynth.litmus import Fence, elaborate, parse_program, print_program
+from fencesynth.litmus import Fence, elaborate, parse_program, preorder, print_program
 from fencesynth.model import FenceSlot, SourceLocation
-from fencesynth.optimize import TypedSolution
+from fencesynth.optimize import TypedSolution, assign_memory_orders, find_min_model
 
 
 def test_apply_solution_inserts_fence(rwrw):
@@ -70,6 +70,45 @@ def test_apply_solution_rejects_bad_slot(rwrw):
         apply_solution(rwrw, TypedSolution(assignment=((FenceSlot("t9", 0), O.REL),)))
     with pytest.raises(LitmusError):
         apply_solution(rwrw, TypedSolution(assignment=((FenceSlot("t1", 9), O.REL),)))
+
+
+def _identity(p):
+    """The printed program and each statement's identity and numbering."""
+    stmts = [
+        (s.uid, s.idx, s.cont, getattr(s, "ord", None), getattr(s, "synth_iter", None))
+        for t in p.threads
+        for _, _, s in preorder(t.body)
+    ]
+    return print_program(p), stmts
+
+
+MERGE_SOURCE = (
+    "program f\ninit x = 0, y = 0\nthread t1 {\n"
+    "  store(x, 1, rlx)\n  fence(rel)\n  a = load(y, rlx)\n}\nassert true\n"
+)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, v in EXPECT_STATUS.items() if v == "fixed") + ["merge"]
+)
+def test_apply_solution_and_sanity_check_leave_their_input_unchanged(name):
+    if name == "merge":
+        p = elaborate(parse_program(MERGE_SOURCE))
+        typed = TypedSolution(assignment=((FenceSlot("t1", 1), O.ACQ),))
+    else:
+        p = load(name)
+        res = synthesize_optimal(p)
+        model = find_min_model(res.queries[0])
+        typed = assign_memory_orders(model, res.solutions_by_trace)
+        assert bool(res.strengthened) == (name == "fen_strengthen")
+    before = _identity(p)
+    fixed = apply_solution(p, typed)
+    assert _identity(p) == before
+    if name == "merge":
+        return
+    after_fix = _identity(fixed)
+    assert sanity_check(fixed, res).passed
+    assert _identity(fixed) == after_fix
 
 
 # ---------------------------------------------------------------------------

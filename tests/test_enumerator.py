@@ -39,6 +39,68 @@ def test_candidate_values_fixpoint():
     assert {0, 1, 2} <= set(vals["wins"])
 
 
+def _candidate_values_all_rounds(p):
+    """candidate_values without the early stop: always the full bound."""
+    from fencesynth.litmus import FetchAdd, If, Load, Store, preorder
+
+    vals = {o: {v} for o, v in p.init.items()}
+    local_vals = {t.tid: {} for t in p.threads}
+    stmts = {
+        t.tid: [s for _, _, s in preorder(t.body) if not isinstance(s, If)] for t in p.threads
+    }
+    rounds = sum(map(len, stmts.values())) + 1
+    for _ in range(rounds):
+        for tid, block in stmts.items():
+            lv = local_vals[tid]
+            for s in block:
+                if isinstance(s, (Load, FetchAdd)):
+                    lv.setdefault(s.dest, set()).update(vals[s.obj])
+                if isinstance(s, FetchAdd):
+                    vals[s.obj].update([v + s.addend for v in vals[s.obj]])
+                elif isinstance(s, Store):
+                    if isinstance(s.value, int):
+                        vals[s.obj].add(s.value)
+                    else:
+                        vals[s.obj].update(lv.get(s.value, ()))
+    return {o: tuple(sorted(v)) for o, v in vals.items()}
+
+
+# A round of this program grows only the local a; the round after it adds
+# a's new value to x.
+LATE_LOCAL = """program late_local
+init x = 0, y = 0
+thread t0 {
+  store(x, a, rlx)
+  a = load(y, rlx)
+}
+thread t1 {
+  store(y, 1, rlx)
+}
+assert x != 1
+"""
+
+
+def test_candidate_values_stops_early_at_the_same_sets():
+    from conftest import CORPUS, corpus_text
+    from fencesynth.errors import LitmusError
+    from test_differential import FAMILIES
+    from test_litmus import random_litmus_program
+
+    programs = []
+    for unroll in (1, 2, 4, 16):
+        for name in CORPUS:
+            try:
+                programs.append(elaborate(parse_program(corpus_text(name)), unroll))
+            except LitmusError:
+                assert unroll == 1  # a repeat 2 loop
+    programs += [elaborate(parse_program(random_litmus_program(seed))) for seed in range(150)]
+    programs += [elaborate(parse_program(src), 16) for src in FAMILIES.values()]
+    programs.append(elaborate(parse_program(LATE_LOCAL)))
+    for p in programs:
+        assert candidate_values(p) == _candidate_values_all_rounds(p), p.name
+    assert candidate_values(programs[-1])["x"] == (0, 1)
+
+
 def test_sb_allows_both_zero():
     p = load("sb_rlx")
     traces = enumerate_consistent_traces(p)

@@ -6,9 +6,11 @@ import random
 import pytest
 
 from conftest import load, O
+from test_differential import mp_pairs
 from fencesynth.cycles import CandidateSolution
 from fencesynth.driver import synthesize_optimal
 from fencesynth.enumerator import find_buggy_traces
+from fencesynth.litmus import elaborate, parse_program
 from fencesynth.cycles import analyze_trace
 from fencesynth.model import FenceSlot
 from fencesynth.optimize import (
@@ -193,24 +195,22 @@ def test_assign_orders_exhaustive_matches_cartesian():
     assert ts.weight == best
 
 
-def test_assign_orders_greedy_flagged_when_over_budget():
-    from fencesynth.limits import Limits
-
-    per_trace = [[sol(t, {F1: O.REL}), sol(t, {F1: O.ACQ})] for t in range(6)]
-    ts = assign_memory_orders(
-        frozenset({F1}), per_trace, Limits(coalesce_budget=4)
-    )
-    assert not ts.orders_exact
-    assert ts.assignment_map[F1] in (O.REL, O.ACQ, O.AR)
+def test_assign_orders_exact_over_large_product():
+    # 2 * 2**15 = 65,536 combinations.  Picking F1:rel for trace 0, the
+    # lighter choice on its own, forces F1:ar once trace 1 is folded in
+    # (weight 3); the exact answer takes F1:acq for both (weight 2).
+    per_trace = [[sol(0, {F1: O.REL}), sol(0, {F1: O.ACQ})], [sol(1, {F1: O.ACQ})]]
+    per_trace += [[sol(t, {F2: O.REL}), sol(t, {F2: O.ACQ})] for t in range(2, 17)]
+    ts = assign_memory_orders(frozenset({F1, F2}), per_trace)
+    assert ts.assignment_map == {F1: O.ACQ, F2: O.REL}
+    assert ts.weight == 2
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_greedy_coalescing_matches_full_recoalescing(seed):
-    # Over budget, each trace's pick is the first solution minimizing the
-    # key of the earlier picks plus that solution, all coalesced anew; the
-    # running lubs must reproduce exactly that choice.
+    # The fold over distinct running lubs returns the least key over the
+    # whole product of the traces' in-model choices, coalesced anew.
     from fencesynth.errors import InternalCheckError
-    from fencesynth.limits import Limits
     from fencesynth.model import SourceLocation
     from fencesynth.optimize import _coalesce, _selection_key
 
@@ -233,20 +233,28 @@ def test_greedy_coalescing_matches_full_recoalescing(seed):
         per_trace.append(sols)
     model = frozenset(f for sols in per_trace for s in sols for f in s.fences)
 
-    chosen = []
-    for sols in per_trace:
-        chosen.append(min(sols, key=lambda s: _selection_key(*_coalesce(chosen + [s]))))
-    slot_ord, prog_ord, _ = _coalesce(chosen)
+    in_model = [[s for s in sols if s.fences <= model] for sols in per_trace]
+    slot_ord, prog_ord, _ = min(
+        (_coalesce(choice) for choice in itertools.product(*in_model)),
+        key=lambda c: _selection_key(*c),
+    )
 
-    limits = Limits(coalesce_budget=0)
     if set(slot_ord) != model:
         with pytest.raises(InternalCheckError):
-            assign_memory_orders(model, per_trace, limits)
+            assign_memory_orders(model, per_trace)
         return
-    ts = assign_memory_orders(model, per_trace, limits)
-    assert not ts.orders_exact
+    ts = assign_memory_orders(model, per_trace)
     assert ts.assignment == tuple(sorted(slot_ord.items()))
     assert ts.strengthened == tuple(sorted(prog_ord.items()))
+
+
+def test_opt_orders_on_mp_pairs_4_are_exact():
+    # The in-model choices of the 175 buggy traces multiply to about 4e22;
+    # the fold is exact all the same, so the report flags nothing.
+    result = synthesize_optimal(elaborate(parse_program(mp_pairs(4)), 16))
+    assert result.status == "fixed"
+    assert len(result.synthesized) == 8 and result.weight == 8
+    assert "note:" not in result.render()
 
 
 def test_solution_weight_examples():

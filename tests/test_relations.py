@@ -293,6 +293,27 @@ def test_plain_trace_so_is_that_of_the_trace_without_candidates():
     assert sum(len(tr.so) > 0 for tr in traces) >= 20
 
 
+def test_hb_closures_are_built_for_plain_traces_only(monkeypatch):
+    # The fence analyses read sw and dob only; the hb closures of a trace
+    # with candidate fences would be built for nothing.
+    import fencesynth.relations
+    from fencesynth.driver import synthesize
+
+    seen = []
+    compute_hb_info = fencesynth.relations.compute_hb_info
+
+    def recording(tr):
+        seen.append(tr)
+        return compute_hb_info(tr)
+
+    monkeypatch.setattr(fencesynth.relations, "compute_hb_info", recording)
+    for name in CORPUS:
+        for mode in ("opt", "fast"):
+            synthesize(load(name), mode)
+    assert seen
+    assert not [tr for tr in seen if tr.fence_event_ids]
+
+
 def test_sync_monotone_under_added_fences():
     tr = find_buggy_traces(load("mp_rlx"))[0]
     slots = sorted(insert_candidate_fences(tr).slots)
