@@ -58,6 +58,10 @@ def main(argv=None) -> int:
         if exc.code not in (0, None):
             return 3
         return 0
+    for flag in ("unroll", "max_traces", "max_iters", "timeout_secs"):
+        if (getattr(args, flag) or 0) < 0:
+            print("fensy: --%s must not be negative" % flag.replace("_", "-"), file=sys.stderr)
+            return 3
 
     try:
         text = Path(args.file).read_text()

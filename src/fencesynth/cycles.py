@@ -2,12 +2,13 @@
 
 A buggy execution is extended with one untyped candidate fence per source
 gap adjacent to its events; the result, the intermediate trace, is a
-``Trace`` whose ``candidates`` name those fences.  The weak analysis closes
-hb over the minimal release/acquire roles of the fences each hb pair needs,
-then reads coherence violations off the six axiom compositions (hb, rf;hb,
-mo;hb, mo;rf;hb, mo;hb;rf⁻¹, mo;rf;hb;rf⁻¹) without enumerating cycles.  The
-strong analysis closes the forced sc order over the same minimal fence
-sets and reads its cycles off the diagonal.  Each violation's candidate
+``Trace`` whose ``candidates`` name those fences.  Both analyses read the
+axioms in ``relations``, as the consistency check does.  The weak analysis
+closes hb over the minimal release/acquire roles of the fences each hb
+pair needs, then reads violations off ``coherence_shapes`` without
+enumerating cycles.  The strong analysis closes the forced sc order
+(``sc_clauses`` and hb) over the same minimal fence sets and reads its
+cycles off the diagonal.  Each violation's candidate
 fences form one candidate solution, with a locally weakest memory order
 read off each fence's synchronization role (sc for the strong analysis).
 
@@ -35,7 +36,7 @@ from .errors import InternalCheckError, ResourceLimitError
 from .limits import Limits
 from .model import Event, FenceSlot, Relation, SourceLocation, Trace
 from .orders import MemoryOrder
-from .relations import _IN, _OUT, _minimal, close_masks, fence_order
+from .relations import _IN, _OUT, COHERENCE, _minimal, close_masks, coherence_shapes, fence_order
 
 
 @dataclass(frozen=True)
@@ -266,9 +267,9 @@ def find_weak_cycles(
 ) -> list[CandidateSolution]:
     """The non-dominated candidate solutions from coherence violations.
 
-    Each of the six compositions (hb, rf;hb, mo;hb, mo;rf;hb, mo;hb;rf⁻¹,
-    mo;rf;hb;rf⁻¹) closed by an hb pair of the role-mask closure, over
-    distinct events, yields one solution per minimal mask of that pair.
+    Each coherence composition (``relations.coherence_shapes``) closed by
+    an hb pair of the role-mask closure yields one solution per minimal
+    mask of that pair.
     Solutions whose mask strictly contains another's are dropped: they need
     more fences or stronger orders for no gain.  The list is in canonical
     order.
@@ -276,31 +277,12 @@ def find_weak_cycles(
     fence_ids = fence_order(it)
     closed = it.role_closure(limits or Limits())
 
-    rf, mo = it.rf.pairs, it.mo.pairs
-    readers: dict[int, list[int]] = {}
-    for w, r in rf:
-        readers.setdefault(w, []).append(r)
-
-    # Each composition over distinct events, as its condition and the ends
-    # of its one hb edge.
-    shapes = [("co-h", a, a) for a in closed]
-    shapes += [("co-rh", r, w) for w, r in rf]
-    shapes += [("co-mh", b, a) for a, b in mo]
-    shapes += [("co-mrh", c, a) for a, b in mo for c in readers.get(b, ()) if c != a]
-    shapes += [("co-mhi", b, c) for a, b in mo for c in readers.get(a, ()) if c != b]
-    shapes += [
-        ("co-mrhi", c, d)
-        for a, b in mo
-        for c in readers.get(b, ())
-        for d in readers.get(a, ())
-        if len({a, b, c, d}) == 4
-    ]
-
-    minimal = set(_minimal(m for _, a, b in shapes for m in closed[a].get(b, ())))
+    shapes = [(c, a, b) for c, a, b in coherence_shapes(it) if b in closed[a]]
+    minimal = set(_minimal(m for _, a, b in shapes for m in closed[a][b]))
     sols = {
         _solution(it, trace_id, "weak", condition, mask, fence_ids, _ROLE_ORDER)
         for condition, a, b in shapes
-        for mask in closed[a].get(b, ())
+        for mask in closed[a][b]
         if mask in minimal
     }
     return sorted(sols, key=_canonical)
@@ -375,7 +357,7 @@ def _solution(it, trace_id, kind, condition, mask, fences, order_of) -> Candidat
 
 
 # The weak conditions in the order of their compositions, then the strong one.
-_CONDITIONS = ("co-h", "co-rh", "co-mh", "co-mrh", "co-mhi", "co-mrhi", "to-sc")
+_CONDITIONS = COHERENCE + ("to-sc",)
 
 
 def _canonical(sol: CandidateSolution):

@@ -4,8 +4,9 @@ Enumeration is exact and three-phased: per-read observed values are chosen
 from a finite candidate set (resolving branches and fixing each thread's
 event list), then reads-from functions matching those values and per-object
 modification orders are enumerated, and finally each candidate execution is
-kept iff the six coherence axioms hold and the sc events admit a total
-order.  Output order is deterministic: lexicographic in the choice vectors.
+kept iff the coherence axioms hold and the sc events admit a total order,
+both as ``relations`` states them for the fence analyses too.  Output
+order is deterministic: lexicographic in the choice vectors.
 
 The product is pruned before it is taken: rf sources and mo orders that
 contradict sb are never combined, since coherence rejects every execution
@@ -14,8 +15,8 @@ any consistency check: the final locals are fixed by the thread runs and
 the final shared values by the mo choice, so a thread-run combination none
 of whose possible final states falsifies the assertion is skipped before
 its events are built, and mo choices that satisfy it are dropped before
-the rf product.  The sc-order decision turns every sc rule it can into a
-forced precedence edge, rejects a forced cycle at once, and searches only
+the rf product.  The sc-order decision turns hb and the sc clauses into
+forced precedence edges, rejects a forced cycle at once, and searches only
 for the one disjunctive rule, checked as each read is placed.
 
 rmw atomicity: a fetch-add reads from its immediate mo predecessor.
@@ -40,6 +41,7 @@ from .litmus import (
 )
 from .model import Event, Relation, SourceLocation, Trace
 from .orders import MemoryOrder
+from .relations import COHERENCE, _bits, coherence_shapes, sc_clauses
 
 
 # ---------------------------------------------------------------------------
@@ -141,142 +143,63 @@ def _stmt_runs(stmt, env, cand):
 
 
 def coherence_violations(tr) -> list[str]:
-    """Names of the violated coherence axioms (empty for a coherent trace).
+    """Names of the violated coherence axioms (empty for a coherent trace),
+    in ``COHERENCE`` order.
 
     The axioms are evaluated on the transitive closure of hb, matching the
-    hb-run semantics used by cycle detection.  Each composition's
-    reflexivity is tested directly on the pairs:
-
-        co-h     hb                 co-mrh   mo;rf;hb
-        co-rh    rf;hb              co-mhi   mo;hb;rf⁻¹
-        co-mh    mo;hb              co-mrhi  mo;rf;hb;rf⁻¹
+    hb-run semantics used by cycle detection: a composition is reflexive
+    iff the ends ``coherence_shapes`` yields for it lie in hb_closed.
     """
     hbc = tr.hb_closed.pairs
-    rf = tr.rf.pairs
-    readers: dict[int, list[int]] = {}
-    for w, r in rf:
-        readers.setdefault(w, []).append(r)
-    # Each mo pair (a, b) with the reads of a and the reads of b.
-    mo = [(a, b, readers.get(a, ()), readers.get(b, ())) for a, b in tr.mo.pairs]
-    checks = {
-        "co-h": any(a == b for a, b in hbc),
-        "co-rh": any((r, w) in hbc for w, r in rf),
-        "co-mh": any((b, a) in hbc for a, b, _, _ in mo),
-        "co-mrh": any((r, a) in hbc for a, _, _, of_b in mo for r in of_b),
-        "co-mhi": any((b, r) in hbc for _, b, of_a, _ in mo for r in of_a),
-        "co-mrhi": any((r1, r2) in hbc for _, _, of_a, of_b in mo for r1 in of_b for r2 in of_a),
-    }
-    return [name for name, violated in checks.items() if violated]
+    found = {name for name, a, b in coherence_shapes(tr) if (a, b) in hbc}
+    return [name for name in COHERENCE if name in found]
 
 
 def exists_sc_total_order(tr, limits: Limits | None = None) -> bool:
     """Whether the sc events admit a total order S satisfying the sc axioms.
 
-    S must respect hb and mo on sc events, and mo is total on each object's
-    writes, so every sc-read-source and sc-fence rule but one is a plain
-    precedence.  Those are forced edges, and a cycle among them rejects at
-    once.  The remaining rule is disjunctive: an sc read of a non-sc write
-    w must not have, as its last preceding sc write to the object, one that
-    w happens before.  It is checked as the read is placed, in a search
-    over linear extensions of the forced edges that remembers the placed
-    sets it could not complete.
+    S must contain hb on sc events and the sc clauses (``sc_clauses``), so
+    every sc-read-source and sc-fence rule but one is a plain precedence.
+    Those are forced edges, and a cycle among them rejects at once.  The
+    remaining rule is disjunctive: an sc read of a non-sc write w must not
+    have, as its last preceding sc write to the object, one that w happens
+    before.  It is checked as the read is placed, in a search over linear
+    extensions of the forced edges that remembers the placed sets it could
+    not complete.
     """
     sc_ids = sorted(e.id for e in tr.sc_events)
     if not sc_ids:
         return True
     scset = set(sc_ids)
-    sb = tr.sb.pairs
     mo = tr.mo.pairs
-    sc_writes: dict[str, list[int]] = {}
-    writes_by_obj: dict[str, list[int]] = {}
-    for e in tr.events:
-        if e.is_write:
-            writes_by_obj.setdefault(e.obj, []).append(e.id)
-            if e.id in scset:
-                sc_writes.setdefault(e.obj, []).append(e.id)
-    sc_fences = {e.id for e in tr.events if e.id in scset and e.is_fence}
-    fences_after: dict[int, list[int]] = {}
-    fences_before: dict[int, list[int]] = {}
-    for a, b in sb:
-        if b in sc_fences:
-            fences_after.setdefault(a, []).append(b)
-        if a in sc_fences:
-            fences_before.setdefault(b, []).append(a)
-
-    preds: dict[int, set[int]] = {v: set() for v in sc_ids}
-
-    def force(a: int, b: int) -> None:
-        if a != b:
-            preds[b].add(a)
-
     hbc = tr.hb_closed.pairs
-    for rel in (hbc, mo):
-        for a, b in rel:
-            if a in scset and b in scset:
-                force(a, b)
+    sc_writes = {obj: [c for c in chain if c in scset] for obj, chain in tr.mo_chains.items()}
 
-    # Modification order must cohere with fence placement: a write cannot
-    # be ordered (via fences around it) ahead of a same-object mo-earlier
-    # write.
-    for ws in writes_by_obj.values():
-        for b_ in ws:
-            for a_ in ws:
-                if (b_, a_) not in mo:
-                    continue
-                # mo(b_, a_): the rules must not conclude mo(a_, b_).
-                after_a = fences_after.get(a_, ())
-                before_b = fences_before.get(b_, ())
-                if b_ in scset:
-                    for x in after_a:
-                        force(b_, x)
-                if a_ in scset:
-                    for y in before_b:
-                        force(y, a_)
-                for x in after_a:
-                    for y in before_b:
-                        force(y, x)
-
-    # The read-source rules for each rf edge (w, r).  The disjunctive one
-    # is kept as r -> (object, writes whose S-immediacy before r rejects).
+    rows = sc_clauses(tr)
+    # An sc read r of a non-sc write w may follow an sc write c mo-after w,
+    # so the plain fr pair (r, c) is not forced; the disjunctive rule is
+    # kept instead, as r -> (object, writes whose S-immediacy before r
+    # rejects).
     last_write_bans: dict[int, tuple[str, frozenset[int]]] = {}
     for w, r in tr.rf.pairs:
+        if r not in scset or w in scset:
+            continue
         robj = tr.event(r).obj
-        if r in scset:
-            if w in scset:
-                # w precedes r, and the sc writes mo-after w follow r: S
-                # orders sc writes by mo, so no other sc write falls between.
-                force(w, r)
-                for c in sc_writes.get(robj, ()):
-                    if (w, c) in mo:
-                        force(r, c)
-            else:
-                w_is_init = tr.event(w).is_init
-                banned = frozenset(
-                    c for c in sc_writes.get(robj, ()) if w_is_init or (w, c) in hbc
-                )
-                if banned:
-                    last_write_bans[r] = (robj, banned)
-        # Sources must not be hidden behind an sc fence: a read below an sc
-        # fence sees the last sc write before the fence or something
-        # mo-later; likewise through a fence above the source write, and
-        # through a fence pair around both.
-        before_r = fences_before.get(r, ())
-        for f in before_r:
-            for a in sc_writes.get(robj, ()):
-                if a != w and (a, w) not in mo:
-                    force(f, a)
-        for a in writes_by_obj.get(robj, ()):
-            if a == w or (a, w) in mo:
-                continue
-            for x in fences_after.get(a, ()):
-                if r in scset:
-                    force(r, x)
-                for y in before_r:
-                    force(y, x)
+        rows[r] &= ~sum(1 << c for c in sc_writes[robj] if (w, c) in mo and (r, c) not in mo)
+        w_is_init = tr.event(w).is_init
+        banned = frozenset(c for c in sc_writes[robj] if w_is_init or (w, c) in hbc)
+        if banned:
+            last_write_bans[r] = (robj, banned)
+    for a, b in hbc:
+        if a in scset and b in scset:
+            rows[a] |= 1 << b
 
     n = len(sc_ids)
     index = {v: i for i, v in enumerate(sc_ids)}
-    pred_mask = [sum(1 << index[p] for p in preds[v]) for v in sc_ids]
+    pred_mask = [0] * n
+    for a in sc_ids:
+        for b in _bits(rows[a] & ~(1 << a)):
+            pred_mask[index[b]] |= 1 << index[a]
     full = (1 << n) - 1
 
     # One topological sort: a forced cycle admits no order at all.

@@ -272,13 +272,15 @@ class Trace:
     def dob(self) -> Relation:
         return self._hb_info.dob
 
-    @property
+    @cached_property
     def ithb(self) -> Relation:
-        return self._hb_info.ithb
+        from .relations import compute_ithb
 
-    @property
+        return compute_ithb(self)
+
+    @cached_property
     def hb(self) -> Relation:
-        return self._hb_info.hb
+        return self.sb | self.ithb
 
     @property
     def hb_closed(self) -> Relation:

@@ -1,23 +1,24 @@
-"""Derived C11 relations: synchronizes-with, dependency ordering,
-inter-thread happens-before, from-reads, and the forced order on
-sequentially-consistent events.
+"""Derived C11 relations, and the one statement of each C11 axiom that
+the consistency check (``enumerator``) and the fence analyses (``cycles``)
+both read: hb, the coherence compositions and the sc clauses.
 
 All functions are pure over immutable traces and accept either a plain
 execution or an intermediate one: a ``Trace`` whose candidate fences are
-spliced into sb (see ``cycles.insert_candidate_fences``).
-Inter-thread happens-before is derived by the least fixpoint of
+spliced into sb (see ``cycles.insert_candidate_fences``).  The axioms are
+evaluated on hb_closed = (sb ∪ sw ∪ dob)+.  The README's inter-thread
+happens-before, the least fixpoint of
 
     sw ⊆ ithb;  dob ⊆ ithb;  sw;sb ⊆ ithb;  sb;ithb ⊆ ithb;  ithb;ithb ⊆ ithb
 
-and hb = sb ∪ ithb.  The coherence axioms are evaluated on hb's transitive
-closure (see ``hb_closed``), which keeps cycle detection over hb-edge runs
-and trace re-verification in exact agreement.
+with hb = sb ∪ ithb, has the same closure: each ithb step is a path of
+sb, sw and dob edges, each of which is in hb.  ``compute_ithb`` keeps that
+fixpoint for ``--emit-traces``.
 
 hb is a witness-free fixpoint over per-event bitmasks.  On an intermediate
 trace, the fence analyses also need to know which fences each pair relies
 on: ``role_closure`` closes the sb/sw/dob steps over antichains of
 ⊆-minimal fence-role masks, and ``compute_so_info`` carries them, projected
-onto candidate fences, through the four clauses of the forced sc order.
+onto candidate fences, through the sc clauses.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ class HbInfo:
 
     sw: Relation
     dob: Relation
-    ithb: Relation
-    hb: Relation
     hb_closed: Relation
 
 
@@ -110,34 +109,37 @@ def derive_sync(tr) -> tuple[Relation, Relation]:
 
 
 def compute_hb_info(tr) -> HbInfo:
-    """sw, dob, ithb, hb and hb_closed of a trace.
+    """sw, dob and hb_closed = (sb ∪ sw ∪ dob)+ of a trace.
 
     Only plain executions need these: the fence analyses of an
-    intermediate trace read sw and dob through ``role_closure``.
+    intermediate trace close the same steps in ``role_closure``.
     """
-    # Row a of each table is the bitmask of the events b with (a, b) in it.
-    # sb is transitive, so the least fixpoint is ithb = (sb? ; (sw ∪ sw;sb ∪ dob))+.
     sw, dob = derive_sync(tr)
-    sb = dict.fromkeys((e.id for e in tr.events), 0)
-    for a, b in tr.sb.pairs:
-        sb[a] |= 1 << b
-    base = dict.fromkeys(sb, 0)
-    for a, b in sw.pairs:
+    return HbInfo(sw=sw, dob=dob, hb_closed=_from_rows(_closure(_rows(tr, tr.sb, sw, dob))))
+
+
+def compute_ithb(tr) -> Relation:
+    """Inter-thread happens-before, the least fixpoint of the five rules.
+
+    sb is transitive, so ithb = (sb? ; (sw ∪ sw;sb ∪ dob))+.
+    """
+    sb = _rows(tr, tr.sb)
+    base = _rows(tr, tr.dob)
+    for a, b in tr.sw.pairs:
         base[a] |= (1 << b) | sb[b]
-    for a, b in dob.pairs:
-        base[a] |= 1 << b
     step = dict(base)
     for a, x in tr.sb.pairs:
         step[a] |= base[x]
-    ithb = _closure(step)
-    hb = {a: sb[a] | ithb[a] for a in sb}
-    return HbInfo(
-        sw=sw,
-        dob=dob,
-        ithb=_from_rows(ithb),
-        hb=_from_rows(hb),
-        hb_closed=_from_rows(_closure(hb)),
-    )
+    return _from_rows(_closure(step))
+
+
+def _rows(tr, *rels: Relation) -> dict[int, int]:
+    """Row a: the bitmask of the events b with (a, b) in one of ``rels``."""
+    rows = dict.fromkeys((e.id for e in tr.events), 0)
+    for rel in rels:
+        for a, b in rel.pairs:
+            rows[a] |= 1 << b
+    return rows
 
 
 def _closure(rows: dict[int, int]) -> dict[int, int]:
@@ -149,11 +151,8 @@ def _closure(rows: dict[int, int]) -> dict[int, int]:
         changed = False
         for a, row in out.items():
             grown = row
-            via = row
-            while via:
-                low = via & -via
-                grown |= out[low.bit_length() - 1]
-                via ^= low
+            for b in _bits(row):
+                grown |= out[b]
             if grown != row:
                 out[a] = grown
                 changed = True
@@ -169,19 +168,84 @@ def _bits(row: int) -> Iterator[int]:
 
 
 def _from_rows(rows: dict[int, int]) -> Relation:
-    pairs = []
-    for a, row in rows.items():
-        while row:
-            low = row & -row
-            pairs.append((a, low.bit_length() - 1))
-            row ^= low
-    return Relation(pairs)
+    return Relation((a, b) for a, row in rows.items() for b in _bits(row))
 
 
 def compute_fr(tr) -> Relation:
     """from-reads: rf⁻¹;mo, minus reflexive pairs."""
     fr = tr.rf.inverse().compose(tr.mo)
     return Relation(p for p in fr.pairs if p[0] != p[1])
+
+
+# ---------------------------------------------------------------------------
+# The axioms: coherence compositions and the clauses of the forced sc order
+
+# The coherence conditions, in the order of their compositions.
+COHERENCE = ("co-h", "co-rh", "co-mh", "co-mrh", "co-mhi", "co-mrhi")
+
+
+def coherence_shapes(tr) -> Iterator[tuple[str, int, int]]:
+    """Each coherence composition over distinct events, as its condition
+    and the ends (a, b) of its one hb edge.  The composition is reflexive
+    iff (a, b) is in hb:
+
+        co-h     hb                 co-mrh   mo;rf;hb
+        co-rh    rf;hb              co-mhi   mo;hb;rf⁻¹
+        co-mh    mo;hb              co-mrhi  mo;rf;hb;rf⁻¹
+
+    A composition that repeats an event is left out: it is reflexive only
+    when hb is (co-h), when rf;hb is (co-rh), or when an rmw reads from an
+    mo-later write, which rmw atomicity excludes.
+    """
+    readers: dict[int, list[int]] = {}
+    for w, r in tr.rf.pairs:
+        readers.setdefault(w, []).append(r)
+    for e in tr.events:
+        yield "co-h", e.id, e.id
+    for w, r in tr.rf.pairs:
+        yield "co-rh", r, w
+    for a, b in tr.mo.pairs:
+        of_a, of_b = readers.get(a, ()), readers.get(b, ())
+        yield "co-mh", b, a
+        yield from (("co-mrh", c, a) for c in of_b if c != a)
+        yield from (("co-mhi", b, d) for d in of_a if d != b)
+        # c != d: a read has one source
+        yield from (("co-mrhi", c, d) for c in of_b for d in of_a if c != a and d != b)
+
+
+def sc_clauses(tr) -> dict[int, int]:
+    """Row x: the bitmask of the y of each (x, y) in heads(a) × tails(b) for
+    a pair (a, b) of mo ∪ rf ∪ fr; heads(a) is a if sc plus the sc fences
+    sb-before a, tails(b) is b if sc plus the sc fences sb-after b.
+
+    S must contain each: in such a pair b may not come first, and
+    - (a, b), both sc: S agrees with mo, and an sc read sees the last sc
+      write before it (or, in the consistency check, a non-sc write);
+    - (a, F): after an sc fence F sb-after b, a read sees b or a later
+      write, and a write is mo-after b;
+    - (F, b): before an sc fence F sb-before a, b would be seen or
+      overwritten by a;
+    - (F1, F2): fences around a and b the other way would do the same.
+    The rf clauses are in hb too: sc accesses and sc fences are release
+    and acquire, so ``derive_sync`` puts each in sw.
+    """
+    sc = sum(1 << e.id for e in tr.sc_events)
+    sc_fences = sum(1 << e.id for e in tr.sc_events if e.is_fence)
+    heads = {e.id: sc & 1 << e.id for e in tr.events}
+    tails = dict(heads)
+    for a, b in tr.sb.pairs:
+        heads[b] |= sc_fences & 1 << a
+        tails[a] |= sc_fences & 1 << b
+
+    reach = dict.fromkeys(heads, 0)  # row a: the y of each (a, b) ; (b, y)
+    for rel in (tr.mo, tr.rf, tr.fr):
+        for a, b in rel.pairs:
+            reach[a] |= tails[b]
+    rows = dict.fromkeys(heads, 0)  # row x: the y of each (x, a) ; (a, y)
+    for a, row in reach.items():
+        for x in _bits(heads[a]):
+            rows[x] |= row
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -291,36 +355,18 @@ class SoInfo:
 def compute_so_info(it) -> SoInfo:
     """The sc-order relation of an intermediate trace.
 
-    For every pair (e1, e2) in hb ∪ mo ∪ rf ∪ fr the clauses add: the pair
-    itself if both ends are sc; (e1, F) for an sc fence F sequenced after
-    e2; (F, e2) for an sc fence F sequenced before e1; and (F1, F2) for sc
-    fences around e1 and e2.  sc pairs with no forced order stay unordered.
-    An mo, rf or fr pair relies on no fence; a pair of hb_closed relies on
-    the candidate fences of its role masks and on its candidate ends.
+    The clauses of ``sc_clauses`` are applied to every pair of hb ∪ mo ∪
+    rf ∪ fr.  sc pairs with no forced order stay unordered.  An mo, rf or
+    fr pair relies on no fence; a pair of hb_closed relies on the candidate
+    fences of its role masks and on its candidate ends.
 
-    The last three clauses add nothing for an hb pair: sb ⊆ hb, so the pair
-    they would add is itself in hb_closed, by paths that need no more
-    fences, and the first clause adds it.  They are applied to the
-    fence-free pairs only, over per-event bitmask rows.
+    The three fence clauses add nothing for an hb pair: sb ⊆ hb, so the
+    pair they would add is itself in hb_closed, by paths that need no more
+    fences, and the first clause adds it.  So only sc pairs of hb_closed
+    are added to the fence-free rows.
     """
-    # heads[a]: a if sc, and the sc fences sb-before a; tails[b]: b if sc,
-    # and the sc fences sb-after b.
     sc = sum(1 << e.id for e in it.sc_events)
-    sc_fences = sum(1 << e.id for e in it.sc_events if e.is_fence)
-    heads = {e.id: sc & 1 << e.id for e in it.events}
-    tails = dict(heads)
-    for a, b in it.sb.pairs:
-        heads[b] |= sc_fences & 1 << a
-        tails[a] |= sc_fences & 1 << b
-
-    reach = dict.fromkeys(heads, 0)  # row a: the y of each (a, b) ; (b, y)
-    for rel in (it.mo, it.rf, it.fr):
-        for a, b in rel.pairs:
-            reach[a] |= tails[b]
-    free = dict.fromkeys(heads, 0)  # row x: the y of each (x, a) ; (a, y)
-    for a, row in reach.items():
-        for x in _bits(heads[a]):
-            free[x] |= row
+    free = sc_clauses(it)
 
     bit = {f: 1 << 2 * i for i, f in enumerate(fence_order(it)) if it.is_candidate(f)}
     cands = sum(bit.values())

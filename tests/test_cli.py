@@ -1,5 +1,6 @@
 """The fensy command line: exit codes, report, emitters, round trips."""
 
+import pytest
 
 from conftest import CORPUS_DIR
 from fencesynth import enumerator
@@ -53,6 +54,20 @@ def test_unroll_bound_error_exits_three(tmp_path, capsys):
     f.write_text(src)
     code, _, err = run(capsys, str(f), "--unroll", "10")
     assert code == 3 and "unroll bound" in err
+
+
+@pytest.mark.parametrize("flag", ["--unroll", "--max-traces", "--max-iters", "--timeout-secs"])
+def test_negative_limit_is_an_input_error(flag, capsys):
+    # Rejected before any work: not a resource limit (exit 2), and never
+    # silently accepted.
+    code, out, err = run(capsys, str(CORPUS_DIR / "rwrw.lit"), "--mode", "fast", flag, "-1")
+    assert code == 3
+    assert out == "" and "%s must not be negative" % flag in err
+
+
+def test_zero_limits_are_valid(capsys):
+    code, out, _ = run(capsys, str(CORPUS_DIR / "rwrw.lit"), "--unroll", "0")
+    assert code == 0 and "status: fixed" in out
 
 
 def test_timeout_exits_two(tmp_path, capsys):

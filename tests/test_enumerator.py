@@ -146,6 +146,78 @@ def test_reversed_rf_violates_coherence():
     assert not is_consistent(tr)
 
 
+# One hand-made trace per coherence composition, with the names that
+# ``coherence_violations`` reports for it.  An hb cycle needs a
+# synchronization edge, whose rf edge then closes rf;hb too.
+COHERENCE_CASES = {
+    # LB with release stores and acquire loads: hb itself is cyclic.
+    "co-h": (
+        {"x": 0, "y": 0},
+        {
+            "t1": [("rx", "read", "x", O.ACQ, 1, None), ("wy", "write", "y", O.REL, None, 1)],
+            "t2": [("ry", "read", "y", O.ACQ, 1, None), ("wx", "write", "x", O.REL, None, 1)],
+        },
+        [("wx", "rx"), ("wy", "ry")],
+        {"x": ["wx"], "y": ["wy"]},
+        ["co-h", "co-rh"],
+    ),
+    # A read of the write sequenced after it.
+    "co-rh": (
+        {"x": 0},
+        {"t1": [("r", "read", "x", O.RLX, 1, None), ("w", "write", "x", O.RLX, None, 1)]},
+        [("w", "r")],
+        {"x": ["w"]},
+        ["co-rh"],
+    ),
+    # CoWW: two writes of one thread against their sequence.
+    "co-mh": (
+        {"x": 0},
+        {"t1": [("w1", "write", "x", O.RLX, None, 1), ("w2", "write", "x", O.RLX, None, 2)]},
+        [],
+        {"x": ["w2", "w1"]},
+        ["co-mh"],
+    ),
+    # CoRW: a read of a write that is mo-after a write sequenced after it.
+    "co-mrh": (
+        {"x": 0},
+        {
+            "t1": [("r", "read", "x", O.RLX, 2, None), ("w1", "write", "x", O.RLX, None, 1)],
+            "t2": [("w2", "write", "x", O.RLX, None, 2)],
+        },
+        [("w2", "r")],
+        {"x": ["w1", "w2"]},
+        ["co-mrh"],
+    ),
+    # CoWR: a read of the initial write after the thread's own store.
+    "co-mhi": (
+        {"x": 0},
+        {"t1": [("w", "write", "x", O.RLX, None, 1), ("r", "read", "x", O.RLX, 0, None)]},
+        [("i_x", "r")],
+        {"x": ["w"]},
+        ["co-mhi"],
+    ),
+    # CoRR: a later read of one thread sees an mo-earlier write.
+    "co-mrhi": (
+        {"x": 0},
+        {
+            "t1": [("w", "write", "x", O.RLX, None, 1)],
+            "t2": [("r1", "read", "x", O.RLX, 1, None), ("r2", "read", "x", O.RLX, 0, None)],
+        },
+        [("w", "r1"), ("i_x", "r2")],
+        {"x": ["w"]},
+        ["co-mrhi"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COHERENCE_CASES))
+def test_coherence_violation_names(case):
+    init, threads, rf, mo_tail, names = COHERENCE_CASES[case]
+    tr, _ = make_trace(init=init, threads=threads, rf=rf, mo_tail=mo_tail)
+    assert coherence_violations(tr) == names
+    assert not is_consistent(tr)
+
+
 def test_all_sc_store_buffer_rejects_zero_zero():
     p = load("sb_sc")
     assert (0, 0) not in outcomes(enumerate_consistent_traces(p), "a", "b")
@@ -158,6 +230,28 @@ def test_all_sc_iriw_rejects_split_order():
     # The same program with relaxed accesses admits it.
     q = load("iriw_rlx")
     assert (1, 0, 1, 0) in outcomes(enumerate_consistent_traces(q), "a", "b", "c", "d")
+
+
+def test_sc_read_of_a_relaxed_write_may_follow_a_later_sc_write():
+    # S must run c < e < d < r: c sb e, e reads y's initial value so it
+    # precedes the sc write d, and d sb r.  So r follows c, which is
+    # mo-after the relaxed write w that r reads.  That is allowed, because
+    # w does not happen before c, so the fr pair (r, c) is not a forced edge.
+    from oracle import accepting_sc_orders
+
+    tr, _ = make_trace(
+        init={"x": 0, "y": 0},
+        threads={
+            "t1": [("w", "write", "x", O.RLX, None, 1)],
+            "t2": [("c", "write", "x", O.SC, None, 2), ("e", "read", "y", O.SC, 0, None)],
+            "t3": [("d", "write", "y", O.SC, None, 1), ("r", "read", "x", O.SC, 1, None)],
+        },
+        rf=[("i_y", "e"), ("w", "r")],
+        mo_tail={"x": ["w", "c"], "y": ["d"]},
+    )
+    assert coherence_violations(tr) == []
+    assert exists_sc_total_order(tr)
+    assert accepting_sc_orders(tr)
 
 
 def test_no_sc_events_total_order_trivial():

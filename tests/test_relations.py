@@ -314,6 +314,54 @@ def test_hb_closures_are_built_for_plain_traces_only(monkeypatch):
     assert not [tr for tr in seen if tr.fence_event_ids]
 
 
+def test_hb_is_stated_once():
+    # hb_closed = (sb ∪ sw ∪ dob)+ is the closure of the README's
+    # hb = sb ∪ ithb, and the support of the role-mask closure, on every
+    # consistent execution of the corpus and of 150 random programs.
+    from fencesynth.litmus import elaborate, parse_program
+    from fencesynth.relations import role_closure
+    from test_litmus import random_litmus_program
+
+    programs = [load(name) for name in CORPUS]
+    programs += [elaborate(parse_program(random_litmus_program(seed))) for seed in range(150)]
+    checked = 0
+    for p in programs:
+        for tr in enumerate_consistent_traces(p):
+            assert tr.hb == tr.sb | tr.ithb
+            assert tr.hb_closed.pairs == closure(tr.hb.pairs)
+            support = {(a, b) for a, row in role_closure(tr).items() for b in row}
+            assert tr.hb_closed.pairs == support
+            checked += 1
+    assert checked == 674
+
+
+def test_only_dump_trace_computes_ithb(monkeypatch):
+    # The pipeline reads hb_closed only; ithb and hb = sb ∪ ithb are built
+    # for --emit-traces.
+    import fencesynth.relations
+    from fencesynth.driver import FIXED, sanity_check, synthesize
+    from fencesynth.model import dump_trace
+
+    seen = []
+    compute_ithb = fencesynth.relations.compute_ithb
+
+    def recording(tr):
+        seen.append(tr)
+        return compute_ithb(tr)
+
+    monkeypatch.setattr(fencesynth.relations, "compute_ithb", recording)
+    buggy = []
+    for name in CORPUS:
+        for mode in ("opt", "fast"):
+            result = synthesize(load(name), mode)
+            if result.status == FIXED:
+                sanity_check(result.fixed_program, result)
+            buggy += result.buggy_traces
+    assert seen == [] and buggy
+    dump_trace(buggy[0])
+    assert seen == [buggy[0]]
+
+
 def test_sync_monotone_under_added_fences():
     tr = find_buggy_traces(load("mp_rlx"))[0]
     slots = sorted(insert_candidate_fences(tr).slots)

@@ -97,6 +97,20 @@ def test_every_module_level_name_is_used():
     assert unused == []
 
 
+def test_coherence_names_are_spelled_in_relations_only():
+    # The consistency check and the fence analyses read the coherence
+    # compositions from relations; a second spelling of their names would
+    # be a second statement of the axioms.
+    names = {"co-h", "co-rh", "co-mh", "co-mrh", "co-mhi", "co-mrhi"}
+    spelled = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Constant) and node.value in names
+    }
+    assert spelled == {"relations.py"}
+
+
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     # Solutions are deduplicated through sets of values that hold strings,
     # whose hashes change with PYTHONHASHSEED; every emitted byte must not.
