@@ -11,15 +11,18 @@ enumerating cycles.  The strong analysis closes the forced sc order
 cycles off the diagonal.  Each violation's candidate
 fences form one candidate solution, with a locally weakest memory order
 read off each fence's synchronization role (sc for the strong analysis).
+A fence already in the program is part of the input: it plays only the
+roles its own order supports, so a solution that relies on it asks
+nothing of it and does not name it.
 
-A solution names source coordinates only: fence slots and program-fence
-locations, never event ids.  No hb path, coherence composition or
-sc-order cycle leaves a connected component of threads and objects (a
-thread joins each object it accesses; Shasha and Snir, TOPLAS 1988), so
-``analyze_trace`` analyses each component of a trace on its own, each
-distinct one once per memo.  Every list of solutions comes in one
-canonical order: by condition (the six weak ones in the order above, then
-``to-sc``), then fences, orders and program fences.
+A solution names source coordinates only: fence slots, never event ids.
+No hb path, coherence composition or sc-order cycle leaves a connected
+component of threads and objects (a thread joins each object it
+accesses; Shasha and Snir, TOPLAS 1988), so ``analyze_trace`` analyses
+each component of a trace on its own, each distinct one once per memo.
+Every list of solutions comes in one canonical order: by condition (the
+six weak ones in the order above, then ``to-sc``), then fences, then
+orders.
 
 Johnson's elementary-cycles algorithm stays available as a utility; the
 analyses do not call it.
@@ -34,26 +37,21 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalCheckError, ResourceLimitError
 from .limits import Limits
-from .model import Event, FenceSlot, Relation, SourceLocation, Trace
+from .model import Event, FenceSlot, Relation, Trace
 from .orders import MemoryOrder
 from .relations import _IN, _OUT, COHERENCE, _minimal, close_masks, coherence_shapes, fence_order
 
 
 @dataclass(frozen=True)
 class CandidateSolution:
-    """The fences of one detected cycle, with their locally assigned orders.
-
-    ``fences`` are candidate slots (the decision variables); pre-existing
-    program fences the cycle relies on are recorded separately with the
-    order the cycle requires of them.
-    """
+    """The candidate slots of one detected cycle (the decision variables),
+    with their locally assigned orders."""
 
     kind: str  # 'weak' | 'strong'
     condition: str
     trace_id: int
     fences: frozenset[FenceSlot]
     orders: tuple[tuple[FenceSlot, MemoryOrder], ...]
-    program_fences: tuple[tuple[SourceLocation, MemoryOrder], ...] = ()
 
     @property
     def orders_map(self) -> dict[FenceSlot, MemoryOrder]:
@@ -298,8 +296,7 @@ def find_strong_cycles(
     """The non-dominated candidate solutions from cycles in the sc order.
 
     Each so edge carries the minimal masks of the candidate fences it relies
-    on, plus the bits of its fence ends: a candidate, or a program sc fence
-    that the solution records as needing sc.  The edges are closed over the
+    on, plus the bits of its candidate ends.  The edges are closed over the
     same antichain semiring as hb's role masks; each minimal mask on the
     diagonal is one solution.  The list is in canonical order.
     """
@@ -330,18 +327,10 @@ def find_strong_cycles(
 
 def _solution(it, trace_id, kind, condition, mask, fences, order_of) -> CandidateSolution:
     """The solution of one minimal mask over ``fences`` (``fence_order``):
-    each fence with a bit set takes the order ``order_of`` gives its two
-    bits, as a candidate slot or as a program-fence requirement."""
-    orders: dict[FenceSlot, MemoryOrder] = {}
-    program_req: dict[SourceLocation, MemoryOrder] = {}
-    for i, f in enumerate(fences):
-        role = mask >> 2 * i & 3
-        if not role:
-            continue
-        if it.is_candidate(f):
-            orders[it.slot_of[f]] = order_of[role]
-        else:
-            program_req[it.event(f).loc] = order_of[role]
+    each candidate with a bit set takes the order ``order_of`` gives its
+    two bits."""
+    roles = ((f, mask >> 2 * i & 3) for i, f in enumerate(fences))
+    orders = {it.slot_of[f]: order_of[role] for f, role in roles if role}
     if not orders:
         raise InternalCheckError(
             "%s cycle without candidate fences in a consistent base trace" % condition
@@ -352,7 +341,6 @@ def _solution(it, trace_id, kind, condition, mask, fences, order_of) -> Candidat
         trace_id=trace_id,
         fences=frozenset(orders),
         orders=tuple(sorted(orders.items())),
-        program_fences=tuple(sorted(program_req.items())),
     )
 
 
@@ -361,29 +349,15 @@ _CONDITIONS = COHERENCE + ("to-sc",)
 
 
 def _canonical(sol: CandidateSolution):
-    """The sort key of the canonical order: condition, then fences, orders
-    and program fences."""
-    return (
-        _CONDITIONS.index(sol.condition),
-        sorted(sol.fences),
-        [o.rank for _, o in sol.orders],
-        [(loc, o.rank) for loc, o in sol.program_fences],
-    )
-
-
-def _covers(weak: CandidateSolution, strong: CandidateSolution) -> bool:
-    """``weak`` needs no fence and no program-fence order beyond ``strong``'s."""
-    prog = dict(strong.program_fences)
-    return weak.fences <= strong.fences and all(
-        loc in prog and o.at_most(prog[loc]) for loc, o in weak.program_fences
-    )
+    """The sort key of the canonical order: condition, fences, orders."""
+    return _CONDITIONS.index(sol.condition), sorted(sol.fences), [o.rank for _, o in sol.orders]
 
 
 def _analyze(tr: Trace, trace_id: int, limits: Limits | None) -> list[CandidateSolution]:
     it = insert_candidate_fences(tr)
     weak = find_weak_cycles(it, trace_id, limits)
     strong = find_strong_cycles(it, trace_id, limits)
-    return weak + [s for s in strong if not any(_covers(w, s) for w in weak)]
+    return weak + [s for s in strong if not any(w.fences <= s.fences for w in weak)]
 
 
 def analyze_trace(
@@ -395,8 +369,7 @@ def analyze_trace(
     """Weak plus strong solutions for one buggy trace, in canonical order.
 
     A strong solution is dropped when some weak solution needs a subset of
-    its fences and of its program-fence requirements, at orders never
-    heavier than sc.
+    its fences, at orders never heavier than sc.
 
     A trace of several connected components is analysed per component,
     each distinct component once per ``memo`` (one dict per run; a fresh

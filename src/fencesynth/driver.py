@@ -5,7 +5,9 @@ applies the typed solution once.  The fast driver repairs the first buggy
 trace, re-enumerates the rewritten program and repeats; it is near-optimal
 and may synthesize extra fences on adversarial query structure.  Both
 verify the fix by exhaustive re-enumeration, and a sanity checker confirms
-each synthesized fence is load-bearing by weakening or removing it.
+each synthesized fence is load-bearing by weakening or removing it.  A
+fence already in the program changes only when a synthesized fence is
+merged into it; the report lists that as a strengthening.
 """
 
 from __future__ import annotations
@@ -101,17 +103,10 @@ class SynthesisResult:
 
 
 def apply_solution(p: Program, ts: TypedSolution, synth_iter: int = 0) -> Program:
-    """Insert the solution's fences, strengthen existing ones, merge
-    synthesized fences that land adjacent to another fence (keeping the
-    least upper bound), and renumber."""
+    """Insert the solution's fences, merge synthesized fences that land
+    adjacent to another fence (keeping the least upper bound, so a merge
+    into a program fence strengthens it), and renumber."""
     q = elaborate(p)
-
-    for loc, new_ord in ts.strengthened:
-        stmt = q.statements(loc.thread).get(loc.index)
-        if not isinstance(stmt, Fence):
-            raise LitmusError("no fence at %s to strengthen" % loc)
-        if stmt.ord.weaker_than(new_ord):
-            stmt.ord = new_ord
 
     for slot, order in ts.assignment:
         if slot.thread not in [t.tid for t in q.threads]:
@@ -288,15 +283,7 @@ def synthesize_fast(p: Program, limits: Limits | None = None) -> SynthesisResult
 
         iteration += 1
         result.notes.append(
-            "pass %d: %s" % (
-                iteration,
-                ", ".join("%s:%s" % (s, o) for s, o in typed.assignment)
-                + (
-                    "; strengthen " + ", ".join("%s->%s" % (l, o) for l, o in typed.strengthened)
-                    if typed.strengthened
-                    else ""
-                ),
-            )
+            "pass %d: %s" % (iteration, ", ".join("%s:%s" % (s, o) for s, o in typed.assignment))
         )
         p = apply_solution(p, typed, synth_iter=iteration)
 

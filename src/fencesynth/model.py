@@ -246,15 +246,11 @@ class Trace:
         for e in self.events:
             if e.is_write and e.obj is not None:
                 objs.setdefault(e.obj, []).append(e.id)
-        chains = {}
-        for obj, ids in objs.items():
-            # Total order: sort by number of mo-predecessors within the object.
-            npred = {i: 0 for i in ids}
-            for a, b in self.mo.pairs:
-                if b in npred and a in npred:
-                    npred[b] += 1
-            chains[obj] = tuple(sorted(ids, key=lambda i: npred[i]))
-        return chains
+        # mo is a strict total order per object: sort by mo-predecessors.
+        npred = dict.fromkeys((i for ids in objs.values() for i in ids), 0)
+        for _, b in self.mo.pairs:
+            npred[b] += 1
+        return {obj: tuple(sorted(ids, key=npred.__getitem__)) for obj, ids in objs.items()}
 
     # Derived relations (see relations.py for the definitions).
 
@@ -305,9 +301,6 @@ class Trace:
     @cached_property
     def slots(self) -> tuple[FenceSlot, ...]:
         return tuple(sorted(self.slot_of.values()))
-
-    def is_candidate(self, eid: int) -> bool:
-        return eid in self.fence_event_ids
 
     def role_closure(self, limits=None):
         """The minimal fence-role masks of every hb_closed pair, computed

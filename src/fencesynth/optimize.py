@@ -6,7 +6,8 @@ whole-program query is the conjunction of the clauses, and a minimum model
 is found by iterative deepening over slot subsets, exploiting monotonicity.
 Orders are then assigned per slot by coalescing one minimum cycle per
 trace, taking the least upper bound where cycles share a slot, and keeping
-the lightest combination.
+the lightest combination.  Only synthesized fences weigh anything: no
+solution names a program fence.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 from .cycles import CandidateSolution
 from .errors import InternalCheckError
 from .limits import Limits
-from .model import FenceSlot, SourceLocation
+from .model import FenceSlot
 from .orders import MemoryOrder, lub
 
 
@@ -91,16 +92,14 @@ def find_min_model(q: Query, limits: Limits | None = None) -> frozenset[FenceSlo
 
 @dataclass(frozen=True)
 class TypedSolution:
-    """Slots to synthesize with their orders, plus required strengthenings.
+    """Slots to synthesize with their orders; ``weight`` sums their weights.
 
-    ``strengthened`` lists pre-existing fences whose order must rise to
-    keep a chosen cycle valid (the new order is always at most as strong
-    as the orders the cycles already relied on).  ``weight`` sums the
-    synthesized fences' order weights.
+    A program fence is part of the input and no solution names it; only a
+    synthesized fence merged into it (``driver.apply_solution``) raises its
+    order.
     """
 
     assignment: tuple[tuple[FenceSlot, MemoryOrder], ...]
-    strengthened: tuple[tuple[SourceLocation, MemoryOrder], ...] = ()
     # Always true (assignment is exact); bench/tracer.py still reads it.
     orders_exact: bool = True
 
@@ -113,27 +112,18 @@ class TypedSolution:
         return sum(o.weight for _, o in self.assignment)
 
 
-def _coalesce(choice: Sequence[CandidateSolution], slot_ord=None, prog_ord=None):
+def _coalesce(choice: Sequence[CandidateSolution], slot_ord=None):
     """Per-slot least upper bounds of the choice's orders and their weight,
-    folded into copies of the running lubs ``slot_ord``/``prog_ord`` if given."""
+    folded into a copy of the running lubs ``slot_ord`` if given."""
     slot_ord = dict(slot_ord or {})
-    prog_ord = dict(prog_ord or {})
     for sol in choice:
         for slot, o in sol.orders:
             slot_ord[slot] = lub(slot_ord.get(slot), o)
-        for loc, o in sol.program_fences:
-            prog_ord[loc] = lub(prog_ord.get(loc), o)
-    weight = sum(o.weight for o in slot_ord.values())
-    return slot_ord, prog_ord, weight
+    return slot_ord, sum(o.weight for o in slot_ord.values())
 
 
-def _selection_key(slot_ord, prog_ord, weight):
-    return (
-        weight,
-        sum(o.weight for o in prog_ord.values()),
-        tuple((s, o.rank) for s, o in sorted(slot_ord.items())),
-        tuple((l, o.rank) for l, o in sorted(prog_ord.items())),
-    )
+def _selection_key(slot_ord, weight):
+    return weight, tuple((s, o.rank) for s, o in sorted(slot_ord.items()))
 
 
 def assign_memory_orders(
@@ -167,17 +157,14 @@ def assign_memory_orders(
         if len(mc) == 1:
             continue
         grown = {}
-        for slot_ord, prog_ord, _ in states.values():
+        for slot_ord, _ in states.values():
             limits.check_time("order-assignment")
             for sol in mc:
-                state = _coalesce([sol], slot_ord, prog_ord)
+                state = _coalesce([sol], slot_ord)
                 grown.setdefault(_selection_key(*state), state)
         states = grown
-    slot_ord, prog_ord, _ = states[min(states)]
+    slot_ord, _ = states[min(states)]
 
     if set(slot_ord) != set(model):
         raise InternalCheckError("coalesced choice does not cover the min-model")
-    return TypedSolution(
-        assignment=tuple(sorted(slot_ord.items())),
-        strengthened=tuple(sorted(prog_ord.items())),
-    )
+    return TypedSolution(assignment=tuple(sorted(slot_ord.items())))

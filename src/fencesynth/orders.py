@@ -42,9 +42,6 @@ class MemoryOrder(enum.Enum):
         """Strictly weaker in the partial order (rel and acq are incomparable)."""
         return other in _STRONGER[self]
 
-    def at_most(self, other: "MemoryOrder") -> bool:
-        return self is other or self.weaker_than(other)
-
 
 _RANK = {
     MemoryOrder.RLX: 0,

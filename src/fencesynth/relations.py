@@ -17,8 +17,8 @@ fixpoint for ``--emit-traces``.
 hb is a witness-free fixpoint over per-event bitmasks.  On an intermediate
 trace, the fence analyses also need to know which fences each pair relies
 on: ``role_closure`` closes the sb/sw/dob steps over antichains of
-⊆-minimal fence-role masks, and ``compute_so_info`` carries them, projected
-onto candidate fences, through the sc clauses.
+⊆-minimal candidate-fence role masks, and ``compute_so_info`` carries
+them through the sc clauses.
 """
 
 from __future__ import annotations
@@ -172,9 +172,14 @@ def _from_rows(rows: dict[int, int]) -> Relation:
 
 
 def compute_fr(tr) -> Relation:
-    """from-reads: rf⁻¹;mo, minus reflexive pairs."""
-    fr = tr.rf.inverse().compose(tr.mo)
-    return Relation(p for p in fr.pairs if p[0] != p[1])
+    """from-reads: rf⁻¹;mo, minus reflexive pairs.  Each read r is paired
+    with every write after its source in the object's mo chain, other than
+    r itself (an rmw comes after its own source)."""
+    fr = []
+    for w, r in tr.rf.pairs:
+        chain = tr.mo_chains[tr.event(w).obj]
+        fr.extend((r, c) for c in chain[chain.index(w) + 1 :] if c != r)
+    return Relation(fr)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +269,12 @@ _FREE = (0,)  # the antichain of a pair that needs no fence
 
 
 def fence_order(tr) -> tuple[int, ...]:
-    """The non-init fences of a trace, in the order that numbers their bits."""
-    return tuple(e.id for e in tr.fences if not e.is_init)
+    """The candidate fences of a trace, in the order that numbers their bits.
+
+    A program fence gets no bits: ``derive_sync`` lets it play only the
+    roles its own order supports, so a path through it asks for nothing.
+    """
+    return tuple(e.id for e in tr.fence_events)
 
 
 def _minimal(masks: Iterable[int]) -> tuple[int, ...]:
@@ -317,10 +326,10 @@ def role_closure(it, limits: Limits | None = None) -> dict[int, dict[int, tuple[
     """Row a, column b: the minimal role masks of the hb paths from a to b.
 
     An sb step needs no role; an sw(a, b) step needs out(a) and in(b) of
-    whichever ends are fences; a dob(a, b) step needs in(b) if b is a fence
-    (its head is a write).  The support is exactly hb_closed, and every
-    fence in one of its masks entered through an sw or dob endpoint, so it
-    plays a role.
+    whichever ends are candidate fences; a dob(a, b) step needs in(b) if b
+    is one (its head is a write).  The support is exactly hb_closed, and
+    every bit of a mask is a candidate fence that entered through an sw or
+    dob endpoint, so it plays that role.
     """
     sw, dob = derive_sync(it)
     fence_bit = {f: 2 * i for i, f in enumerate(fence_order(it))}
@@ -347,8 +356,8 @@ def role_closure(it, limits: Limits | None = None) -> dict[int, dict[int, tuple[
 class SoInfo:
     so: Relation
     # Per so edge, the ⊆-minimal sets of candidate fences the pair it was
-    # derived from relies on, candidate ends included, as masks: fence i of
-    # fence_order is bit 2i.
+    # derived from relies on, its candidate ends included, as masks: fence
+    # i of fence_order is bit 2i.
     deps: Mapping[tuple[int, int], tuple[int, ...]]
 
 
@@ -357,8 +366,8 @@ def compute_so_info(it) -> SoInfo:
 
     The clauses of ``sc_clauses`` are applied to every pair of hb ∪ mo ∪
     rf ∪ fr.  sc pairs with no forced order stay unordered.  An mo, rf or
-    fr pair relies on no fence; a pair of hb_closed relies on the candidate
-    fences of its role masks and on its candidate ends.
+    fr pair relies on no fence; a pair of hb_closed relies on the fences of
+    its role masks and on its ends, where they are candidates.
 
     The three fence clauses add nothing for an hb pair: sb ⊆ hb, so the
     pair they would add is itself in hb_closed, by paths that need no more
@@ -368,14 +377,14 @@ def compute_so_info(it) -> SoInfo:
     sc = sum(1 << e.id for e in it.sc_events)
     free = sc_clauses(it)
 
-    bit = {f: 1 << 2 * i for i, f in enumerate(fence_order(it)) if it.is_candidate(f)}
-    cands = sum(bit.values())
+    bit = {f: 1 << 2 * i for i, f in enumerate(fence_order(it))}
+    ins = sum(bit.values())
     deps: dict[tuple[int, int], tuple[int, ...]] = {}
     for a in _bits(sc):
         for b, masks in it.role_closure()[a].items():
             if sc >> b & 1 and not free[a] >> b & 1:
                 ends = bit.get(a, 0) | bit.get(b, 0)
-                deps[(a, b)] = _minimal((m | m >> 1) & cands | ends for m in masks)
+                deps[(a, b)] = _minimal((m | m >> 1) & ins | ends for m in masks)
     for x, row in free.items():
         for y in _bits(row):
             deps[(x, y)] = _FREE

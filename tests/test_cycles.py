@@ -30,6 +30,7 @@ from fencesynth.errors import ResourceLimitError
 from fencesynth.limits import Limits
 from fencesynth.litmus import elaborate, parse_program
 from fencesynth.model import FenceSlot, Relation, Trace
+from fencesynth.relations import fence_order
 
 
 def slot_names(sol):
@@ -217,13 +218,13 @@ def test_weak_completeness_matches_brute_force():
 
 
 def test_weak_solutions_are_sound_at_their_own_orders():
-    # Each weak solution's fences at exactly the orders it names, with the
-    # program fences it relies on strengthened, recreate a violation.
+    # Each weak solution's fences at exactly the orders it names, with every
+    # program fence at its own order, recreate a violation.
     checked = 0
     for name in CORPUS:
         for tr in find_buggy_traces(load(name)):
             for sol in find_weak_cycles(insert_candidate_fences(tr)):
-                mutant = with_fences(tr, sol.orders_map, strengthen=dict(sol.program_fences))
+                mutant = with_fences(tr, sol.orders_map)
                 assert coherence_violations(mutant), (name, sol)
                 checked += 1
     assert checked >= 20
@@ -231,7 +232,7 @@ def test_weak_solutions_are_sound_at_their_own_orders():
 
 def test_weak_solutions_are_not_dominated():
     # No kept weak solution needs a superset of another one's fences at
-    # orders at least as strong, with at least its program fences.
+    # orders at least as strong.
     def covers(small, big):
         return all(
             slot in big and (big[slot] is o or o.weaker_than(big[slot]))
@@ -242,12 +243,9 @@ def test_weak_solutions_are_not_dominated():
         weak = find_weak_cycles(insert_candidate_fences(tr))
         for a in weak:
             for b in weak:
-                if (a.orders, a.program_fences) == (b.orders, b.program_fences):
+                if a.orders == b.orders:
                     continue
-                assert not (
-                    covers(a.orders_map, b.orders_map)
-                    and covers(dict(a.program_fences), dict(b.program_fences))
-                ), (name, a, b)
+                assert not covers(a.orders_map, b.orders_map), (name, a, b)
 
 
 def test_weak_analysis_honors_an_expired_deadline(rwrw):
@@ -305,15 +303,13 @@ def test_strong_cycles_rwrw(rwrw):
 
 
 def test_strong_solutions_are_sound():
-    # Each strong solution's fences at sc, with the program fences it
-    # relies on at sc, leave no sc total order.
+    # Each strong solution's fences at sc, with every program fence at its
+    # own order, leave no sc total order.
     checked = 0
     for name in CORPUS:
         for tr in find_buggy_traces(load(name)):
             for sol in find_strong_cycles(insert_candidate_fences(tr)):
-                mutant = with_fences(
-                    tr, dict.fromkeys(sol.fences, O.SC), strengthen=dict(sol.program_fences)
-                )
+                mutant = with_fences(tr, dict.fromkeys(sol.fences, O.SC))
                 assert not exists_sc_total_order(mutant), (name, sol)
                 checked += 1
     assert checked >= 30
@@ -340,10 +336,9 @@ def test_strong_solutions_match_so_cycles_on_every_slot_subset():
 def test_strong_solutions_are_not_dominated():
     for name, tr in small_buggy_traces():
         strong = find_strong_cycles(insert_candidate_fences(tr))
-        needs = [(s.fences, {loc for loc, _ in s.program_fences}) for s in strong]
-        for i, (fa, pa) in enumerate(needs):
-            for j, (fb, pb) in enumerate(needs):
-                assert i == j or not (fa <= fb and pa <= pb), (name, strong[i], strong[j])
+        for i, a in enumerate(strong):
+            for j, b in enumerate(strong):
+                assert i == j or not a.fences <= b.fences, (name, a, b)
 
 
 def test_strong_analysis_honors_an_expired_deadline():
@@ -373,17 +368,60 @@ assert !(a == 1 && b == 1)
 """
 
 
-def test_strong_solution_kept_beside_a_weak_subset_needing_a_program_fence():
-    # The weak solutions {t1@1} rely on the program fence t2:2 in a role;
-    # the strong {t1@1} closes an hb cycle through t2:2 and needs no program
-    # fence as an sc-order vertex, so no weak solution covers it.
+def test_strong_solution_dropped_beside_a_weak_subset_through_a_program_fence():
+    # The weak {t1@1} relies on the program fence t2:2 in a role its own sc
+    # order plays, so it asks nothing of t2:2 and covers the strong {t1@1},
+    # which closes an hb cycle through t2:2.
     tr = find_buggy_traces(elaborate(parse_program(LB_FENCED), 16))[0]
     sols = analyze_trace(tr)
     t1 = frozenset({FenceSlot("t1", 1)})
-    weak = [s for s in sols if s.kind == "weak" and s.fences == t1]
-    strong = [s for s in sols if s.kind == "strong" and s.fences == t1]
-    assert weak and all(s.program_fences for s in weak)
-    assert [s.program_fences for s in strong] == [()]
+    assert len(sols) == 2 and all(s.kind == "weak" for s in sols)
+    assert any(s.fences == t1 for s in sols)
+    strong = find_strong_cycles(insert_candidate_fences(tr))
+    assert t1 in {s.fences for s in strong}
+
+
+MP_HALF = program(
+    "mp_half",
+    [
+        ("t1", ["store(x, 1, rlx)", "fence(rel)", "store(f, 1, rlx)"]),
+        ("t2", ["a = load(f, rlx)", "b = load(x, rlx)"]),
+    ],
+    "!(a == 1 && b == 0)",
+)
+
+
+def test_a_program_fence_is_not_named_by_the_solutions_it_carries():
+    # t1's release fence already orders the stores: the one solution is an
+    # acquire fence between t2's loads, and fast's note names only it.
+    p = elaborate(parse_program(MP_HALF), 16)
+    [tr] = find_buggy_traces(p)
+    sols = analyze_trace(tr)
+    assert [(s.kind, s.condition, s.orders) for s in sols] == [
+        ("weak", "co-mhi", ((FenceSlot("t2", 1), O.ACQ),))
+    ]
+    result = synthesize_fast(p)
+    assert result.notes == ["pass 1: t2@1:acq"]
+    assert result.strengthened == []
+
+
+def test_role_masks_name_candidate_fences_only():
+    # Every bit of every mask of the role closure belongs to a candidate
+    # fence, also on traces whose program has fences of its own.
+    with_program_fences = 0
+    for name in CORPUS:
+        for tr in find_buggy_traces(load(name)):
+            it = insert_candidate_fences(tr)
+            fences = fence_order(it)
+            with_program_fences += any(not f.is_init for f in tr.fences)
+            bits = 0
+            for row in it.role_closure().values():
+                for masks in row.values():
+                    for m in masks:
+                        bits |= m
+            assert bits < 1 << 2 * len(fences), name
+            assert all(f in it.slot_of for i, f in enumerate(fences) if bits >> 2 * i & 3), name
+    assert with_program_fences >= 2
 
 
 def test_no_cycles_for_unfixable_traces():
@@ -508,7 +546,7 @@ MEMO_PROGRAMS = {
 
 # The documented canonical order of a solution list: condition (the six
 # weak ones in the order of their compositions, then the strong one), then
-# fences, orders and program fences.
+# fences, then orders.
 CONDITIONS = ("co-h", "co-rh", "co-mh", "co-mrh", "co-mhi", "co-mrhi", "to-sc")
 
 
@@ -517,25 +555,17 @@ def canonical_key(sol):
         CONDITIONS.index(sol.condition),
         sorted(sol.fences),
         [o.rank for _, o in sol.orders],
-        [(loc, o.rank) for loc, o in sol.program_fences],
     )
 
 
 def whole_trace_analysis(tr, trace_id):
     # Both analyses on all of the trace's candidate fences at once, without
     # splitting it; a strong solution goes when a weak one needs a subset of
-    # its fences and no program-fence order beyond its own.
+    # its fences.
     it = insert_candidate_fences(tr)
     weak = find_weak_cycles(it, trace_id)
     strong = find_strong_cycles(it, trace_id)
-
-    def covers(w, s):
-        prog = dict(s.program_fences)
-        return w.fences <= s.fences and all(
-            loc in prog and o.at_most(prog[loc]) for loc, o in w.program_fences
-        )
-
-    kept = [s for s in strong if not any(covers(w, s) for w in weak)]
+    kept = [s for s in strong if not any(w.fences <= s.fences for w in weak)]
     return sorted(weak + kept, key=canonical_key)
 
 

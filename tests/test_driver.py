@@ -157,6 +157,31 @@ def test_strengthening_of_existing_fence():
     assert s.loc == SourceLocation("t1", 1) and s.old is O.REL and s.new is O.SC
 
 
+def test_relying_on_a_program_fence_costs_nothing_in_a_weight_tie():
+    # t1@2 as rel pairs with t2's ar fence, as acq with t2's sc store: both
+    # weigh 1, and the tie goes to the lesser order rank, rel.
+    source = """program lb_tie
+init x = 0, y = 0
+thread t1 {
+  fence(ar)
+  a = load(x, rlx)
+  store(y, 1, rlx)
+}
+thread t2 {
+  b = load(y, rlx)
+  fence(ar)
+  store(x, 1, sc)
+}
+assert !(a == 1 && b == 1)
+"""
+    p = elaborate(parse_program(source))
+    [tr] = find_buggy_traces(p)
+    for res in (synthesize_optimal(p), synthesize_fast(p)):
+        assert [(f.slot, f.order) for f in res.synthesized] == [(FenceSlot("t1", 2), O.REL)]
+        assert res.strengthened == []
+        assert not is_consistent(with_fences(tr, {FenceSlot("t1", 2): O.ACQ}))
+
+
 def test_loop_fences_report_unroll_provenance():
     res = synthesize_optimal(load("loop_sb"))
     assert res.status == "fixed"

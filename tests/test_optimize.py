@@ -211,30 +211,26 @@ def test_greedy_coalescing_matches_full_recoalescing(seed):
     # The fold over distinct running lubs returns the least key over the
     # whole product of the traces' in-model choices, coalesced anew.
     from fencesynth.errors import InternalCheckError
-    from fencesynth.model import SourceLocation
     from fencesynth.optimize import _coalesce, _selection_key
 
     rng = random.Random(seed)
     slots = [F1, F2, F3, F4]
-    locs = [SourceLocation("t", 7), SourceLocation("u", 2)]
     orders = (O.REL, O.ACQ, O.AR, O.SC)
     per_trace = []
     for t in range(rng.randint(3, 9)):
         sols = []
         for _ in range(rng.randint(1, 4)):
             fences = rng.sample(slots, rng.randint(1, 3))
-            prog = rng.sample(locs, rng.randint(0, 2))
             sols.append(CandidateSolution(
                 kind="weak", condition="co-rh", trace_id=t,
                 fences=frozenset(fences),
                 orders=tuple(sorted((f, rng.choice(orders)) for f in fences)),
-                program_fences=tuple(sorted((l, rng.choice(orders[:3])) for l in prog)),
             ))
         per_trace.append(sols)
     model = frozenset(f for sols in per_trace for s in sols for f in s.fences)
 
     in_model = [[s for s in sols if s.fences <= model] for sols in per_trace]
-    slot_ord, prog_ord, _ = min(
+    slot_ord, _ = min(
         (_coalesce(choice) for choice in itertools.product(*in_model)),
         key=lambda c: _selection_key(*c),
     )
@@ -245,7 +241,6 @@ def test_greedy_coalescing_matches_full_recoalescing(seed):
         return
     ts = assign_memory_orders(model, per_trace)
     assert ts.assignment == tuple(sorted(slot_ord.items()))
-    assert ts.strengthened == tuple(sorted(prog_ord.items()))
 
 
 def test_opt_orders_on_mp_pairs_4_are_exact():

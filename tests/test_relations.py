@@ -244,6 +244,25 @@ def test_fr_empty_for_read_of_final_write():
     assert not any(a == ids["r"] for a, _ in compute_fr(tr).pairs)
 
 
+def test_fr_from_mo_chains_equals_the_composition():
+    # The mo-chain construction against rf⁻¹;mo minus reflexive pairs, on
+    # every consistent execution of the corpus and of 150 random programs.
+    from fencesynth.litmus import elaborate, parse_program
+    from test_litmus import random_litmus_program
+
+    programs = [load(name) for name in CORPUS]
+    programs += [elaborate(parse_program(random_litmus_program(seed)), 16) for seed in range(150)]
+    checked = with_rmw = 0
+    for p in programs:
+        for tr in enumerate_consistent_traces(p):
+            composed = tr.rf.inverse().compose(tr.mo)
+            expected = {(a, b) for a, b in composed.pairs if a != b}
+            assert compute_fr(tr).pairs == expected, p.name
+            checked += 1
+            with_rmw += len(expected) < len(composed)
+    assert checked >= 600 and with_rmw >= 100
+
+
 def test_fr_both_reads_in_store_buffer():
     tr = find_buggy_traces(load("sb_rlx"))[0]
     reads = [e for e in tr.events if e.is_read]

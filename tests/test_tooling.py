@@ -47,6 +47,25 @@ def test_package_imports_only_the_standard_library():
     assert foreign == []
 
 
+def test_package_has_no_unused_imports():
+    # Every name a module imports is read somewhere in that module.
+    # __init__.py imports to re-export, and __future__ imports are flags.
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) >= 10
+    unused = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(((a.asname or a.name).split(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += ["%s:%d %s" % (path.name, line, name) for name, line in imported.items() if name not in read]
+    assert unused == []
+
+
 def test_every_module_level_name_is_used():
     # A module-level function, class or constant of the package must be
     # referenced outside its own definition, by a name, an attribute or an
