@@ -31,12 +31,12 @@ assert !(a == 1 && b == 0)
 program = elaborate(parse_program(SOURCE))
 buggy = find_buggy_traces(program)[0]
 print("buggy trace: flag observed, data stale")
-print("  sw edges without fences:", sorted(buggy.sw.pairs))
+print("  sw edges without fences:", sorted(buggy.sw))
 
 it = insert_candidate_fences(buggy)
 print("\ncandidate fence slots:", [str(s) for s in it.slots])
 print("with all candidates at full strength, sw edges appear:")
-for a, b in sorted(it.sw.pairs):
+for a, b in sorted(it.sw):
     print("  sw %s -> %s" % (it.event(a), it.event(b)))
 
 # Instantiate the two load-bearing fences concretely and re-check.

@@ -48,7 +48,9 @@ for sol in strong:
     print("  %-8s fences {%s}" % (sol.condition, orders))
 
 # Each sc-order edge carries the minimal sets of candidate fences it relies
-# on, as masks: bit 2i stands for the i-th fence of fence_order.
+# on, as masks: bit 2i stands for the i-th fence of fence_order.  A
+# candidate fence at either end of an edge is in every one of its sets, so
+# an edge the sc clauses force without any fence still relies on its ends.
 fences = fence_order(it)
 
 
@@ -56,7 +58,7 @@ def fence_set(mask):
     return "{" + ", ".join(str(it.slot_of[f]) for i, f in enumerate(fences) if mask >> 2 * i & 1) + "}"
 
 
-relying = sorted((a, b, deps) for (a, b), deps in it.so_info.deps.items() if deps != (0,))
+relying = sorted((a, b, deps) for (a, b), deps in it.so_deps.items() if deps != (0,))
 print("\n%d of the %d sc-order edges rely on candidate fences, e.g.:" % (len(relying), len(it.so)))
 for a, b, deps in relying[:4]:
     print("  %s -> %s needs %s" % (it.event(a).loc, it.event(b).loc, " or ".join(map(fence_set, deps))))

@@ -64,8 +64,8 @@ def main(argv=None) -> int:
             return 3
 
     try:
-        text = Path(args.file).read_text()
-    except OSError as exc:
+        text = Path(args.file).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print("fensy: cannot read %s: %s" % (args.file, exc), file=sys.stderr)
         return 3
     try:
@@ -86,16 +86,23 @@ def main(argv=None) -> int:
         print("fensy: %s" % exc, file=sys.stderr)
         return 2
 
+    emits = []
     if args.emit_traces:
         chunks = []
         for i, tr in enumerate(result.buggy_traces):
             chunks.append("trace %d\n%s" % (i, dump_trace(tr)))
-        Path(args.emit_traces).write_text("\n".join(chunks))
+        emits.append((args.emit_traces, "\n".join(chunks)))
     if args.emit_cycles:
         lines = [s.render() for sols in result.solutions_by_trace for s in sols]
-        Path(args.emit_cycles).write_text("\n".join(lines) + ("\n" if lines else ""))
+        emits.append((args.emit_cycles, "\n".join(lines) + ("\n" if lines else "")))
     if args.emit_query:
-        Path(args.emit_query).write_text("".join(q.render() for q in result.queries))
+        emits.append((args.emit_query, "".join(q.render() for q in result.queries)))
+    for path, text in emits:
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print("fensy: cannot write %s: %s" % (path, exc), file=sys.stderr)
+            return 3
 
     sys.stdout.write(result.render())
 

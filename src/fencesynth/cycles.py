@@ -7,8 +7,9 @@ axioms in ``relations``, as the consistency check does.  The weak analysis
 closes hb over the minimal release/acquire roles of the fences each hb
 pair needs, then reads violations off ``coherence_shapes`` without
 enumerating cycles.  The strong analysis closes the forced sc order
-(``sc_clauses`` and hb) over the same minimal fence sets and reads its
-cycles off the diagonal.  Each violation's candidate
+(``sc_clauses`` and hb) over the same minimal fence sets, which
+``relations.compute_so_info`` gives each so edge with its candidate ends
+included, and reads its cycles off the diagonal.  Each violation's candidate
 fences form one candidate solution, with a locally weakest memory order
 read off each fence's synchronization role (sc for the strong analysis).
 A fence already in the program is part of the input: it plays only the
@@ -37,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalCheckError, ResourceLimitError
 from .limits import Limits
-from .model import Event, FenceSlot, Relation, Trace
+from .model import Event, FenceSlot, Trace
 from .orders import MemoryOrder
 from .relations import _IN, _OUT, COHERENCE, _minimal, close_masks, coherence_shapes, fence_order
 
@@ -114,7 +115,7 @@ def insert_candidate_fences(tr: Trace, slots: Iterable[FenceSlot] | None = None)
                 sb_pairs.add((a.id, b.id))
     return Trace(
         tr.events + tuple(fences),
-        Relation(sb_pairs),
+        frozenset(sb_pairs),
         tr.rf,
         tr.mo,
         candidates=(f.id for f in fences),
@@ -296,15 +297,15 @@ def find_strong_cycles(
     """The non-dominated candidate solutions from cycles in the sc order.
 
     Each so edge carries the minimal masks of the candidate fences it relies
-    on, plus the bits of its candidate ends.  The edges are closed over the
-    same antichain semiring as hb's role masks; each minimal mask on the
-    diagonal is one solution.  The list is in canonical order.
+    on, its candidate ends included (``relations.compute_so_info``).  The
+    edges are closed over the same antichain semiring as hb's role masks;
+    each minimal mask on the diagonal is one solution.  The list is in
+    canonical order.
     """
     limits = limits or Limits()
-    it.role_closure(limits)  # so_info reads it; build it under this deadline
-    deps = it.so_info.deps
+    it.role_closure(limits)  # so_deps reads it; build it under this deadline
+    deps = it.so_deps
     fences = fence_order(it)
-    bit = {f: 1 << 2 * i for i, f in enumerate(fences)}
     adj: dict[int, list[int]] = {}
     for a, b in sorted(deps):
         adj.setdefault(a, []).append(b)
@@ -313,8 +314,7 @@ def find_strong_cycles(
     rows: dict[int, dict[int, tuple[int, ...]]] = {}
     for (a, b), masks in sorted(deps.items()):
         if comp[a] == comp.get(b):
-            ends = bit.get(a, 0) | bit.get(b, 0)
-            rows.setdefault(a, {})[b] = _minimal(m | ends for m in masks)
+            rows.setdefault(a, {})[b] = masks
     close_masks(rows, limits)
 
     diagonal = _minimal(m for v, row in rows.items() for m in row.get(v, ()))
@@ -389,9 +389,7 @@ def analyze_trace(
         if found is None:
             fields, sb, rf, mo = key
             events = [Event(i, *f) for i, f in enumerate(fields)]
-            found = memo[key] = _analyze(
-                Trace(events, Relation(sb), Relation(rf), Relation(mo)), 0, limits
-            )
+            found = memo[key] = _analyze(Trace(events, sb, rf, mo), 0, limits)
         sols += found
     return [replace(s, trace_id=trace_id) for s in sorted(sols, key=_canonical)]
 
@@ -426,7 +424,7 @@ def _components(tr: Trace):
         return None
     node = {e.id: (0, e.thr) if e.thr is not None else (1, e.obj) for e in tr.events}
     for rel in (tr.sb, tr.rf, tr.mo):
-        for a, b in rel.pairs:
+        for a, b in rel:
             union(node[a], node[b])
     root = {n: find(n) for n in set(node.values())}
     if len({root[t] for t in threads}) < 2:
@@ -437,7 +435,7 @@ def _components(tr: Trace):
     where = {e.id: i for g in groups.values() for i, e in enumerate(g)}
     rels: dict = {r: ([], [], []) for r in groups}
     for j, rel in enumerate((tr.sb, tr.rf, tr.mo)):
-        for a, b in rel.pairs:
+        for a, b in rel:
             rels[root[node[a]]][j].append((where[a], where[b]))
     return [
         (

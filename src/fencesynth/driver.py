@@ -50,7 +50,6 @@ class SynthesisResult:
     synthesized: list[SynthesizedFence] = field(default_factory=list)
     strengthened: list[StrengthenedFence] = field(default_factory=list)
     iterations: int = 0
-    traces_analyzed: int = 0
     timings: dict[str, float] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
     no_fix_trace: int | None = None
@@ -59,6 +58,10 @@ class SynthesisResult:
     buggy_traces: list[Trace] = field(default_factory=list)
     solutions_by_trace: list[list[CandidateSolution]] = field(default_factory=list)
     queries: list[Query] = field(default_factory=list)
+
+    @property
+    def traces_analyzed(self) -> int:
+        return len(self.buggy_traces)
 
     @property
     def weight(self) -> int:
@@ -195,7 +198,7 @@ def synthesize_optimal(p: Program, limits: Limits | None = None) -> SynthesisRes
     t0 = time.monotonic()
     buggy = find_buggy_traces(p, limits)
     timings["enumerate"] = time.monotonic() - t0
-    result = SynthesisResult(status=FIXED, buggy_traces=buggy, traces_analyzed=len(buggy))
+    result = SynthesisResult(status=FIXED, buggy_traces=buggy)
     result.timings = timings
     if not buggy:
         result.status = ALREADY_CORRECT
@@ -262,7 +265,6 @@ def synthesize_fast(p: Program, limits: Limits | None = None) -> SynthesisResult
         if iteration >= limits.max_iters:
             raise ResourceLimitError("iterative-synthesis", "max iterations reached")
         result.buggy_traces.append(first)
-        result.traces_analyzed += 1
 
         t0 = time.monotonic()
         sols = analyze_trace(first, iteration, limits, memo=memo)

@@ -39,7 +39,7 @@ from .litmus import (
     eval_expr,
     preorder,
 )
-from .model import Event, Relation, SourceLocation, Trace
+from .model import Event, SourceLocation, Trace
 from .orders import MemoryOrder
 from .relations import COHERENCE, _bits, coherence_shapes, sc_clauses
 
@@ -150,7 +150,7 @@ def coherence_violations(tr) -> list[str]:
     hb-run semantics used by cycle detection: a composition is reflexive
     iff the ends ``coherence_shapes`` yields for it lie in hb_closed.
     """
-    hbc = tr.hb_closed.pairs
+    hbc = tr.hb_closed
     found = {name for name, a, b in coherence_shapes(tr) if (a, b) in hbc}
     return [name for name in COHERENCE if name in found]
 
@@ -171,8 +171,8 @@ def exists_sc_total_order(tr, limits: Limits | None = None) -> bool:
     if not sc_ids:
         return True
     scset = set(sc_ids)
-    mo = tr.mo.pairs
-    hbc = tr.hb_closed.pairs
+    mo = tr.mo
+    hbc = tr.hb_closed
     sc_writes = {obj: [c for c in chain if c in scset] for obj, chain in tr.mo_chains.items()}
 
     rows = sc_clauses(tr)
@@ -181,7 +181,7 @@ def exists_sc_total_order(tr, limits: Limits | None = None) -> bool:
     # kept instead, as r -> (object, writes whose S-immediacy before r
     # rejects).
     last_write_bans: dict[int, tuple[str, frozenset[int]]] = {}
-    for w, r in tr.rf.pairs:
+    for w, r in tr.rf:
         if r not in scset or w in scset:
             continue
         robj = tr.event(r).obj
@@ -389,7 +389,7 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Tra
             holds = _assertion_holds(p, bindings, final_shared, final_locals)
             if prune and holds:
                 continue
-            mo = Relation((a, b) for chain in chains for i, a in enumerate(chain) for b in chain[i + 1 :])
+            mo = frozenset((a, b) for chain in chains for i, a in enumerate(chain) for b in chain[i + 1 :])
             # rmw atomicity: an rmw reads from its immediate mo predecessor.
             mo_pred = {u: chain[i - 1] for chain in chains for i, u in enumerate(chain) if u in rmw_ids}
             mo_choices.append((mo, mo_pred, final_shared, holds))
@@ -400,10 +400,10 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Tra
         source_lists = _rf_sources(reads, writes, sb_pairs)
         if source_lists is None:
             continue
-        sb = Relation(sb_pairs)
+        sb = frozenset(sb_pairs)
         for rf_choice in itertools.product(*source_lists):
             limits.check_time("trace-enumeration")
-            rf = Relation((w, r.id) for w, r in zip(rf_choice, reads))
+            rf = frozenset((w, r.id) for w, r in zip(rf_choice, reads))
             rf_src = {r.id: w for w, r in zip(rf_choice, reads)}
             for mo, mo_pred, final_shared, holds in mo_choices:
                 if any(rf_src[u] != w for u, w in mo_pred.items()):

@@ -1,9 +1,10 @@
 """Events, executions and explicit binary relations.
 
-Executions are stored exactly: every relation is an explicit set of
-event-id pairs and all closure/composition operations are exact.  Values
-are immutable after construction; derived relations are computed lazily
-and cached, so precompute them before sharing a trace across threads.
+Executions are stored exactly: every relation (``Relation``) is a plain
+frozenset of (a, b) event-id pairs, and every closure over it is exact;
+``dump_trace`` sorts each relation it prints.  Values are immutable after
+construction; derived relations are computed lazily and cached, so
+precompute them before sharing a trace across threads.
 
 One ``Trace`` class serves both an enumerated execution and the
 intermediate trace of the fence analyses: the latter is a ``Trace`` whose
@@ -14,12 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .orders import MemoryOrder
 
 READ_ACTS = ("read", "rmw")
 WRITE_ACTS = ("write", "rmw")
+
+# A binary relation over event ids is the set of its (a, b) pairs.
+Relation = frozenset[tuple[int, int]]
 
 
 # ---------------------------------------------------------------------------
@@ -50,60 +54,6 @@ class FenceSlot:
 
     def __str__(self) -> str:
         return "%s@%d" % (self.thread, self.gap)
-
-
-# ---------------------------------------------------------------------------
-# Relations
-
-
-class Relation:
-    """A binary relation over event ids, stored as an explicit pair set."""
-
-    __slots__ = ("pairs", "_succ")
-
-    def __init__(self, pairs: Iterable[tuple[int, int]] = ()):
-        self.pairs = frozenset(pairs)
-        self._succ = None
-
-    def __contains__(self, pair) -> bool:
-        return pair in self.pairs
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self.pairs))
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Relation) and self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash(self.pairs)
-
-    def __repr__(self) -> str:
-        return "Relation(%r)" % sorted(self.pairs)
-
-    def __or__(self, other: "Relation") -> "Relation":
-        return Relation(self.pairs | other.pairs)
-
-    def successors(self, a: int) -> frozenset[int]:
-        if self._succ is None:
-            succ: dict[int, set[int]] = {}
-            for x, y in self.pairs:
-                succ.setdefault(x, set()).add(y)
-            self._succ = {k: frozenset(v) for k, v in succ.items()}
-        return self._succ.get(a, frozenset())
-
-    def compose(self, other: "Relation") -> "Relation":
-        """Relational composition: {(a, c) | exists b. (a,b) in self, (b,c) in other}."""
-        out = set()
-        for a, b in self.pairs:
-            for c in other.successors(b):
-                out.add((a, c))
-        return Relation(out)
-
-    def inverse(self) -> "Relation":
-        return Relation((b, a) for a, b in self.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +198,7 @@ class Trace:
                 objs.setdefault(e.obj, []).append(e.id)
         # mo is a strict total order per object: sort by mo-predecessors.
         npred = dict.fromkeys((i for ids in objs.values() for i in ids), 0)
-        for _, b in self.mo.pairs:
+        for _, b in self.mo:
             npred[b] += 1
         return {obj: tuple(sorted(ids, key=npred.__getitem__)) for obj, ids in objs.items()}
 
@@ -312,14 +262,14 @@ class Trace:
         return self._roles
 
     @cached_property
-    def so_info(self):
+    def so_deps(self) -> Mapping[tuple[int, int], tuple[int, ...]]:
         from .relations import compute_so_info
 
         return compute_so_info(self)
 
     @property
     def so(self) -> Relation:
-        return self.so_info.so
+        return frozenset(self.so_deps)
 
     def __repr__(self) -> str:
         return "Trace(%d events, assertion_holds=%r)" % (len(self.events), self.assertion_holds)
@@ -333,6 +283,5 @@ def dump_trace(tr: Trace) -> str:
     """One fact per line, stable sort: events, then sb/rf/mo, then derived."""
     lines = [str(e) for e in tr.events]
     for name in ("sb", "rf", "mo", "sw", "dob", "hb", "fr", "so"):
-        rel: Relation = getattr(tr, name)
-        lines.extend("%s %d %d" % (name, a, b) for a, b in rel)
+        lines.extend("%s %d %d" % (name, a, b) for a, b in sorted(getattr(tr, name)))
     return "\n".join(lines) + "\n"

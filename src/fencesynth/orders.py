@@ -70,13 +70,6 @@ _STRONGER = {
 ORDER_NAMES = {m.value: m for m in MemoryOrder}
 
 
-def parse_order(token: str) -> MemoryOrder:
-    try:
-        return ORDER_NAMES[token]
-    except KeyError:
-        raise KeyError("unknown memory order %r" % token) from None
-
-
 def lub(a: MemoryOrder | None, b: MemoryOrder | None) -> MemoryOrder:
     """Least upper bound in the lattice; lub(rel, acq) = ar.
 

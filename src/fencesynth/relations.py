@@ -4,8 +4,9 @@ both read: hb, the coherence compositions and the sc clauses.
 
 All functions are pure over immutable traces and accept either a plain
 execution or an intermediate one: a ``Trace`` whose candidate fences are
-spliced into sb (see ``cycles.insert_candidate_fences``).  The axioms are
-evaluated on hb_closed = (sb ∪ sw ∪ dob)+.  The README's inter-thread
+spliced into sb (see ``cycles.insert_candidate_fences``).  Each relation
+is a frozenset of (a, b) event-id pairs (``model.Relation``).  The axioms
+are evaluated on hb_closed = (sb ∪ sw ∪ dob)+.  The README's inter-thread
 happens-before, the least fixpoint of
 
     sw ⊆ ithb;  dob ⊆ ithb;  sw;sb ⊆ ithb;  sb;ithb ⊆ ithb;  ithb;ithb ⊆ ithb
@@ -18,13 +19,14 @@ hb is a witness-free fixpoint over per-event bitmasks.  On an intermediate
 trace, the fence analyses also need to know which fences each pair relies
 on: ``role_closure`` closes the sb/sw/dob steps over antichains of
 ⊆-minimal candidate-fence role masks, and ``compute_so_info`` carries
-them through the sc clauses.
+them through the sc clauses, giving each so edge the masks of the fences
+it relies on, its candidate ends included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .errors import InternalCheckError
 from .limits import Limits
@@ -69,7 +71,7 @@ def derive_sync(tr) -> tuple[Relation, Relation]:
     acq_fences = {f.id for f in tr.fences if f.ord.at_least_acquire}
     acq_after: dict[int, list[int]] = {}
     rel_before: dict[int, list[int]] = {}
-    for a, b in tr.sb.pairs:
+    for a, b in tr.sb:
         if b in acq_fences:
             acq_after.setdefault(a, []).append(b)
         if a in rel_fences:
@@ -83,7 +85,7 @@ def derive_sync(tr) -> tuple[Relation, Relation]:
         for member in release_sequence(tr, head):
             in_release_seq.setdefault(member.id, []).append(head.id)
 
-    for w_id, r_id in tr.rf.pairs:
+    for w_id, r_id in tr.rf:
         w_rel = tr.event(w_id).ord.at_least_release
         r_acq = tr.event(r_id).ord.at_least_acquire
         acq_after_r = acq_after.get(r_id, ())
@@ -105,7 +107,7 @@ def derive_sync(tr) -> tuple[Relation, Relation]:
             for f in acq_after_r:
                 dob.add((head, f))
 
-    return Relation(sw), Relation(dob)
+    return frozenset(sw), frozenset(dob)
 
 
 def compute_hb_info(tr) -> HbInfo:
@@ -125,10 +127,10 @@ def compute_ithb(tr) -> Relation:
     """
     sb = _rows(tr, tr.sb)
     base = _rows(tr, tr.dob)
-    for a, b in tr.sw.pairs:
+    for a, b in tr.sw:
         base[a] |= (1 << b) | sb[b]
     step = dict(base)
-    for a, x in tr.sb.pairs:
+    for a, x in tr.sb:
         step[a] |= base[x]
     return _from_rows(_closure(step))
 
@@ -137,7 +139,7 @@ def _rows(tr, *rels: Relation) -> dict[int, int]:
     """Row a: the bitmask of the events b with (a, b) in one of ``rels``."""
     rows = dict.fromkeys((e.id for e in tr.events), 0)
     for rel in rels:
-        for a, b in rel.pairs:
+        for a, b in rel:
             rows[a] |= 1 << b
     return rows
 
@@ -168,7 +170,7 @@ def _bits(row: int) -> Iterator[int]:
 
 
 def _from_rows(rows: dict[int, int]) -> Relation:
-    return Relation((a, b) for a, row in rows.items() for b in _bits(row))
+    return frozenset((a, b) for a, row in rows.items() for b in _bits(row))
 
 
 def compute_fr(tr) -> Relation:
@@ -176,10 +178,10 @@ def compute_fr(tr) -> Relation:
     with every write after its source in the object's mo chain, other than
     r itself (an rmw comes after its own source)."""
     fr = []
-    for w, r in tr.rf.pairs:
+    for w, r in tr.rf:
         chain = tr.mo_chains[tr.event(w).obj]
         fr.extend((r, c) for c in chain[chain.index(w) + 1 :] if c != r)
-    return Relation(fr)
+    return frozenset(fr)
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +205,13 @@ def coherence_shapes(tr) -> Iterator[tuple[str, int, int]]:
     mo-later write, which rmw atomicity excludes.
     """
     readers: dict[int, list[int]] = {}
-    for w, r in tr.rf.pairs:
+    for w, r in tr.rf:
         readers.setdefault(w, []).append(r)
     for e in tr.events:
         yield "co-h", e.id, e.id
-    for w, r in tr.rf.pairs:
+    for w, r in tr.rf:
         yield "co-rh", r, w
-    for a, b in tr.mo.pairs:
+    for a, b in tr.mo:
         of_a, of_b = readers.get(a, ()), readers.get(b, ())
         yield "co-mh", b, a
         yield from (("co-mrh", c, a) for c in of_b if c != a)
@@ -238,13 +240,13 @@ def sc_clauses(tr) -> dict[int, int]:
     sc_fences = sum(1 << e.id for e in tr.sc_events if e.is_fence)
     heads = {e.id: sc & 1 << e.id for e in tr.events}
     tails = dict(heads)
-    for a, b in tr.sb.pairs:
+    for a, b in tr.sb:
         heads[b] |= sc_fences & 1 << a
         tails[a] |= sc_fences & 1 << b
 
     reach = dict.fromkeys(heads, 0)  # row a: the y of each (a, b) ; (b, y)
     for rel in (tr.mo, tr.rf, tr.fr):
-        for a, b in rel.pairs:
+        for a, b in rel:
             reach[a] |= tails[b]
     rows = dict.fromkeys(heads, 0)  # row x: the y of each (x, a) ; (a, y)
     for a, row in reach.items():
@@ -338,11 +340,11 @@ def role_closure(it, limits: Limits | None = None) -> dict[int, dict[int, tuple[
         return role << fence_bit[e] if e in fence_bit else 0
 
     steps: dict[tuple[int, int], list[int]] = {}
-    for a, b in it.sb.pairs:
+    for a, b in it.sb:
         steps.setdefault((a, b), []).append(0)
-    for a, b in sw.pairs:
+    for a, b in sw:
         steps.setdefault((a, b), []).append(bits(a, _OUT) | bits(b, _IN))
-    for a, b in dob.pairs:
+    for a, b in dob:
         steps.setdefault((a, b), []).append(bits(b, _IN))
 
     rows: dict[int, dict[int, tuple[int, ...]]] = {e.id: {} for e in it.events}
@@ -352,22 +354,16 @@ def role_closure(it, limits: Limits | None = None) -> dict[int, dict[int, tuple[
     return rows
 
 
-@dataclass(frozen=True)
-class SoInfo:
-    so: Relation
-    # Per so edge, the ⊆-minimal sets of candidate fences the pair it was
-    # derived from relies on, its candidate ends included, as masks: fence
-    # i of fence_order is bit 2i.
-    deps: Mapping[tuple[int, int], tuple[int, ...]]
-
-
-def compute_so_info(it) -> SoInfo:
-    """The sc-order relation of an intermediate trace.
+def compute_so_info(it) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The sc-order relation of an intermediate trace: per so edge, the
+    ⊆-minimal sets of candidate fences the pair relies on, as masks where
+    fence i of ``fence_order`` is bit 2i, its in bit.
 
     The clauses of ``sc_clauses`` are applied to every pair of hb ∪ mo ∪
-    rf ∪ fr.  sc pairs with no forced order stay unordered.  An mo, rf or
-    fr pair relies on no fence; a pair of hb_closed relies on the fences of
-    its role masks and on its ends, where they are candidates.
+    rf ∪ fr.  sc pairs with no forced order stay unordered.  Every edge
+    relies on its ends, where they are candidates; an mo, rf or fr pair
+    relies on nothing else, and a pair of hb_closed also on the fences of
+    its role masks.
 
     The three fence clauses add nothing for an hb pair: sb ⊆ hb, so the
     pair they would add is itself in hb_closed, by paths that need no more
@@ -387,5 +383,5 @@ def compute_so_info(it) -> SoInfo:
                 deps[(a, b)] = _minimal((m | m >> 1) & ins | ends for m in masks)
     for x, row in free.items():
         for y in _bits(row):
-            deps[(x, y)] = _FREE
-    return SoInfo(so=Relation(deps), deps=deps)
+            deps[(x, y)] = (bit.get(x, 0) | bit.get(y, 0),)
+    return deps

@@ -9,7 +9,7 @@ import pytest
 
 from fencesynth.cycles import insert_candidate_fences
 from fencesynth.litmus import elaborate, parse_program
-from fencesynth.model import Event, FenceSlot, Relation, SourceLocation, Trace
+from fencesynth.model import Event, FenceSlot, SourceLocation, Trace
 from fencesynth.orders import MemoryOrder
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -125,14 +125,14 @@ def make_trace(init, threads, rf, mo_tail):
         for i, a in enumerate(tids):
             for b in tids[i + 1 :]:
                 sb.add((a, b))
-    rf_rel = Relation((ids[w], ids[r]) for w, r in rf)
+    rf_rel = frozenset((ids[w], ids[r]) for w, r in rf)
     mo_pairs = set()
     for obj, tail in mo_tail.items():
         chain = [ids["i_" + obj]] + [ids[n] for n in tail]
         for i, a in enumerate(chain):
             for b in chain[i + 1 :]:
                 mo_pairs.add((a, b))
-    return Trace(events, Relation(sb), rf_rel, Relation(mo_pairs)), ids
+    return Trace(events, frozenset(sb), rf_rel, frozenset(mo_pairs)), ids
 
 
 def with_fences(

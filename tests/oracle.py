@@ -401,8 +401,8 @@ def trace_signature(tr):
         frozenset(
             (key(e.id), e.act, e.obj, e.ord.value, e.rval, e.wval) for e in tr.events
         ),
-        frozenset((key(a), key(b)) for a, b in tr.rf.pairs),
-        frozenset((key(a), key(b)) for a, b in tr.mo.pairs),
+        frozenset((key(a), key(b)) for a, b in tr.rf),
+        frozenset((key(a), key(b)) for a, b in tr.mo),
         tr.assertion_holds,
     )
 
@@ -415,9 +415,9 @@ def accepting_sc_orders(tr):
         key = ("init", e.obj) if e.is_init else (e.thr, e.idx)
         key_of[e.id] = key
         events.append(OEvent(key, e.act, e.obj, e.ord, e.rval, e.wval))
-    sb = {(key_of[a], key_of[b]) for a, b in tr.sb.pairs}
-    rf = {(key_of[a], key_of[b]) for a, b in tr.rf.pairs}
-    mo = {(key_of[a], key_of[b]) for a, b in tr.mo.pairs}
+    sb = {(key_of[a], key_of[b]) for a, b in tr.sb}
+    rf = {(key_of[a], key_of[b]) for a, b in tr.rf}
+    mo = {(key_of[a], key_of[b]) for a, b in tr.mo}
     chains = {obj: [key_of[i] for i in chain] for obj, chain in tr.mo_chains.items()}
     hbc, _, _ = _naive_hb(events, sb, rf, mo, chains)
     back = {v: k for k, v in key_of.items()}

@@ -38,6 +38,21 @@ def test_missing_file_exits_three(capsys):
     assert code == 3 and "cannot read" in err
 
 
+def test_input_that_is_not_utf8_exits_three(tmp_path, capsys):
+    bad = tmp_path / "bad.lit"
+    bad.write_bytes(b"program x\xff\n")
+    code, _, err = run(capsys, str(bad))
+    assert code == 3
+    assert err.startswith("fensy: cannot read %s: " % bad) and "Traceback" not in err
+
+
+def test_unwritable_emit_path_exits_three(tmp_path, capsys):
+    target = tmp_path / "missing" / "query"
+    code, out, err = run(capsys, str(CORPUS_DIR / "sb_rlx.lit"), "--emit-query", str(target))
+    assert code == 3 and out == ""
+    assert err.startswith("fensy: cannot write %s: " % target) and "Traceback" not in err
+
+
 def test_parse_error_exits_three(tmp_path, capsys):
     bad = tmp_path / "bad.lit"
     bad.write_text("program x\ninit a = 0\nthread t {\n  wibble\n}\nassert true\n")

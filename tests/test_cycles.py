@@ -29,7 +29,7 @@ from fencesynth.driver import sanity_check, synthesize_fast, synthesize_optimal
 from fencesynth.errors import ResourceLimitError
 from fencesynth.limits import Limits
 from fencesynth.litmus import elaborate, parse_program
-from fencesynth.model import FenceSlot, Relation, Trace
+from fencesynth.model import FenceSlot, Trace
 from fencesynth.relations import fence_order
 
 
@@ -54,9 +54,7 @@ def test_candidate_fences_rwrw(rwrw):
 
 
 def test_candidate_fences_empty_trace():
-    from fencesynth.model import Relation
-
-    tr = Trace([], Relation(), Relation(), Relation())
+    tr = Trace([], frozenset(), frozenset(), frozenset())
     assert insert_candidate_fences(tr).slots == ()
 
 
@@ -77,7 +75,7 @@ def test_candidate_fences_sit_between_their_neighbors(rwrw):
     load_ev = next(e for e in tr.events if e.thr == "t1" and e.is_read)
     store_ev = next(e for e in tr.events if e.thr == "t1" and e.is_write)
     mid = next(i for i, s in it.slot_of.items() if s == FenceSlot("t1", 1))
-    assert (load_ev.id, mid) in it.sb.pairs and (mid, store_ev.id) in it.sb.pairs
+    assert (load_ev.id, mid) in it.sb and (mid, store_ev.id) in it.sb
 
 
 def test_candidate_fences_around_branches():
@@ -327,7 +325,7 @@ def test_strong_solutions_match_so_cycles_on_every_slot_subset():
             for subset in itertools.combinations(slots, k):
                 sset = frozenset(subset)
                 so = insert_candidate_fences(tr, slots=sset).so
-                has_cycle = reflexive(closure(so.pairs))
+                has_cycle = reflexive(closure(so))
                 assert has_cycle == any(s.fences <= sset for s in strong), (name, sset)
                 cyclic += has_cycle
     assert cyclic >= 100
@@ -616,7 +614,7 @@ def test_memo_is_not_used_across_a_relation_between_components():
     analyze_trace(tr, 0, memo=memo)
     assert len(memo) == 2
     t1, t3 = tr.thread_events["t1"], tr.thread_events["t3"]
-    joined = Trace(tr.events, tr.sb | Relation({(t1[-1].id, t3[0].id)}), tr.rf, tr.mo)
+    joined = Trace(tr.events, tr.sb | {(t1[-1].id, t3[0].id)}, tr.rf, tr.mo)
     memo = {}
     assert analyze_trace(joined, 0, memo=memo) == whole_trace_analysis(joined, 0)
     assert memo == {}

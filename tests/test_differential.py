@@ -63,7 +63,7 @@ def test_sc_order_matches_oracle_on_sc_access_mutants():
                 assert exists_sc_total_order(m) == bool(accepting_sc_orders(m)), (name, chosen)
                 decided += 1
                 sc = {e.id for e in m.sc_events}
-                searched += any(r in sc and w not in sc for w, r in m.rf.pairs)
+                searched += any(r in sc and w not in sc for w, r in m.rf)
     assert decided > 500 and searched > 100
 
 

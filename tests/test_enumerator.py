@@ -383,8 +383,8 @@ def _orderless_signature(tr):
 
     return (
         frozenset((key(e.id), e.act, e.obj, e.rval, e.wval) for e in tr.events),
-        frozenset((key(a), key(b)) for a, b in tr.rf.pairs),
-        frozenset((key(a), key(b)) for a, b in tr.mo.pairs),
+        frozenset((key(a), key(b)) for a, b in tr.rf),
+        frozenset((key(a), key(b)) for a, b in tr.mo),
     )
 
 
@@ -433,7 +433,7 @@ def test_candidate_fences_never_in_rf_mo_fr(rwrw):
 
     tr = find_buggy_traces(rwrw)[0]
     it = insert_candidate_fences(tr)
-    touched = {i for pair in (it.rf.pairs | it.mo.pairs | compute_fr(it).pairs) for i in pair}
+    touched = {i for pair in (it.rf | it.mo | compute_fr(it)) for i in pair}
     assert not (touched & it.fence_event_ids)
 
 

@@ -2,10 +2,8 @@
 
 import itertools
 
-import pytest
-
 from fencesynth.orders import MemoryOrder as O
-from fencesynth.orders import lub, parse_order
+from fencesynth.orders import lub
 
 
 def test_weaker_chain():
@@ -55,9 +53,3 @@ def test_lub_is_least_upper_bound():
         for c in O:
             if at_most(a, c) and at_most(b, c):
                 assert at_most(j, c)
-
-
-def test_parse_order():
-    assert parse_order("ar") is O.AR
-    with pytest.raises(KeyError):
-        parse_order("na")

@@ -1,9 +1,12 @@
-"""Derived relations: release sequences, sw/dob, hb, fr, and the sc order."""
+"""Derived relations: release sequences, sw/dob, hb, fr, and the sc order,
+and the bitmask closure behind hb, against naive set-comprehension
+references."""
 
 
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import CORPUS, O, closure, load, make_trace, reflexive, with_fences
 from fencesynth.cycles import insert_candidate_fences
@@ -11,15 +14,15 @@ from fencesynth.enumerator import enumerate_consistent_traces, find_buggy_traces
 from fencesynth.errors import InternalCheckError
 from fencesynth.model import FenceSlot
 from fencesynth.relations import (
+    _bits,
+    _closure,
+    _from_rows,
     compute_fr,
     derive_sync,
+    fence_order,
     release_sequence,
+    sc_clauses,
 )
-
-
-def rel_pairs(rel, ids, *names):
-    wanted = tuple(ids[n] for n in names)
-    return wanted in rel.pairs
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +98,7 @@ def test_sw_direct_release_acquire():
         mo_tail={"x": ["w"]},
     )
     sw, dob = derive_sync(tr)
-    assert (ids["w"], ids["r"]) in sw.pairs
+    assert (ids["w"], ids["r"]) in sw
 
 
 def test_sw_release_write_to_acquire_fence():
@@ -109,8 +112,8 @@ def test_sw_release_write_to_acquire_fence():
         mo_tail={"x": ["w"]},
     )
     sw, _ = derive_sync(tr)
-    assert (ids["w"], ids["f"]) in sw.pairs
-    assert (ids["w"], ids["r"]) not in sw.pairs  # the read itself is relaxed
+    assert (ids["w"], ids["f"]) in sw
+    assert (ids["w"], ids["r"]) not in sw  # the read itself is relaxed
 
 
 def test_sw_release_fence_to_acquire_read():
@@ -124,7 +127,7 @@ def test_sw_release_fence_to_acquire_read():
         mo_tail={"x": ["w"]},
     )
     sw, _ = derive_sync(tr)
-    assert (ids["f"], ids["r"]) in sw.pairs
+    assert (ids["f"], ids["r"]) in sw
 
 
 def test_sw_fence_to_fence():
@@ -138,7 +141,7 @@ def test_sw_fence_to_fence():
         mo_tail={"x": ["w"]},
     )
     sw, _ = derive_sync(tr)
-    assert (ids["f1"], ids["f2"]) in sw.pairs
+    assert (ids["f1"], ids["f2"]) in sw
 
 
 def test_relaxed_rf_yields_no_sync():
@@ -167,7 +170,7 @@ def test_dob_through_release_sequence_rmw():
         mo_tail={"x": ["w", "u"]},
     )
     _, dob = derive_sync(tr)
-    assert (ids["w"], ids["r"]) in dob.pairs
+    assert (ids["w"], ids["r"]) in dob
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +188,8 @@ def test_hb_sw_then_sb():
         mo_tail={"x": ["a", "c"]},
     )
     ithb, hb = tr.ithb, tr.hb
-    assert (ids["a"], ids["c"]) in ithb.pairs  # sw;sb
-    assert (ids["a"], ids["c"]) in hb.pairs
+    assert (ids["a"], ids["c"]) in ithb  # sw;sb
+    assert (ids["a"], ids["c"]) in hb
 
 
 def test_hb_is_sb_without_synchronization():
@@ -209,8 +212,8 @@ def test_release_fence_closes_read_write_cycle(rwrw):
     fixed = with_fences(tr, {FenceSlot("t1", 1): O.REL})
     ry = next(e for e in fixed.events if e.is_read and e.obj == "y")
     wy = next(e for e in fixed.events if e.is_write and e.obj == "y" and not e.is_init)
-    assert (ry.id, wy.id) in fixed.hb.pairs
-    assert reflexive(fixed.rf.compose(fixed.hb_closed))
+    assert (ry.id, wy.id) in fixed.hb
+    assert reflexive({(w, c) for w, r in fixed.rf for b, c in fixed.hb_closed if b == r})
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +231,7 @@ def test_fr_read_of_init():
         mo_tail={"x": ["w"]},
     )
     fr = compute_fr(tr)
-    assert fr.pairs == frozenset({(ids["r"], ids["w"])})
+    assert fr == frozenset({(ids["r"], ids["w"])})
 
 
 def test_fr_empty_for_read_of_final_write():
@@ -241,7 +244,7 @@ def test_fr_empty_for_read_of_final_write():
         rf=[("w", "r")],
         mo_tail={"x": ["w"]},
     )
-    assert not any(a == ids["r"] for a, _ in compute_fr(tr).pairs)
+    assert not any(a == ids["r"] for a, _ in compute_fr(tr))
 
 
 def test_fr_from_mo_chains_equals_the_composition():
@@ -255,9 +258,9 @@ def test_fr_from_mo_chains_equals_the_composition():
     checked = with_rmw = 0
     for p in programs:
         for tr in enumerate_consistent_traces(p):
-            composed = tr.rf.inverse().compose(tr.mo)
-            expected = {(a, b) for a, b in composed.pairs if a != b}
-            assert compute_fr(tr).pairs == expected, p.name
+            composed = {(r, c) for w, r in tr.rf for b, c in tr.mo if b == w}
+            expected = {(a, b) for a, b in composed if a != b}
+            assert compute_fr(tr) == expected, p.name
             checked += 1
             with_rmw += len(expected) < len(composed)
     assert checked >= 600 and with_rmw >= 100
@@ -268,7 +271,7 @@ def test_fr_both_reads_in_store_buffer():
     reads = [e for e in tr.events if e.is_read]
     writes = {e.obj: e for e in tr.events if e.is_write and not e.is_init}
     for r in reads:
-        assert (r.id, writes[r.obj].id) in tr.fr.pairs
+        assert (r.id, writes[r.obj].id) in tr.fr
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +287,7 @@ def test_so_cycle_in_sc_write_store_buffer():
     f1 = next(i for i, s in it.slot_of.items() if s == FenceSlot("t1", 1))
     f2 = next(i for i, s in it.slot_of.items() if s == FenceSlot("t2", 1))
     for edge in [(wx.id, f1), (f1, wy.id), (wy.id, f2), (f2, wx.id)]:
-        assert edge in so.pairs
+        assert edge in so
 
 
 def test_so_empty_without_sc_events():
@@ -347,9 +350,9 @@ def test_hb_is_stated_once():
     for p in programs:
         for tr in enumerate_consistent_traces(p):
             assert tr.hb == tr.sb | tr.ithb
-            assert tr.hb_closed.pairs == closure(tr.hb.pairs)
+            assert tr.hb_closed == closure(tr.hb)
             support = {(a, b) for a, row in role_closure(tr).items() for b in row}
-            assert tr.hb_closed.pairs == support
+            assert tr.hb_closed == support
             checked += 1
     assert checked == 674
 
@@ -387,7 +390,7 @@ def test_sync_monotone_under_added_fences():
     small = insert_candidate_fences(tr, slots=slots[:2])
     big = insert_candidate_fences(tr)
     for name in ("sw", "dob", "ithb", "hb"):
-        assert getattr(small, name).pairs <= getattr(big, name).pairs
+        assert getattr(small, name) <= getattr(big, name)
 
 
 def test_so_transitive_subset_of_every_accepted_order():
@@ -401,8 +404,66 @@ def test_so_transitive_subset_of_every_accepted_order():
             if len(tr.sc_events) < 2:
                 continue
             it = insert_candidate_fences(tr, slots=())
-            so_plus = closure(it.so.pairs)
+            so_plus = closure(it.so)
             for order in accepting_sc_orders(tr):
                 pos = {eid: i for i, eid in enumerate(order)}
                 for a, b in so_plus:
                     assert pos[a] < pos[b]
+
+
+def test_every_relation_is_a_frozenset():
+    # A relation is its pair set: base and derived relations of every
+    # consistent corpus execution, and those of its intermediate trace.
+    names = ("sb", "rf", "mo", "sw", "dob", "ithb", "hb", "hb_closed", "fr", "so")
+    checked = 0
+    for name in CORPUS:
+        for tr in enumerate_consistent_traces(load(name)):
+            for t in (tr, insert_candidate_fences(tr)):
+                for rel in names:
+                    assert type(getattr(t, rel)) is frozenset, (name, rel)
+            checked += 1
+    assert checked == 193
+
+
+def test_so_masks_carry_the_in_bits_of_candidate_ends():
+    # Every so edge, a fence-free one of the sc clauses included, relies on
+    # its candidate ends: each of its masks has their in bits set.
+    with_ends = free_with_ends = 0
+    for name in CORPUS:
+        for tr in find_buggy_traces(load(name)):
+            it = insert_candidate_fences(tr)
+            bit = {f: 1 << 2 * i for i, f in enumerate(fence_order(it))}
+            free = sc_clauses(it)
+            for (a, b), masks in it.so_deps.items():
+                ends = bit.get(a, 0) | bit.get(b, 0)
+                assert masks and all(m & ends == ends for m in masks), (name, a, b)
+                with_ends += ends != 0
+                if ends and b in _bits(free[a]):
+                    assert masks == (ends,), (name, a, b)
+                    free_with_ends += 1
+    assert with_ends >= 700 and free_with_ends >= 300
+
+
+# ---------------------------------------------------------------------------
+# The bitmask closure behind hb
+
+pairs = st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20)
+
+
+def rows(r):
+    # Every vertex gets a row, as every event does in compute_hb_info.
+    out = dict.fromkeys(range(8), 0)
+    for a, b in r:
+        out[a] |= 1 << b
+    return out
+
+
+@given(pairs)
+def test_closure_matches_oracle(r):
+    assert _from_rows(_closure(rows(r))) == closure(r)
+
+
+@given(pairs)
+def test_closure_idempotent(r):
+    once = _closure(rows(r))
+    assert _closure(once) == once

@@ -132,7 +132,8 @@ def test_coherence_names_are_spelled_in_relations_only():
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     # Solutions are deduplicated through sets of values that hold strings,
-    # whose hashes change with PYTHONHASHSEED; every emitted byte must not.
+    # whose hashes change with PYTHONHASHSEED, and relations are frozensets
+    # that dump_trace sorts itself; every emitted byte must not change.
     source = tmp_path / "gen_mp_pairs_2.lit"
     source.write_text(GENERATED["gen_mp_pairs_2"])
     programs = [CORPUS_DIR / (name + ".lit") for name in ("two_bugs", "iriw_rlx", "lb3")]
@@ -143,13 +144,15 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
         env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=str(PACKAGE.parent))
         run = subprocess.run(
             [sys.executable, "-m", "fencesynth", str(path),
-             "--emit-cycles", str(out / "cycles"), "--emit-query", str(out / "query")],
+             "--emit-cycles", str(out / "cycles"), "--emit-query", str(out / "query"),
+             "--emit-traces", str(out / "traces")],
             env=env, capture_output=True, text=True, check=False, timeout=60,
         )
         report = [line for line in run.stdout.splitlines() if not line.startswith("timings:")]
-        return run.returncode, report, (out / "cycles").read_text(), (out / "query").read_text()
+        emitted = [(out / name).read_text() for name in ("cycles", "query", "traces")]
+        return run.returncode, report, emitted
 
     for path in programs + [source]:
         first = outputs(path, 0)
-        assert first[0] in (0, 1) and first[1], path
+        assert first[0] in (0, 1) and first[1] and first[2][2], path
         assert outputs(path, 1) == first, path
