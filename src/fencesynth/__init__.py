@@ -32,6 +32,7 @@ from .enumerator import (
     enumerate_consistent_traces,
     exists_sc_total_order,
     find_buggy_traces,
+    has_buggy_trace,
     is_consistent,
     iter_buggy_traces,
     iter_consistent_traces,
@@ -96,6 +97,7 @@ __all__ = [
     "find_min_model",
     "find_strong_cycles",
     "find_weak_cycles",
+    "has_buggy_trace",
     "insert_candidate_fences",
     "is_consistent",
     "iter_buggy_traces",

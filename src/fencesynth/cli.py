@@ -63,6 +63,12 @@ def main(argv=None) -> int:
             print("fensy: --%s must not be negative" % flag.replace("_", "-"), file=sys.stderr)
             return 3
 
+    for path in (args.emit_traces, args.emit_cycles, args.emit_query):
+        if path and not Path(path).parent.is_dir():
+            reason = "%s is not a directory" % Path(path).parent
+            print("fensy: cannot write %s: %s" % (path, reason), file=sys.stderr)
+            return 3
+
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

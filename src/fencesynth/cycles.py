@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalCheckError, ResourceLimitError
 from .limits import Limits
-from .model import Event, FenceSlot, Trace
+from .model import Event, FenceSlot, Trace, components
 from .orders import MemoryOrder
 from .relations import _IN, _OUT, COHERENCE, _minimal, close_masks, coherence_shapes, fence_order
 
@@ -403,45 +403,34 @@ def _components(tr: Trace):
     The key renumbers the component's events in id order and restricts sb,
     rf and mo to them.
     """
-    parent: dict = {}
-
-    def find(x):
-        while x in parent:
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        a, b = find(a), find(b)
-        if a != b:
-            parent[a] = b
-
-    accesses = {(e.thr, e.obj) for e in tr.events if e.thr is not None}
-    threads = {(0, thr) for thr, _ in accesses}
-    for thr, obj in accesses:
-        if obj is not None:
-            union((0, thr), (1, obj))
-    if len(set(map(find, threads))) < 2:
+    accesses = list(
+        dict.fromkeys(
+            ((0, e.thr), (0, e.thr) if e.obj is None else (1, e.obj))
+            for e in tr.events
+            if e.thr is not None
+        )
+    )
+    if len(components(accesses)) < 2:
         return None
     node = {e.id: (0, e.thr) if e.thr is not None else (1, e.obj) for e in tr.events}
-    for rel in (tr.sb, tr.rf, tr.mo):
-        for a, b in rel:
-            union(node[a], node[b])
-    root = {n: find(n) for n in set(node.values())}
-    if len({root[t] for t in threads}) < 2:
+    joins = [(node[a], node[b]) for rel in (tr.sb, tr.rf, tr.mo) for a, b in rel]
+    comps = components(accesses + joins)
+    if len(comps) < 2:
         return None
-    groups: dict = {}
+    group = {n: k for k, comp in enumerate(comps) for n in comp}
+    members: list[list[Event]] = [[] for _ in comps]
     for e in tr.events:
-        groups.setdefault(root[node[e.id]], []).append(e)
-    where = {e.id: i for g in groups.values() for i, e in enumerate(g)}
-    rels: dict = {r: ([], [], []) for r in groups}
+        if node[e.id] in group:
+            members[group[node[e.id]]].append(e)
+    where = {e.id: i for g in members for i, e in enumerate(g)}
+    rels = [([], [], []) for _ in comps]
     for j, rel in enumerate((tr.sb, tr.rf, tr.mo)):
         for a, b in rel:
-            rels[root[node[a]]][j].append((where[a], where[b]))
+            rels[group[node[a]]][j].append((where[a], where[b]))
     return [
         (
             tuple((e.thr, e.idx, e.act, e.obj, e.ord, e.loc, e.rval, e.wval, e.cont) for e in g),
-            *map(frozenset, rels[r]),
+            *map(frozenset, r),
         )
-        for r, g in groups.items()
-        if any(e.thr is not None for e in g)
+        for g, r in zip(members, rels)
     ]

@@ -4,10 +4,15 @@ The optimal driver collects every buggy trace, solves one global query and
 applies the typed solution once.  The fast driver repairs the first buggy
 trace, re-enumerates the rewritten program and repeats; it is near-optimal
 and may synthesize extra fences on adversarial query structure.  Both
-verify the fix by exhaustive re-enumeration, and a sanity checker confirms
-each synthesized fence is load-bearing by weakening or removing it.  A
-fence already in the program changes only when a synthesized fence is
-merged into it; the report lists that as a strengthening.
+verify the fix exactly: ``opt`` decides with ``has_buggy_trace`` that no
+consistent execution of the fixed program falsifies the assertion, and
+``fast`` stops when its next enumeration finds no buggy trace.  A sanity
+checker confirms each synthesized fence is load-bearing by weakening or
+removing it and deciding the same question for each mutant; the mutants
+share the fixed program's object-disjoint thread groups, so each
+re-enumerates only the group of its fence.  A fence already in the
+program changes only when a synthesized fence is merged into it; the
+report lists that as a strengthening.
 """
 
 from __future__ import annotations
@@ -17,7 +22,13 @@ from dataclasses import dataclass, field
 
 from .cycles import CandidateSolution, analyze_trace
 from .errors import InternalCheckError, LitmusError, ResourceLimitError
-from .enumerator import find_buggy_traces, iter_buggy_traces
+from .enumerator import (
+    find_buggy_traces,
+    has_buggy_trace,
+    iter_buggy_traces,
+    projection_sets,
+    thread_groups,
+)
 from .limits import Limits, ensure_started
 from .litmus import Fence, If, Program, elaborate, preorder, renumber
 from .model import FenceSlot, SourceLocation, Trace
@@ -227,12 +238,12 @@ def synthesize_optimal(p: Program, limits: Limits | None = None) -> SynthesisRes
 
     t0 = time.monotonic()
     fixed = apply_solution(p, typed, synth_iter=0)
-    leftover = find_buggy_traces(fixed, limits)
-    timings["verify"] = time.monotonic() - t0
-    if leftover:
+    if has_buggy_trace(fixed, limits):
         raise InternalCheckError(
-            "solution verification failed: %d buggy traces remain" % len(leftover)
+            "solution verification failed: %d buggy traces remain"
+            % len(find_buggy_traces(fixed, limits))
         )
+    timings["verify"] = time.monotonic() - t0
     result.fixed_program = fixed
     result.iterations = 1
     result.synthesized, result.strengthened = _diff(p, fixed)
@@ -338,22 +349,32 @@ _WEAKENINGS = {
 
 
 def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | None = None) -> SanityReport:
-    """Remove or one-step-weaken each synthesized fence and re-enumerate.
+    """Remove or one-step-weaken each synthesized fence and re-check.
 
     Passes iff every mutant program has at least one buggy trace; a mutant
-    hitting a resource limit is reported inconclusive.
+    hitting a resource limit is reported inconclusive.  A mutant differs
+    from the fixed program in one fence, and so in one of its object-
+    disjoint thread groups: the complete projections of the fixed
+    program's groups are computed once (``projection_sets``), and each
+    mutant enumerates only the group of its fence against them.  If that
+    computation hits a limit, every mutant is inconclusive.
     """
     limits = ensure_started(limits)
     report = SanityReport()
     if result.status != FIXED:
         return report
 
-    synth_uids = [
-        s.uid
+    synth = [
+        (t.tid, s.uid)
         for t in p_fixed.threads
         for _, _, s in preorder(t.body)
         if isinstance(s, Fence) and s.synthesized
     ]
+    groups = thread_groups(p_fixed)
+    try:
+        known, cut = projection_sets(p_fixed, limits, groups), False
+    except ResourceLimitError:
+        known, cut = None, True
 
     def locate(program, uid):
         for t in program.threads:
@@ -362,31 +383,34 @@ def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | Non
                     return block, i, s
         raise InternalCheckError("lost a synthesized fence while mutating")
 
-    def probe(mutant, fence_name, mutation):
-        try:
-            buggy = next(iter_buggy_traces(renumber(mutant), limits), None)
-        except ResourceLimitError:
-            report.outcomes.append(MutantOutcome(fence_name, mutation, "inconclusive"))
-            report.passed = False
-            return
-        verdict = "bug-reappears" if buggy is not None else "still-clean"
+    def probe(mutant, tid, fence_name, mutation):
+        verdict = "inconclusive"
+        if not cut:
+            others = None
+            if known is not None:
+                others = {k: sets for k, sets in enumerate(known) if tid not in groups[k][0]}
+            try:
+                buggy = has_buggy_trace(renumber(mutant), limits, groups, others)
+                verdict = "bug-reappears" if buggy else "still-clean"
+            except ResourceLimitError:
+                pass
         if verdict != "bug-reappears":
             report.passed = False
         report.outcomes.append(MutantOutcome(fence_name, mutation, verdict))
 
-    for uid in synth_uids:
+    for tid, uid in synth:
         _, _, stmt = locate(p_fixed, uid)
         name = "fence(%s) uid=%d" % (stmt.ord, uid)
 
         removal = elaborate(p_fixed)
         block, i, _ = locate(removal, uid)
         del block[i]
-        probe(removal, name, "removed")
+        probe(removal, tid, name, "removed")
 
         for weaker in _WEAKENINGS[stmt.ord]:
             weakened = elaborate(p_fixed)
             _, _, target = locate(weakened, uid)
             target.ord = weaker
-            probe(weakened, name, "weakened to %s" % weaker)
+            probe(weakened, tid, name, "weakened to %s" % weaker)
 
     return report

@@ -19,6 +19,16 @@ the rf product.  The sc-order decision turns hb and the sc clauses into
 forced precedence edges, rejects a forced cycle at once, and searches only
 for the one disjunctive rule, checked as each read is placed.
 
+``has_buggy_trace`` asks only whether a buggy execution exists.  Threads
+that share no object are independent (Shasha and Snir, TOPLAS 1988): no
+relation and no axiom crosses between object-disjoint groups of threads,
+so a program's consistent executions are the products of its groups'.
+For a program of several groups the assertion is therefore decided over
+the product of each group's distinct final-state projections, not over
+the product of the groups' executions.  Each group is enumerated on its
+own, with the other groups' names unknown to the three-valued assertion,
+so an execution whose own values make it hold is still dropped unbuilt.
+
 rmw atomicity: a fetch-add reads from its immediate mo predecessor.
 """
 
@@ -39,7 +49,7 @@ from .litmus import (
     eval_expr,
     preorder,
 )
-from .model import Event, SourceLocation, Trace
+from .model import Event, SourceLocation, Trace, components
 from .orders import MemoryOrder
 from .relations import COHERENCE, _bits, coherence_shapes, sc_clauses
 
@@ -257,11 +267,15 @@ def is_consistent(tr, limits: Limits | None = None) -> bool:
 # Enumeration
 
 
-def _assertion_holds(p: Program, bindings, final_shared, final_locals) -> bool:
-    """The assertion's verdict on a final state of objects and registers."""
+def _assertion_holds(p: Program, bindings, final_shared, final_locals) -> bool | None:
+    """The assertion's verdict on a final state of objects and registers;
+    None when it depends on names that ``bindings`` leaves out."""
 
     def lookup(name):
-        kind, where = bindings[name]
+        binding = bindings.get(name)
+        if binding is None:
+            return None
+        kind, where = binding
         if kind == "object":
             return final_shared[where]
         return final_locals[where].get(name, 0)
@@ -310,9 +324,11 @@ def _rf_sources(reads, writes, sb_pairs) -> list[list[int]] | None:
     return source_lists
 
 
-def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Trace]:
+def _traces(p: Program, limits: Limits | None, buggy_only: bool, bindings=None) -> Iterator[Trace]:
     """The consistent executions in lexicographic choice order; with
-    ``buggy_only``, only those that falsify the assertion."""
+    ``buggy_only``, only those that falsify the assertion, or may falsify
+    it whatever the names that ``bindings`` (default: every name of the
+    assertion) leaves out turn out to be."""
     if not p.elaborated:
         raise LitmusError("program must be elaborated before enumeration")
     limits = limits or Limits()
@@ -320,7 +336,7 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Tra
     # before they are built; with one, every consistent execution counts.
     prune = buggy_only and limits.max_traces is None
     cand = candidate_values(p)
-    bindings = p.assertion_bindings()
+    bindings = p.assertion_bindings() if bindings is None else bindings
     asserted = sorted({where for kind, where in bindings.values() if kind == "object"})
     # Each thread run with the value of its last write to each object.
     per_thread = [
@@ -466,3 +482,129 @@ def iter_buggy_traces(p: Program, limits: Limits | None = None) -> Iterator[Trac
 def find_buggy_traces(p: Program, limits: Limits | None = None) -> list[Trace]:
     """Consistent executions whose final state falsifies the assertion."""
     return list(iter_buggy_traces(p, limits))
+
+
+# ---------------------------------------------------------------------------
+# Existence over object-disjoint thread groups
+
+
+def thread_groups(p: Program) -> list[tuple[list[str], list[str]]]:
+    """The thread ids and objects of each object-disjoint group of threads:
+    a thread joins each object it accesses.  Fences access no object, so
+    inserting, removing or retyping one leaves the groups as they are."""
+    pairs = [((0, t.tid), (0, t.tid)) for t in p.threads]
+    pairs += [
+        ((0, t.tid), (1, s.obj))
+        for t in p.threads
+        for _, _, s in preorder(t.body)
+        if isinstance(s, (Load, Store, FetchAdd))
+    ]
+    return [
+        ([n for kind, n in comp if kind == 0], [n for kind, n in comp if kind == 1])
+        for comp in components(pairs)
+    ]
+
+
+def _projections(p: Program, group, names, limits: Limits) -> Iterator[tuple[int, ...]]:
+    """The distinct values that a group's consistent executions give the
+    assertion ``names`` it owns, enumerated on the sub-program of its
+    threads and objects; a group that owns no name stops after one.  The
+    other groups' names are unknown there, so an execution whose own
+    values already make the assertion hold is dropped unbuilt, as in
+    buggy-trace enumeration."""
+    tids, objs = group
+    sub = Program(
+        p.name,
+        {o: v for o, v in p.init.items() if o in objs},
+        [t for t in p.threads if t.tid in tids],
+        p.assertion,
+        elaborated=True,
+    )
+    seen = set()
+    for tr in _traces(sub, limits, True, dict(names)):
+        proj = tuple(
+            tr.final_shared[where] if kind == "object" else tr.final_locals[where].get(name, 0)
+            for name, (kind, where) in names
+        )
+        if proj not in seen:
+            seen.add(proj)
+            yield proj
+            if not names:
+                return
+
+
+def _split(p: Program, limits: Limits, groups):
+    """Each of ``groups`` (by default ``thread_groups(p)``) with the
+    assertion names it owns and their bindings, or None where the whole
+    program is enumerated instead: one group, or ``limits.max_traces`` set,
+    which counts whole executions."""
+    groups = thread_groups(p) if groups is None else groups
+    if len(groups) < 2 or limits.max_traces is not None:
+        return None
+    bindings = sorted(p.assertion_bindings().items())
+    return [
+        (g, [(n, b) for n, b in bindings if b[1] in (g[1] if b[0] == "object" else g[0])])
+        for g in groups
+    ]
+
+
+def projection_sets(p: Program, limits: Limits | None = None, groups=None) -> list[list] | None:
+    """Every distinct projection of each of ``groups``, or None where
+    ``has_buggy_trace`` enumerates the whole program instead."""
+    limits = limits or Limits()
+    split = _split(p, limits, groups)
+    if split is None:
+        return None
+    return [list(_projections(p, g, names, limits)) for g, names in split]
+
+
+def has_buggy_trace(p: Program, limits: Limits | None = None, groups=None, known=None) -> bool:
+    """Whether some consistent execution falsifies the assertion.
+
+    With one group of threads (``thread_groups``), or with
+    ``limits.max_traces`` set, this asks ``iter_buggy_traces`` for a first
+    trace.  Otherwise each group is enumerated lazily and round-robin on
+    its own sub-program (``_projections``), and the assertion is decided
+    over the product of the groups' distinct projections onto the names
+    each owns: its threads' locals and its objects' final values (an
+    object no thread touches keeps its init value).  Each new projection
+    is combined with the other groups' known ones, so each combination is
+    evaluated once; the first that falsifies the assertion answers True,
+    and a group with no projection answers False.  ``known`` maps group
+    indices to complete projection lists (``projection_sets`` of a program
+    with the same groups); those groups are not enumerated.
+
+    Soundness.  sb, rf and mo never cross groups, so neither do sw and hb.
+    Every coherence shape lies within one object, and every sc clause
+    relates events of one object or of one hb path, so the per-group sc
+    orders concatenate into one total order S.  A combined execution is
+    therefore consistent iff each of its group parts is, and the final
+    states of the program are exactly the products of its groups'.  An
+    execution that ``_projections`` drops makes the assertion hold
+    whatever the other groups end with, so no falsifying product uses it.
+    """
+    limits = limits or Limits()
+    split = _split(p, limits, groups)
+    if split is None:
+        return next(iter_buggy_traces(p, limits), None) is not None
+    known = known or {}
+    seen = [list(known.get(k, ())) for k in range(len(split))]
+    feeds = {
+        k: _projections(p, g, names, limits) for k, (g, names) in enumerate(split) if k not in known
+    }
+    while feeds:
+        for k, feed in list(feeds.items()):
+            proj = next(feed, None)
+            if proj is None:
+                del feeds[k]
+                if not seen[k]:
+                    return False
+                continue
+            seen[k].append(proj)
+            choices = [seen[j] if j != k else [proj] for j in range(len(split))]
+            for combo in itertools.product(*choices):
+                limits.check_time("trace-enumeration")
+                env = {n: v for (_, names), vals in zip(split, combo) for (n, _), v in zip(names, vals)}
+                if not eval_expr(p.assertion, lambda n: env[n] if n in env else p.init[n]):
+                    return True
+    return False

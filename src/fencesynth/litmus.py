@@ -86,21 +86,32 @@ _CMP_FN = {
 }
 
 
-def eval_operand(op: Var | Lit, lookup: Callable[[str], int]) -> int:
+def eval_operand(op: Var | Lit, lookup: Callable[[str], int | None]) -> int | None:
     return op.value if isinstance(op, Lit) else lookup(op.name)
 
 
-def eval_expr(e: Expr, lookup: Callable[[str], int]) -> bool:
+def eval_expr(e: Expr, lookup: Callable[[str], int | None]) -> bool | None:
+    """The value of ``e``.  A lookup may answer None for an unknown value;
+    the result is then None unless the known values decide it (Kleene's
+    three-valued logic)."""
+    if isinstance(e, Cmp):
+        a, b = eval_operand(e.lhs, lookup), eval_operand(e.rhs, lookup)
+        return None if a is None or b is None else _CMP_FN[e.op](a, b)
+    if isinstance(e, (And, Or)):
+        decisive = type(e) is Or
+        unknown = False
+        for a in e.args:
+            v = eval_expr(a, lookup)
+            if v is decisive:
+                return decisive
+            if v is None:
+                unknown = True
+        return None if unknown else not decisive
+    if isinstance(e, Not):
+        v = eval_expr(e.arg, lookup)
+        return None if v is None else not v
     if isinstance(e, BoolLit):
         return e.value
-    if isinstance(e, Cmp):
-        return _CMP_FN[e.op](eval_operand(e.lhs, lookup), eval_operand(e.rhs, lookup))
-    if isinstance(e, Not):
-        return not eval_expr(e.arg, lookup)
-    if isinstance(e, And):
-        return all(eval_expr(a, lookup) for a in e.args)
-    if isinstance(e, Or):
-        return any(eval_expr(a, lookup) for a in e.args)
     raise TypeError(e)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 from .orders import MemoryOrder
 
@@ -273,6 +273,28 @@ class Trace:
 
     def __repr__(self) -> str:
         return "Trace(%d events, assertion_holds=%r)" % (len(self.events), self.assertion_holds)
+
+
+def components(pairs: Iterable[tuple[Hashable, Hashable]]) -> list[list]:
+    """The connected components of the graph whose edges are ``pairs``,
+    ordered by first appearance, as are the nodes within each."""
+    parent: dict = {}
+
+    def find(x):
+        while x in parent:
+            x = parent[x]
+        return x
+
+    nodes: dict = {}
+    for a, b in pairs:
+        nodes[a] = nodes[b] = None
+        a, b = find(a), find(b)
+        if a != b:
+            parent[a] = b
+    comps: dict = {}
+    for node in nodes:
+        comps.setdefault(find(node), []).append(node)
+    return list(comps.values())
 
 
 # ---------------------------------------------------------------------------

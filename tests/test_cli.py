@@ -53,6 +53,20 @@ def test_unwritable_emit_path_exits_three(tmp_path, capsys):
     assert err.startswith("fensy: cannot write %s: " % target) and "Traceback" not in err
 
 
+def test_unwritable_emit_path_exits_before_synthesis(tmp_path, capsys, monkeypatch):
+    from fencesynth import cli
+
+    def no_synthesis(*args, **kw):
+        raise AssertionError("synthesis ran before the emit paths were checked")
+
+    monkeypatch.setattr(cli, "synthesize", no_synthesis)
+    good, target = tmp_path / "traces", tmp_path / "missing" / "query"
+    argv = ["--emit-traces", str(good), "--emit-query", str(target)]
+    code, out, err = run(capsys, str(CORPUS_DIR / "sb_rlx.lit"), *argv)
+    assert code == 3 and out == "" and not good.exists()
+    assert err.startswith("fensy: cannot write %s: " % target) and "Traceback" not in err
+
+
 def test_parse_error_exits_three(tmp_path, capsys):
     bad = tmp_path / "bad.lit"
     bad.write_text("program x\ninit a = 0\nthread t {\n  wibble\n}\nassert true\n")

@@ -3,6 +3,7 @@ beyond the hand-written corpus."""
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 import re
@@ -19,8 +20,13 @@ from fencesynth.enumerator import (
     enumerate_consistent_traces,
     exists_sc_total_order,
     find_buggy_traces,
+    has_buggy_trace,
+    iter_buggy_traces,
+    thread_groups,
 )
-from fencesynth.litmus import elaborate, parse_program
+from fencesynth.errors import ResourceLimitError
+from fencesynth.limits import Limits
+from fencesynth.litmus import elaborate, parse_program, print_program
 from fencesynth.model import Trace
 
 
@@ -113,12 +119,16 @@ def mp_pairs(m):
     return program("mp_pairs_%d" % m, threads, "!(%s)" % " || ".join(bugs))
 
 
-def sb_padded():
-    threads = [
-        ("t0", ["store(x, 1, rlx)", "store(p, 1, rlx)", "a = load(y, rlx)"]),
-        ("t1", ["store(y, 1, rlx)", "store(q, 1, rlx)", "b = load(x, rlx)"]),
-    ]
-    return program("sb_padded", threads, "!(a == 0 && b == 0)")
+def sb_padded(m=1):
+    # m store-buffering pairs, each store followed by one private store.
+    threads, bugs = [], []
+    for i in range(m):
+        x, y, a, b = "x%d" % i, "y%d" % i, "a%d" % i, "b%d" % i
+        for side, (mine, pad, reg, other) in enumerate(((x, "p", a, y), (y, "q", b, x))):
+            body = ["store(%s, 1, rlx)" % mine, "store(%s%d, 1, rlx)" % (pad, i)]
+            threads.append(("t%d" % (2 * i + side), body + ["%s = load(%s, rlx)" % (reg, other)]))
+        bugs.append("(%s == 0 && %s == 0)" % (a, b))
+    return program("sb_padded_%d" % m, threads, "!(%s)" % " || ".join(bugs))
 
 
 def sb_rmw(order):
@@ -154,29 +164,42 @@ def test_enumerator_matches_oracle_on_generated_programs(name):
     assert set(buggy) == {s for s in expected if not s[3]}
 
 
-def test_buggy_traces_are_the_falsifying_consistent_traces(monkeypatch):
-    # On every corpus program and on every mutant the sanity check builds
-    # for a corpus opt fix, buggy-trace enumeration yields exactly the
-    # consistent executions that falsify the assertion, in the same order.
+def sanity_mutants(monkeypatch, result):
+    """The mutant programs ``sanity_check`` decides for an opt result."""
     from fencesynth import driver
 
     probed = []
-    iter_buggy = driver.iter_buggy_traces
+    decide = driver.has_buggy_trace
 
-    def recording(p, limits=None):
+    def recording(p, *args):
         probed.append(p)
-        return iter_buggy(p, limits)
+        return decide(p, *args)
 
-    monkeypatch.setattr(driver, "iter_buggy_traces", recording)
+    with monkeypatch.context() as m:
+        m.setattr(driver, "has_buggy_trace", recording)
+        driver.sanity_check(result.fixed_program, result)
+    return probed
+
+
+def test_buggy_traces_are_the_falsifying_consistent_traces(monkeypatch):
+    # On every corpus program and on every mutant the sanity check builds
+    # for a corpus opt fix, buggy-trace enumeration yields exactly the
+    # consistent executions that falsify the assertion, in the same order,
+    # and the existence decision agrees with it.
+    from fencesynth import driver
+
+    probed = []
     for name in CORPUS:
         result = driver.synthesize(load(name), mode="opt")
         if result.status == driver.FIXED:
-            driver.sanity_check(result.fixed_program, result)
-    monkeypatch.undo()
+            probed += sanity_mutants(monkeypatch, result)
     assert len(probed) > 40
     for p in [load(name) for name in CORPUS] + probed:
-        expected = [trace_signature(t) for t in enumerate_consistent_traces(p) if not t.assertion_holds]
+        expected = [
+            trace_signature(t) for t in enumerate_consistent_traces(p) if not t.assertion_holds
+        ]
         assert [trace_signature(t) for t in find_buggy_traces(p)] == expected, p.name
+        assert has_buggy_trace(p) == bool(expected), p.name
 
 
 @pytest.mark.parametrize("seeds", [range(0, 75), range(75, 150)])
@@ -195,3 +218,172 @@ def test_enumerators_match_oracle_on_random_programs(seeds):
         holding_programs += len(buggy) < len(mine)
     # Neither verdict is vacuous over the seeds.
     assert buggy_programs > len(seeds) // 3 and holding_programs > len(seeds) // 3
+
+
+# ---------------------------------------------------------------------------
+# The existence decision over object-disjoint thread groups
+
+
+def oracle_falsifies(p):
+    return any(not verdict for *_, verdict in oracle_traces(p))
+
+
+def assert_decided_as_the_oracle(p):
+    expected = oracle_falsifies(p)
+    assert has_buggy_trace(p) == expected == bool(find_buggy_traces(p)), print_program(p)
+
+
+SEVERAL_GROUPS = {
+    **{"mp_pairs_%d" % m: mp_pairs(m) for m in (1, 2, 3)},
+    **{"sb_padded_%d" % m: sb_padded(m) for m in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEVERAL_GROUPS))
+def test_existence_matches_oracle_on_fixes_and_mutants(name, monkeypatch):
+    from fencesynth import driver
+
+    p = elaborate(parse_program(SEVERAL_GROUPS[name]), 16)
+    result = driver.synthesize(p, mode="opt")
+    assert result.status == driver.FIXED
+    mutants = sanity_mutants(monkeypatch, result)
+    assert len(mutants) >= 2 * len(thread_groups(p))
+    for q in [p, result.fixed_program] + mutants:
+        assert_decided_as_the_oracle(q)
+
+
+def test_existence_matches_oracle_on_two_bugs():
+    assert len(thread_groups(load("two_bugs"))) == 2
+    assert_decided_as_the_oracle(load("two_bugs"))
+
+
+def renamed(line):
+    # The second program of a join: objects x, y become z, w, threads tN
+    # become uN and locals rN become sN.
+    line = re.sub(r"\bx\b", "z", re.sub(r"\by\b", "w", line))
+    return re.sub(r"\bt(\d)\b", r"u\1", re.sub(r"\br(\d+)\b", r"s\1", line))
+
+
+def joined(seed, kind):
+    """Two random programs side by side, on disjoint threads and objects,
+    under one of five kinds of assertion."""
+    first = random_litmus_program(seed).splitlines()
+    second = [renamed(line) for line in random_litmus_program(seed + 1000).splitlines()]
+    a, b = first[-1][len("assert "):], second[-1][len("assert "):]
+    local_a = (re.findall(r"\b(r\d+) =", "\n".join(first)) or ["x"])[0]
+    local_b = (re.findall(r"\b(s\d+) =", "\n".join(second)) or ["z"])[0]
+    assertion = {
+        "or": "(%s) || (%s)" % (a, b),
+        "and": "(%s) && (%s)" % (a, b),
+        "coupled": "%s %s %s" % (local_a, "==" if seed % 2 else "!=", local_b),
+        "objects": "!(x == %d && w == %d)" % (seed % 3, (seed // 3) % 3),
+        "one": a,
+    }[kind]
+    lines = ["program joined%d" % seed, "init x = 0, y = 0, z = 0, w = 0"]
+    return "\n".join(lines + first[2:-1] + second[2:-1] + ["assert " + assertion]) + "\n"
+
+
+def small_join_seeds(count):
+    # Joins of at most six statements and one fadd keep the whole-program
+    # enumeration and the brute-force oracle fast.
+    seeds = (s for s in itertools.count() if len(re.findall(r"^  ", joined(s, "one"), re.M)) <= 6)
+    return list(itertools.islice((s for s in seeds if joined(s, "one").count("fadd") <= 1), count))
+
+
+@pytest.mark.parametrize("kind", ["or", "and", "coupled", "objects", "one"])
+def test_existence_matches_oracle_on_joined_random_programs(kind):
+    seeds = small_join_seeds(50)
+    buggy = 0
+    for seed in seeds:
+        p = elaborate(parse_program(joined(seed, kind)), 16)
+        assert len(thread_groups(p)) >= 2
+        assert_decided_as_the_oracle(p)
+        buggy += has_buggy_trace(p)
+    # Neither answer is vacuous over the seeds.
+    assert 0 < buggy < len(seeds)
+
+
+def test_existence_prunes_a_group_whose_values_decide_the_assertion(monkeypatch):
+    # An sc ring of 8 beside a thread on its own object: the ring's values
+    # alone decide the assertion, so its group is pruned as buggy-trace
+    # enumeration prunes it (one candidate checked), not enumerated whole.
+    from fencesynth import enumerator
+
+    n = 8
+    threads = [
+        ("t%d" % i, ["store(x%d, 1, sc)" % i, "r%d = load(x%d, sc)" % (i, (i + 1) % n)])
+        for i in range(n)
+    ]
+    text = program("ring_beside", threads + [("side", ["store(w, 1, rlx)"])],
+                   "!(%s)" % " && ".join("r%d == 0" % i for i in range(n)))
+    p = elaborate(parse_program(text), 16)
+    assert len(thread_groups(p)) == 2
+    checked = []
+    coherence = enumerator.coherence_violations
+
+    def counting(tr):
+        checked.append(tr)
+        return coherence(tr)
+
+    monkeypatch.setattr(enumerator, "coherence_violations", counting)
+    assert not has_buggy_trace(p)
+    assert len(checked) == 1
+
+
+def test_existence_with_a_trace_bound_counts_whole_executions():
+    # With max_traces set, the answer and the limit error are those of the
+    # whole-program enumeration, for every bound.
+    from fencesynth import driver
+
+    def answer(decide, q, bound):
+        try:
+            return decide(q, Limits(max_traces=bound))
+        except ResourceLimitError as exc:
+            return exc.phase
+
+    def whole(q, limits):
+        return next(iter_buggy_traces(q, limits), None) is not None
+
+    p = elaborate(parse_program(mp_pairs(2)), 16)
+    answers = set()
+    for q in (p, driver.synthesize(p, mode="opt").fixed_program):
+        for bound in range(0, 40, 3):
+            expected = answer(whole, q, bound)
+            assert answer(has_buggy_trace, q, bound) == expected, bound
+            answers.add(expected)
+    assert answers == {True, False, "trace-enumeration"}
+
+
+def test_existence_honours_an_expired_deadline():
+    p = elaborate(parse_program(mp_pairs(2)), 16)
+    with pytest.raises(ResourceLimitError) as exc:
+        has_buggy_trace(p, Limits(timeout_secs=0.0).start())
+    assert exc.value.phase == "trace-enumeration"
+
+
+def test_sanity_and_verify_check_few_executions_on_many_pairs(monkeypatch):
+    # mp pairs m=6: whole-program enumeration checked 3,367 candidate
+    # executions to verify the opt fix and 4,016 for its 12 sanity mutants.
+    from fencesynth import driver, enumerator
+
+    checked = collections.Counter()
+    phase = ["synthesize"]
+    coherence, apply = enumerator.coherence_violations, driver.apply_solution
+
+    def counting(tr):
+        checked[phase[0]] += 1
+        return coherence(tr)
+
+    def applying(*args, **kw):
+        fixed = apply(*args, **kw)
+        phase[0] = "verify"
+        return fixed
+
+    monkeypatch.setattr(enumerator, "coherence_violations", counting)
+    monkeypatch.setattr(driver, "apply_solution", applying)
+    result = driver.synthesize(elaborate(parse_program(mp_pairs(6)), 16), mode="opt")
+    phase[0] = "sanity"
+    report = driver.sanity_check(result.fixed_program, result)
+    assert [o.verdict for o in report.outcomes] == ["bug-reappears"] * 12
+    assert checked["sanity"] <= 100
+    assert checked["verify"] < 3367

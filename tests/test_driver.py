@@ -16,7 +16,7 @@ from fencesynth.enumerator import (
     find_buggy_traces,
     is_consistent,
 )
-from fencesynth.errors import ResourceLimitError
+from fencesynth.errors import InternalCheckError, ResourceLimitError
 from fencesynth.limits import Limits
 from fencesynth.litmus import Fence, elaborate, parse_program, preorder, print_program
 from fencesynth.model import FenceSlot, SourceLocation
@@ -290,6 +290,16 @@ def test_no_smaller_or_lighter_fix_exists(prog):
     for assignment in itertools.product(orders, repeat=k):
         if sum(o.weight for o in assignment) < res.weight:
             assert not fixes(dict(zip(chosen, assignment)))
+
+
+def test_verify_failure_counts_the_buggy_traces_left(monkeypatch):
+    # A fix that inserts nothing leaves all 7 buggy traces of the two
+    # independent bugs; verification must refuse it and count them.
+    from fencesynth import driver
+
+    monkeypatch.setattr(driver, "apply_solution", lambda p, typed, synth_iter=0: p)
+    with pytest.raises(InternalCheckError, match="7 buggy traces remain"):
+        driver.synthesize_optimal(load("two_bugs"))
 
 
 # ---------------------------------------------------------------------------

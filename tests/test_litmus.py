@@ -13,6 +13,8 @@ from fencesynth.litmus import (
     Repeat,
     Store,
     elaborate,
+    eval_expr,
+    parse_expr,
     parse_program,
     preorder,
     print_program,
@@ -29,6 +31,21 @@ def test_parse_rwrw_structure():
     t1 = p.threads[0].body
     assert isinstance(t1[0], Load) and t1[0].dest == "a" and t1[0].ord is O.SC
     assert isinstance(t1[1], Store) and t1[1].obj == "x" and t1[1].ord is O.RLX
+
+
+@pytest.mark.parametrize(
+    "text, values, expected",
+    [
+        ("a == 1 || b == 2", {"a": 1}, True),
+        ("a == 1 || b == 2", {"a": 0}, None),
+        ("a == 1 && b == 2", {"a": 0}, False),
+        ("!(a == 1 && b == 2)", {"a": 1}, None),
+        ("!(a == 1 && b == 2)", {"a": 1, "b": 2}, False),
+        ("b == b", {}, None),
+    ],
+)
+def test_unknown_names_evaluate_three_valued(text, values, expected):
+    assert eval_expr(parse_expr(text), values.get) is expected
 
 
 def test_empty_thread_body():
