@@ -35,7 +35,6 @@ from .enumerator import (
     has_buggy_trace,
     is_consistent,
     iter_buggy_traces,
-    iter_consistent_traces,
 )
 from .errors import InternalCheckError, LitmusError, ResourceLimitError
 from .limits import Limits
@@ -101,7 +100,6 @@ __all__ = [
     "insert_candidate_fences",
     "is_consistent",
     "iter_buggy_traces",
-    "iter_consistent_traces",
     "lub",
     "parse_program",
     "print_program",

@@ -1,18 +1,18 @@
 """Synthesis drivers: whole-program (optimal) and one-trace-at-a-time.
 
-The optimal driver collects every buggy trace, solves one global query and
-applies the typed solution once.  The fast driver repairs the first buggy
-trace, re-enumerates the rewritten program and repeats; it is near-optimal
-and may synthesize extra fences on adversarial query structure.  Both
-verify the fix exactly: ``opt`` decides with ``has_buggy_trace`` that no
-consistent execution of the fixed program falsifies the assertion, and
-``fast`` stops when its next enumeration finds no buggy trace.  A sanity
-checker confirms each synthesized fence is load-bearing by weakening or
-removing it and deciding the same question for each mutant; the mutants
-share the fixed program's object-disjoint thread groups, so each
-re-enumerates only the group of its fence.  A fence already in the
-program changes only when a synthesized fence is merged into it; the
-report lists that as a strengthening.
+Both drivers feed buggy traces to one solve step: the optimal driver feeds
+every buggy trace and applies the typed solution once; the fast driver
+feeds the first buggy trace, applies that fix, re-enumerates and repeats.
+Fast is near-optimal and may synthesize extra fences on adversarial query
+structure.  Both verify the fix exactly: ``opt`` decides with
+``has_buggy_trace`` that no consistent execution of the fixed program
+falsifies the assertion, and ``fast`` stops when its next enumeration
+finds no buggy trace.  A sanity checker confirms each synthesized fence is
+load-bearing by weakening or removing it and deciding the same question
+for each mutant; the mutants share the fixed program's object-disjoint
+thread groups, so each re-enumerates only the group of its fence.  A
+fence already in the program changes only when a synthesized fence is
+merged into it; the report lists that as a strengthening.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .enumerator import (
     projection_sets,
     thread_groups,
 )
-from .limits import Limits, ensure_started
+from .limits import Limits
 from .litmus import Fence, If, Program, elaborate, preorder, renumber
 from .model import FenceSlot, SourceLocation, Trace
 from .optimize import Query, TypedSolution, assign_memory_orders, build_query, find_min_model
@@ -196,45 +196,54 @@ def _diff(original: Program, fixed: Program):
 
 
 # ---------------------------------------------------------------------------
-# Whole-program synthesis (optimal)
+# The solve step both drivers share, and whole-program synthesis (optimal)
+
+
+def _solve(traces: list[Trace], result: SynthesisResult, limits: Limits, memo: dict) -> TypedSolution | None:
+    """Analyse ``traces`` as the result's next trace ids and solve their
+    query; None, with the no-fix verdict recorded, when a trace has no
+    solution.  Adds to ``timings["analyze"]`` and ``timings["solve"]``."""
+    timings = result.timings
+    start = len(result.buggy_traces)
+    result.buggy_traces += traces
+    t0 = time.monotonic()
+    for tid, tr in enumerate(traces, start):
+        sols = analyze_trace(tr, tid, limits, memo=memo)
+        result.solutions_by_trace.append(sols)
+        if not sols:
+            result.status = NO_FIX
+            result.no_fix_trace = tid
+            break
+    timings["analyze"] = timings.get("analyze", 0.0) + time.monotonic() - t0
+    if result.status == NO_FIX:
+        return None
+
+    t0 = time.monotonic()
+    solutions = result.solutions_by_trace[start:]
+    query = build_query(solutions)
+    result.queries.append(query)
+    model = find_min_model(query, limits)
+    typed = assign_memory_orders(model, solutions, limits)
+    timings["solve"] = timings.get("solve", 0.0) + time.monotonic() - t0
+    return typed
 
 
 def synthesize_optimal(p: Program, limits: Limits | None = None) -> SynthesisResult:
     """Collect all buggy traces, solve one global query, fix, re-verify."""
-    limits = ensure_started(limits)
+    limits = limits or Limits()
     if not p.elaborated:
         p = elaborate(p)
-    timings: dict[str, float] = {}
 
     t0 = time.monotonic()
     buggy = find_buggy_traces(p, limits)
-    timings["enumerate"] = time.monotonic() - t0
-    result = SynthesisResult(status=FIXED, buggy_traces=buggy)
-    result.timings = timings
+    result = SynthesisResult(status=FIXED, timings={"enumerate": time.monotonic() - t0})
     if not buggy:
         result.status = ALREADY_CORRECT
         result.fixed_program = p
         return result
-
-    t0 = time.monotonic()
-    memo: dict = {}
-    for tid, tr in enumerate(buggy):
-        sols = analyze_trace(tr, tid, limits, memo=memo)
-        if not sols:
-            timings["analyze"] = time.monotonic() - t0
-            result.status = NO_FIX
-            result.no_fix_trace = tid
-            result.solutions_by_trace.append([])
-            return result
-        result.solutions_by_trace.append(sols)
-    timings["analyze"] = time.monotonic() - t0
-
-    t0 = time.monotonic()
-    query = build_query(result.solutions_by_trace)
-    result.queries.append(query)
-    model = find_min_model(query, limits)
-    typed = assign_memory_orders(model, result.solutions_by_trace, limits)
-    timings["solve"] = time.monotonic() - t0
+    typed = _solve(buggy, result, limits, {})
+    if typed is None:
+        return result
 
     t0 = time.monotonic()
     fixed = apply_solution(p, typed, synth_iter=0)
@@ -243,7 +252,7 @@ def synthesize_optimal(p: Program, limits: Limits | None = None) -> SynthesisRes
             "solution verification failed: %d buggy traces remain"
             % len(find_buggy_traces(fixed, limits))
         )
-    timings["verify"] = time.monotonic() - t0
+    result.timings["verify"] = time.monotonic() - t0
     result.fixed_program = fixed
     result.iterations = 1
     result.synthesized, result.strengthened = _diff(p, fixed)
@@ -256,7 +265,7 @@ def synthesize_optimal(p: Program, limits: Limits | None = None) -> SynthesisRes
 
 def synthesize_fast(p: Program, limits: Limits | None = None) -> SynthesisResult:
     """Fix the first buggy trace, re-enumerate, repeat until clean."""
-    limits = ensure_started(limits)
+    limits = limits or Limits()
     if not p.elaborated:
         p = elaborate(p)
     original = p
@@ -266,42 +275,25 @@ def synthesize_fast(p: Program, limits: Limits | None = None) -> SynthesisResult
     # A component no pass has touched keeps its source positions, and so
     # its memo key, from one pass to the next.
     memo: dict = {}
-    iteration = 0
     while True:
         t0 = time.monotonic()
         first = next(iter_buggy_traces(p, limits), None)
         timings["enumerate"] += time.monotonic() - t0
         if first is None:
             break
-        if iteration >= limits.max_iters:
+        if result.iterations >= limits.max_iters:
             raise ResourceLimitError("iterative-synthesis", "max iterations reached")
-        result.buggy_traces.append(first)
-
-        t0 = time.monotonic()
-        sols = analyze_trace(first, iteration, limits, memo=memo)
-        timings["analyze"] += time.monotonic() - t0
-        result.solutions_by_trace.append(sols)
-        if not sols:
-            result.status = NO_FIX
-            result.no_fix_trace = iteration
-            result.iterations = iteration
+        typed = _solve([first], result, limits, memo)
+        if typed is None:
             return result
 
-        t0 = time.monotonic()
-        query = build_query([sols])
-        result.queries.append(query)
-        model = find_min_model(query, limits)
-        typed = assign_memory_orders(model, [sols], limits)
-        timings["solve"] += time.monotonic() - t0
-
-        iteration += 1
+        result.iterations += 1
         result.notes.append(
-            "pass %d: %s" % (iteration, ", ".join("%s:%s" % (s, o) for s, o in typed.assignment))
+            "pass %d: %s" % (result.iterations, ", ".join("%s:%s" % (s, o) for s, o in typed.assignment))
         )
-        p = apply_solution(p, typed, synth_iter=iteration)
+        p = apply_solution(p, typed, synth_iter=result.iterations)
 
-    result.status = FIXED if iteration > 0 else ALREADY_CORRECT
-    result.iterations = iteration
+    result.status = FIXED if result.iterations > 0 else ALREADY_CORRECT
     result.fixed_program = p
     result.synthesized, result.strengthened = _diff(original, p)
     return result
@@ -356,25 +348,25 @@ def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | Non
     from the fixed program in one fence, and so in one of its object-
     disjoint thread groups: the complete projections of the fixed
     program's groups are computed once (``projection_sets``), and each
-    mutant enumerates only the group of its fence against them.  If that
-    computation hits a limit, every mutant is inconclusive.
+    mutant enumerates only the group of its fence against them.  If the
+    deadline stops that computation, every mutant is inconclusive.
     """
-    limits = ensure_started(limits)
+    limits = limits or Limits()
     report = SanityReport()
     if result.status != FIXED:
         return report
 
     synth = [
-        (t.tid, s.uid)
+        (t.tid, s)
         for t in p_fixed.threads
         for _, _, s in preorder(t.body)
         if isinstance(s, Fence) and s.synthesized
     ]
     groups = thread_groups(p_fixed)
     try:
-        known, cut = projection_sets(p_fixed, limits, groups), False
+        known = projection_sets(p_fixed, limits, groups)
     except ResourceLimitError:
-        known, cut = None, True
+        known = None
 
     def locate(program, uid):
         for t in program.threads:
@@ -384,32 +376,29 @@ def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | Non
         raise InternalCheckError("lost a synthesized fence while mutating")
 
     def probe(mutant, tid, fence_name, mutation):
-        verdict = "inconclusive"
-        if not cut:
-            others = None
-            if known is not None:
-                others = {k: sets for k, sets in enumerate(known) if tid not in groups[k][0]}
-            try:
-                buggy = has_buggy_trace(renumber(mutant), limits, groups, others)
-                verdict = "bug-reappears" if buggy else "still-clean"
-            except ResourceLimitError:
-                pass
+        others = None
+        if known is not None:
+            others = {k: sets for k, sets in enumerate(known) if tid not in groups[k][0]}
+        try:
+            buggy = has_buggy_trace(renumber(mutant), limits, groups, others)
+            verdict = "bug-reappears" if buggy else "still-clean"
+        except ResourceLimitError:
+            verdict = "inconclusive"
         if verdict != "bug-reappears":
             report.passed = False
         report.outcomes.append(MutantOutcome(fence_name, mutation, verdict))
 
-    for tid, uid in synth:
-        _, _, stmt = locate(p_fixed, uid)
-        name = "fence(%s) uid=%d" % (stmt.ord, uid)
+    for tid, stmt in synth:
+        name = "fence(%s) uid=%d" % (stmt.ord, stmt.uid)
 
         removal = elaborate(p_fixed)
-        block, i, _ = locate(removal, uid)
+        block, i, _ = locate(removal, stmt.uid)
         del block[i]
         probe(removal, tid, name, "removed")
 
         for weaker in _WEAKENINGS[stmt.ord]:
             weakened = elaborate(p_fixed)
-            _, _, target = locate(weakened, uid)
+            _, _, target = locate(weakened, stmt.uid)
             target.ord = weaker
             probe(weakened, tid, name, "weakened to %s" % weaker)
 

@@ -110,7 +110,7 @@ class _EventSpec:
         self.wval = wval
 
 
-def _thread_runs(block, env, cand) -> list[tuple[list[_EventSpec], dict[str, int]]]:
+def _thread_runs(block, env, cand, limits: Limits) -> list[tuple[list[_EventSpec], dict[str, int]]]:
     """All executions of a block: event lists plus final local values.
 
     Choices for earlier reads vary slowest, giving lexicographic order.
@@ -119,13 +119,14 @@ def _thread_runs(block, env, cand) -> list[tuple[list[_EventSpec], dict[str, int
     for stmt in block:
         nxt: list[tuple[list[_EventSpec], dict[str, int]]] = []
         for acc, env0 in runs:
-            for evs, env1 in _stmt_runs(stmt, env0, cand):
+            limits.check_time("trace-enumeration")
+            for evs, env1 in _stmt_runs(stmt, env0, cand, limits):
                 nxt.append((acc + evs, env1))
         runs = nxt
     return runs
 
 
-def _stmt_runs(stmt, env, cand):
+def _stmt_runs(stmt, env, cand, limits: Limits):
     if isinstance(stmt, (Load, FetchAdd)):
         out = []
         for v in cand[stmt.obj]:
@@ -144,7 +145,7 @@ def _stmt_runs(stmt, env, cand):
         return [([_EventSpec("fence", None, stmt.ord, stmt)], env)]
     if isinstance(stmt, If):
         taken = stmt.then if eval_expr(stmt.cond, lambda n: env.get(n, 0)) else stmt.orelse
-        return _thread_runs(taken, env, cand)
+        return _thread_runs(taken, env, cand, limits)
     raise LitmusError("unelaborated statement in enumeration", stmt.line)
 
 
@@ -180,6 +181,7 @@ def exists_sc_total_order(tr, limits: Limits | None = None) -> bool:
     sc_ids = sorted(e.id for e in tr.sc_events)
     if not sc_ids:
         return True
+    limits = limits or Limits()
     scset = set(sc_ids)
     mo = tr.mo
     hbc = tr.hb_closed
@@ -215,8 +217,7 @@ def exists_sc_total_order(tr, limits: Limits | None = None) -> bool:
     # One topological sort: a forced cycle admits no order at all.
     placed = 0
     while placed != full:
-        if limits is not None:
-            limits.check_time("sc-order")
+        limits.check_time("sc-order")
         ready = [i for i in range(n) if not placed >> i & 1 and not pred_mask[i] & ~placed]
         if not ready:
             return False
@@ -237,8 +238,7 @@ def exists_sc_total_order(tr, limits: Limits | None = None) -> bool:
             return True
         if placed in dead:
             return False
-        if limits is not None:
-            limits.check_time("sc-order")
+        limits.check_time("sc-order")
         for i, v in enumerate(sc_ids):
             if placed >> i & 1 or pred_mask[i] & ~placed:
                 continue
@@ -339,13 +339,13 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool, bindings=None) 
     bindings = p.assertion_bindings() if bindings is None else bindings
     asserted = sorted({where for kind, where in bindings.values() if kind == "object"})
     # Each thread run with the value of its last write to each object.
-    per_thread = [
-        [
-            (specs, env, {s.obj: s.wval for s in specs if s.act in ("write", "rmw")})
-            for specs, env in _thread_runs(t.body, {}, cand)
-        ]
-        for t in p.threads
-    ]
+    per_thread = []
+    for t in p.threads:
+        per_thread.append([])
+        for specs, env in _thread_runs(t.body, {}, cand, limits):
+            limits.check_time("trace-enumeration")
+            last = {s.obj: s.wval for s in specs if s.act in ("write", "rmw")}
+            per_thread[-1].append((specs, env, last))
 
     init_events = []
     for k, (obj, val) in enumerate(p.init.items()):
@@ -396,9 +396,10 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool, bindings=None) 
         perm_lists = []
         for obj in objects:
             ids = tuple(w.id for w in writes if w.obj == obj and not w.is_init)
-            perm_lists.append(list(_linear_extensions(ids, sb_pairs)))
+            perm_lists.append(list(_linear_extensions(ids, sb_pairs, limits)))
         mo_choices = []
         for mo_choice in itertools.product(*perm_lists):
+            limits.check_time("trace-enumeration")
             # Init events take ids 0.. in object order.
             chains = [(k,) + perm for k, perm in enumerate(mo_choice)]
             final_shared = {obj: by_id[chain[-1]].wval for obj, chain in zip(objects, chains)}
@@ -418,10 +419,10 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool, bindings=None) 
             continue
         sb = frozenset(sb_pairs)
         for rf_choice in itertools.product(*source_lists):
-            limits.check_time("trace-enumeration")
             rf = frozenset((w, r.id) for w, r in zip(rf_choice, reads))
             rf_src = {r.id: w for w, r in zip(rf_choice, reads)}
             for mo, mo_pred, final_shared, holds in mo_choices:
+                limits.check_time("trace-enumeration")
                 if any(rf_src[u] != w for u, w in mo_pred.items()):
                     continue
                 tr = Trace(
@@ -443,30 +444,27 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool, bindings=None) 
                         yield tr
 
 
-def _linear_extensions(ids: tuple[int, ...], before) -> Iterator[tuple[int, ...]]:
+def _linear_extensions(ids: tuple[int, ...], before, limits: Limits) -> Iterator[tuple[int, ...]]:
     """The orders of ``ids`` that respect ``before``, in lexicographic order
     of positions in ``ids`` (the order ``itertools.permutations`` uses)."""
-    if not ids:
-        yield ()
+    if len(ids) < 2:
+        yield ids
         return
+    limits.check_time("trace-enumeration")
     for i, x in enumerate(ids):
         if any((y, x) in before for y in ids):
             continue
-        for rest in _linear_extensions(ids[:i] + ids[i + 1 :], before):
+        for rest in _linear_extensions(ids[:i] + ids[i + 1 :], before, limits):
             yield (x,) + rest
 
 
-def iter_consistent_traces(p: Program, limits: Limits | None = None) -> Iterator[Trace]:
-    return _traces(p, limits, buggy_only=False)
-
-
 def enumerate_consistent_traces(p: Program, limits: Limits | None = None) -> list[Trace]:
-    return list(iter_consistent_traces(p, limits))
+    return list(_traces(p, limits, buggy_only=False))
 
 
 def iter_buggy_traces(p: Program, limits: Limits | None = None) -> Iterator[Trace]:
     """The consistent executions that falsify the assertion, in the order
-    ``iter_consistent_traces`` yields them.
+    ``enumerate_consistent_traces`` lists them.
 
     The assertion is decided from the choices before any consistency
     check: a thread-run combination none of whose reachable final states
@@ -474,7 +472,7 @@ def iter_buggy_traces(p: Program, limits: Limits | None = None) -> Iterator[Trac
     whose final state satisfies it are dropped before the rf product.
     With ``limits.max_traces`` set, consistency is still checked on every
     candidate, so the bound counts the same executions as in
-    ``iter_consistent_traces``.
+    ``enumerate_consistent_traces``.
     """
     return _traces(p, limits, buggy_only=True)
 

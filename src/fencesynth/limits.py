@@ -16,8 +16,9 @@ class Limits:
     see.  Buggy-trace enumeration counts the same executions: with the
     bound set, it also checks consistency on the candidates that satisfy
     the assertion, which it otherwise drops unchecked.  ``timeout_secs`` is
-    a global soft deadline (armed by ``start``) that every exponential
-    search checks inside its loops, order assignment included, and
+    a global soft deadline, running from the construction of the
+    ``Limits`` (``start`` restarts it), that every exponential search
+    checks inside its loops, order assignment included, and
     ``max_iters`` bounds the fix passes of the iterative
     (one-trace-at-a-time) driver: a buggy trace left after that many
     passes is a limit error.
@@ -28,8 +29,11 @@ class Limits:
     max_iters: int = 64
     _deadline: float | None = field(default=None, repr=False)
 
+    def __post_init__(self) -> None:
+        self.start()
+
     def start(self) -> "Limits":
-        """Arm the wall-clock deadline; returns self for chaining."""
+        """Restart the wall-clock deadline; returns self for chaining."""
         if self.timeout_secs is not None:
             self._deadline = time.monotonic() + self.timeout_secs
         else:
@@ -40,11 +44,3 @@ class Limits:
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise ResourceLimitError(phase, "timeout")
 
-
-def ensure_started(limits: Limits | None) -> Limits:
-    """Arm a fresh deadline unless the caller already did."""
-    if limits is None:
-        return Limits().start()
-    if limits._deadline is None:
-        limits.start()
-    return limits

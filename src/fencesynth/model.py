@@ -174,10 +174,6 @@ class Trace:
         return {t: tuple(sorted(v, key=lambda e: e.idx)) for t, v in out.items()}
 
     @cached_property
-    def init_events(self) -> tuple[Event, ...]:
-        return tuple(e for e in self.events if e.is_init)
-
-    @cached_property
     def writes(self) -> tuple[Event, ...]:
         return tuple(e for e in self.events if e.is_write)
 
@@ -212,11 +208,11 @@ class Trace:
 
     @property
     def sw(self) -> Relation:
-        return self._hb_info.sw
+        return self._hb_info[0]
 
     @property
     def dob(self) -> Relation:
-        return self._hb_info.dob
+        return self._hb_info[1]
 
     @cached_property
     def ithb(self) -> Relation:
@@ -230,7 +226,7 @@ class Trace:
 
     @property
     def hb_closed(self) -> Relation:
-        return self._hb_info.hb_closed
+        return self._hb_info[2]
 
     @cached_property
     def fr(self) -> Relation:

@@ -25,21 +25,11 @@ it relies on, its candidate ends included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import InternalCheckError
 from .limits import Limits
 from .model import Event, Relation
-
-
-@dataclass(frozen=True)
-class HbInfo:
-    """The synchronization and happens-before relations of one trace."""
-
-    sw: Relation
-    dob: Relation
-    hb_closed: Relation
 
 
 def release_sequence(tr, w: Event) -> list[Event]:
@@ -110,14 +100,14 @@ def derive_sync(tr) -> tuple[Relation, Relation]:
     return frozenset(sw), frozenset(dob)
 
 
-def compute_hb_info(tr) -> HbInfo:
+def compute_hb_info(tr) -> tuple[Relation, Relation, Relation]:
     """sw, dob and hb_closed = (sb ∪ sw ∪ dob)+ of a trace.
 
     Only plain executions need these: the fence analyses of an
     intermediate trace close the same steps in ``role_closure``.
     """
     sw, dob = derive_sync(tr)
-    return HbInfo(sw=sw, dob=dob, hb_closed=_from_rows(_closure(_rows(tr, tr.sb, sw, dob))))
+    return sw, dob, _from_rows(_closure(_rows(tr, tr.sb, sw, dob)))
 
 
 def compute_ithb(tr) -> Relation:

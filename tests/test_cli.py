@@ -1,5 +1,7 @@
 """The fensy command line: exit codes, report, emitters, round trips."""
 
+import time
+
 import pytest
 
 from conftest import CORPUS_DIR
@@ -118,6 +120,17 @@ def test_sc_order_timeout_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(enumerator, "exists_sc_total_order", expire_then_search)
     code, _, err = run(capsys, str(CORPUS_DIR / "sb_sc.lit"), "--timeout-secs", "60")
     assert code == 2 and "sc-order" in err
+
+
+def test_timeout_inside_the_mo_product_exits_two(tmp_path, capsys):
+    from test_enumerator import mo_stores
+
+    path = tmp_path / "mo4.lit"
+    path.write_text(mo_stores(4))
+    start = time.monotonic()
+    code, _, err = run(capsys, str(path), "--timeout-secs", "0.3")
+    assert code == 2 and "trace-enumeration" in err
+    assert time.monotonic() - start < 0.3 + 0.25
 
 
 def test_max_traces_exits_two(capsys):

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from conftest import EXPECT_STATUS, load, with_fences, O
+from fencesynth.cycles import find_weak_cycles, insert_candidate_fences
 from fencesynth.driver import (
     apply_solution,
     sanity_check,
@@ -14,13 +15,14 @@ from fencesynth.driver import (
 from fencesynth.enumerator import (
     enumerate_consistent_traces,
     find_buggy_traces,
+    has_buggy_trace,
     is_consistent,
 )
 from fencesynth.errors import InternalCheckError, ResourceLimitError
 from fencesynth.limits import Limits
 from fencesynth.litmus import Fence, elaborate, parse_program, preorder, print_program
 from fencesynth.model import FenceSlot, SourceLocation
-from fencesynth.optimize import TypedSolution, assign_memory_orders, find_min_model
+from fencesynth.optimize import Query, TypedSolution, assign_memory_orders, find_min_model
 
 
 def test_apply_solution_inserts_fence(rwrw):
@@ -347,3 +349,21 @@ def test_sanity_check_arms_an_unarmed_deadline():
     report = sanity_check(res.fixed_program, res, Limits(timeout_secs=0.0))
     assert len(report.outcomes) >= 2 and not report.passed
     assert {o.verdict for o in report.outcomes} == {"inconclusive"}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, limits: enumerate_consistent_traces(p, limits),
+        lambda p, limits: find_buggy_traces(p, limits),
+        lambda p, limits: has_buggy_trace(p, limits),
+        lambda p, limits: find_weak_cycles(insert_candidate_fences(find_buggy_traces(p)[0]), limits=limits),
+        lambda p, limits: find_min_model(Query(((0, (frozenset({FenceSlot("t1", 1)}),)),)), limits),
+    ],
+    ids=["enumerate_consistent_traces", "find_buggy_traces", "has_buggy_trace", "find_weak_cycles", "find_min_model"],
+)
+def test_a_deadline_runs_from_the_construction_of_its_limits(rwrw, call):
+    # Nobody calls start(): an entry point that makes a fresh Limits only
+    # when given none must still honour the deadline of the one it is given.
+    with pytest.raises(ResourceLimitError):
+        call(rwrw, Limits(timeout_secs=-1.0))

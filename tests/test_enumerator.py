@@ -1,5 +1,7 @@
 """The exhaustive execution enumerator and its consistency checks."""
 
+import time
+
 import pytest
 
 from conftest import O, load, make_trace, reflexive
@@ -511,3 +513,36 @@ def test_max_traces_counts_every_consistent_execution_in_buggy_enumeration(monke
     assert len(find_buggy_traces(p, Limits(max_traces=64))) == 1 and len(checked) == 64
     with pytest.raises(ResourceLimitError):
         find_buggy_traces(p, Limits(max_traces=63))
+
+
+def mo_stores(k):
+    """Three threads that each store k rlx values to x; the assertion
+    fails in the mo orders that end in the first thread's last store."""
+    lines = ["program mo%d" % k, "init x = 0"]
+    for t in range(3):
+        lines.append("thread t%d {" % (t + 1))
+        lines += ["  store(x, %d, rlx)" % (k * t + i + 1) for i in range(k)]
+        lines.append("}")
+    lines.append("assert x != %d" % k)
+    return "\n".join(lines) + "\n"
+
+
+def many_loads(n):
+    """One thread of n rlx loads of x beside a thread that stores 7 to it."""
+    lines = ["program loads%d" % n, "init x = 0", "thread t1 {"]
+    lines += ["  a%d = load(x, rlx)" % i for i in range(n)]
+    lines += ["}", "thread t2 {", "  store(x, 7, rlx)", "}", "assert a0 != 7"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text", [mo_stores(4), mo_stores(5), many_loads(17)], ids=["mo4", "mo5", "loads17"])
+def test_enumeration_meets_its_deadline_inside_the_products(text):
+    # mo4 has 34,650 mo orders of x, mo5 756,756, and the load thread 2^17
+    # runs: the deadline is checked while each is built and walked, not
+    # only once per thread-run combination after all of them exist.
+    p = elaborate(parse_program(text))
+    start = time.monotonic()
+    with pytest.raises(ResourceLimitError) as exc:
+        find_buggy_traces(p, Limits(timeout_secs=0.3))
+    assert exc.value.phase == "trace-enumeration"
+    assert time.monotonic() - start < 0.3 + 0.25

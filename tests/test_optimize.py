@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from conftest import load, O
+from conftest import corpus_text, load, O
 from test_differential import mp_pairs
 from fencesynth.cycles import CandidateSolution
-from fencesynth.driver import synthesize_optimal
-from fencesynth.enumerator import find_buggy_traces
+from fencesynth.driver import apply_solution, synthesize_optimal
+from fencesynth.enumerator import find_buggy_traces, has_buggy_trace
 from fencesynth.litmus import elaborate, parse_program
 from fencesynth.cycles import analyze_trace
 from fencesynth.model import FenceSlot
@@ -266,3 +266,23 @@ def test_end_to_end_weight_and_orders_lb3():
     got = {str(f.slot): f.order for f in res.synthesized}
     assert got == {"t1@1": O.REL, "t2@1": O.AR, "t3@1": O.ACQ}
     assert res.weight == 4
+
+
+def lb3x():
+    """lb3 with t2's store at sc and t3's at rel.  Its one buggy trace has
+    the query (t1@1 ∧ t2@1) ∨ (t1@1 ∧ t3@1)."""
+    text = corpus_text("lb3").replace("store(y, 1, rlx)", "store(y, 1, sc)")
+    return elaborate(parse_program(text.replace("store(z, 1, rlx)", "store(z, 1, rel)")))
+
+
+def test_lb3x_is_fixed_by_two_acquire_fences():
+    fix = TypedSolution(assignment=((FenceSlot("t1", 1), O.ACQ), (FenceSlot("t3", 1), O.ACQ)))
+    assert fix.weight == 2
+    assert not has_buggy_trace(apply_solution(lb3x(), fix))
+
+
+@pytest.mark.xfail(strict=True, reason="the weight fold sees only the lexicographically least minimum model")
+def test_lb3x_gets_the_least_weight_over_every_minimum_fence_set():
+    # Opt returns t1@1: ar, t2@1: acq (weight 3): the least slot set is
+    # {t1@1, t2@1}, and {t1@1, t3@1}, of the same size, is never weighed.
+    assert synthesize_optimal(lb3x()).weight == 2

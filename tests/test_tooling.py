@@ -156,3 +156,10 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
         first = outputs(path, 0)
         assert first[0] in (0, 1) and first[1] and first[2][2], path
         assert outputs(path, 1) == first, path
+
+
+def test_package_stays_under_the_north_star():
+    # The roadmap caps the package at 3,428 lines: a change that adds code
+    # first deletes some.
+    lines = sum(len(path.read_text().splitlines()) for path in PACKAGE.glob("*.py"))
+    assert lines <= 3428
