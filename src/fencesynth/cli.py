@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .driver import ALREADY_CORRECT, FIXED, NO_FIX, sanity_check, synthesize
+from .driver import ALREADY_CORRECT, FIXED, NO_FIX, sanity_check, synthesize, synthesize_optimal
 from .errors import LitmusError, ResourceLimitError
 from .limits import Limits
 from .litmus import elaborate, parse_program, print_program, DEFAULT_UNROLL
@@ -87,7 +87,11 @@ def main(argv=None) -> int:
     ).start()
 
     try:
-        result = synthesize(program, mode=args.mode, limits=limits)
+        if args.mode == "opt" and (args.emit_traces or args.emit_cycles or args.emit_query):
+            # The emitters print whole-program traces, solutions and query.
+            result = synthesize_optimal(program, limits, whole=True)
+        else:
+            result = synthesize(program, mode=args.mode, limits=limits)
     except ResourceLimitError as exc:
         print("fensy: %s" % exc, file=sys.stderr)
         return 2

@@ -4,30 +4,31 @@ Both drivers feed buggy traces to one solve step: the optimal driver feeds
 every buggy trace and applies the typed solution once; the fast driver
 feeds the first buggy trace, applies that fix, re-enumerates and repeats.
 Fast is near-optimal and may synthesize extra fences on adversarial query
-structure.  Both verify the fix exactly: ``opt`` decides with
-``has_buggy_trace`` that no consistent execution of the fixed program
-falsifies the assertion, and ``fast`` stops when its next enumeration
-finds no buggy trace.  A sanity checker confirms each synthesized fence is
-load-bearing by weakening or removing it and deciding the same question
-for each mutant; the mutants share the fixed program's object-disjoint
-thread groups, so each re-enumerates only the group of its fence.  A
-fence already in the program changes only when a synthesized fence is
-merged into it; the report lists that as a strengthening.
+structure.  A program of several assertion-independent parts
+(``enumerator.parts``) is solved part by part by the optimal driver.  Both
+verify the fix exactly: ``opt`` decides with ``has_buggy_trace`` that no
+consistent execution of the fixed program falsifies the assertion, and
+``fast`` stops when its next pass finds no buggy trace.  A sanity checker
+confirms each synthesized fence is load-bearing by weakening or removing
+it and deciding the same question for each mutant, on the sub-program of
+the fence's part only.  A fence already in the program changes only when a
+synthesized fence is merged into it; the report lists that as a
+strengthening.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cycles import CandidateSolution, analyze_trace
 from .errors import InternalCheckError, LitmusError, ResourceLimitError
 from .enumerator import (
+    enumerate_consistent_traces,
     find_buggy_traces,
     has_buggy_trace,
     iter_buggy_traces,
-    projection_sets,
-    thread_groups,
+    parts,
 )
 from .limits import Limits
 from .litmus import Fence, If, Program, elaborate, preorder, renumber
@@ -61,18 +62,16 @@ class SynthesisResult:
     synthesized: list[SynthesizedFence] = field(default_factory=list)
     strengthened: list[StrengthenedFence] = field(default_factory=list)
     iterations: int = 0
+    traces_analyzed: int = 0  # buggy executions of the whole program
     timings: dict[str, float] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
     no_fix_trace: int | None = None
     fixed_program: Program | None = None
-    # Artifacts for emitters and tests.
+    # Artifacts for emitters and tests: the traces ``_solve`` analysed, of
+    # each part's sub-program where opt solved by parts.
     buggy_traces: list[Trace] = field(default_factory=list)
     solutions_by_trace: list[list[CandidateSolution]] = field(default_factory=list)
     queries: list[Query] = field(default_factory=list)
-
-    @property
-    def traces_analyzed(self) -> int:
-        return len(self.buggy_traces)
 
     @property
     def weight(self) -> int:
@@ -206,6 +205,7 @@ def _solve(traces: list[Trace], result: SynthesisResult, limits: Limits, memo: d
     timings = result.timings
     start = len(result.buggy_traces)
     result.buggy_traces += traces
+    result.traces_analyzed += len(traces)
     t0 = time.monotonic()
     for tid, tr in enumerate(traces, start):
         sols = analyze_trace(tr, tid, limits, memo=memo)
@@ -228,26 +228,67 @@ def _solve(traces: list[Trace], result: SynthesisResult, limits: Limits, memo: d
     return typed
 
 
-def synthesize_optimal(p: Program, limits: Limits | None = None) -> SynthesisResult:
-    """Collect all buggy traces, solve one global query, fix, re-verify."""
+def synthesize_optimal(p: Program, limits: Limits | None = None, whole: bool = False) -> SynthesisResult:
+    """Collect all buggy traces, solve their query, fix, re-verify.
+
+    A program of several assertion-independent parts (``parts``) is solved
+    part by part unless ``whole`` is set: each part's consistent executions
+    are enumerated once, each part's buggy ones are solved on their own and
+    the typed solutions' union is applied, verified and reported once.  Its
+    ``traces analyzed`` is the whole program's buggy executions, Π Tᵢ − Π Sᵢ
+    over the parts' consistent executions Tᵢ and those Sᵢ that satisfy the
+    part's conjunction.  A part without a fix is reported from the whole
+    path, so the no-fix trace id is in whole-program order.  The
+    ``--emit-*`` artifacts are those of the whole path.
+
+    Soundness.  No relation crosses parts (``has_buggy_trace``), so a fence
+    in one part changes no execution of another, and a falsifying whole
+    execution fails some part's conjunction: a fence set fixes the program
+    iff its share in each part fixes that part.  Each part keeps an
+    execution that no fence set removes (an sc interleaving), so the whole
+    query's minimum models are the unions of the parts', and their
+    cardinality and weight add up over parts.  For two slot sets of equal
+    size, the smallest element of their symmetric difference decides their
+    lexicographic order, and for equal weights the first slot whose order
+    differs decides the order key; each lies in one part, so the union of
+    the per-part least answers is the least answer.
+    """
     limits = limits or Limits()
     if not p.elaborated:
         p = elaborate(p)
+    subs = parts(p, limits)
+    by_parts = subs is not None and not whole
 
     t0 = time.monotonic()
-    buggy = find_buggy_traces(p, limits)
+    if by_parts:
+        buggy, total, holding = [], 1, 1
+        for sub in subs:
+            traces = enumerate_consistent_traces(sub, limits)
+            buggy.append([tr for tr in traces if not tr.assertion_holds])
+            total *= len(traces)
+            holding *= len(traces) - len(buggy[-1])
+        analyzed = total - holding
+    else:
+        buggy = [find_buggy_traces(p, limits)]
+        analyzed = len(buggy[0])
     result = SynthesisResult(status=FIXED, timings={"enumerate": time.monotonic() - t0})
-    if not buggy:
+    if not analyzed:
         result.status = ALREADY_CORRECT
         result.fixed_program = p
         return result
-    typed = _solve(buggy, result, limits, {})
-    if typed is None:
-        return result
+    memo: dict = {}
+    assignment: list = []
+    for traces in filter(None, buggy):
+        typed = _solve(traces, result, limits, memo)
+        if typed is None:
+            return synthesize_optimal(p, limits, whole=True) if by_parts else result
+        assignment += typed.assignment
+    result.traces_analyzed = analyzed
 
     t0 = time.monotonic()
-    fixed = apply_solution(p, typed, synth_iter=0)
-    if has_buggy_trace(fixed, limits):
+    fixed = apply_solution(p, TypedSolution(tuple(sorted(assignment))), synth_iter=0)
+    # Fences change no part: a program of one part is verified whole.
+    if has_buggy_trace(fixed, limits, whole=subs is None):
         raise InternalCheckError(
             "solution verification failed: %d buggy traces remain"
             % len(find_buggy_traces(fixed, limits))
@@ -275,9 +316,13 @@ def synthesize_fast(p: Program, limits: Limits | None = None) -> SynthesisResult
     # A component no pass has touched keeps its source positions, and so
     # its memo key, from one pass to the next.
     memo: dict = {}
+    # Fences change no part: on a program of several, a pass after the
+    # first decides existence by parts before it enumerates whole.
+    several = parts(p, limits) is not None
     while True:
         t0 = time.monotonic()
-        first = next(iter_buggy_traces(p, limits), None)
+        clean = result.iterations and several and not has_buggy_trace(p, limits)
+        first = None if clean else next(iter_buggy_traces(p, limits), None)
         timings["enumerate"] += time.monotonic() - t0
         if first is None:
             break
@@ -344,12 +389,12 @@ def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | Non
     """Remove or one-step-weaken each synthesized fence and re-check.
 
     Passes iff every mutant program has at least one buggy trace; a mutant
-    hitting a resource limit is reported inconclusive.  A mutant differs
-    from the fixed program in one fence, and so in one of its object-
-    disjoint thread groups: the complete projections of the fixed
-    program's groups are computed once (``projection_sets``), and each
-    mutant enumerates only the group of its fence against them.  If the
-    deadline stops that computation, every mutant is inconclusive.
+    hitting a resource limit is reported inconclusive.  The fixed program
+    has no buggy trace, and a mutant differs from it in one fence, which
+    lies in one assertion-independent part and changes no part
+    (``parts``).  So a mutant has a buggy trace iff the sub-program of its
+    fence's part has one, and only that sub-program is decided, as one
+    part: the fixed program's parts are computed once.
     """
     limits = limits or Limits()
     report = SanityReport()
@@ -362,11 +407,6 @@ def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | Non
         for _, _, s in preorder(t.body)
         if isinstance(s, Fence) and s.synthesized
     ]
-    groups = thread_groups(p_fixed)
-    try:
-        known = projection_sets(p_fixed, limits, groups)
-    except ResourceLimitError:
-        known = None
 
     def locate(program, uid):
         for t in program.threads:
@@ -375,12 +415,16 @@ def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | Non
                     return block, i, s
         raise InternalCheckError("lost a synthesized fence while mutating")
 
+    fixed_parts = parts(p_fixed, limits) or ()
+
     def probe(mutant, tid, fence_name, mutation):
-        others = None
-        if known is not None:
-            others = {k: sets for k, sets in enumerate(known) if tid not in groups[k][0]}
+        mutant = renumber(mutant)
+        for sub in fixed_parts:
+            tids = {t.tid for t in sub.threads}
+            if tid in tids:
+                mutant = replace(sub, threads=[t for t in mutant.threads if t.tid in tids], next_uid=mutant.next_uid)
         try:
-            buggy = has_buggy_trace(renumber(mutant), limits, groups, others)
+            buggy = has_buggy_trace(mutant, limits, whole=True)
             verdict = "bug-reappears" if buggy else "still-clean"
         except ResourceLimitError:
             verdict = "inconclusive"

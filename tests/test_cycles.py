@@ -645,7 +645,9 @@ def test_opt_closes_each_distinct_component_once(monkeypatch):
         return role_closure(it, limits)
 
     monkeypatch.setattr(fencesynth.relations, "role_closure", counting)
-    result = synthesize_optimal(elaborate(parse_program(mp_pairs(4)), 16))
+    # The whole path, whose traces --emit-traces prints: opt by parts
+    # analyses each pair's executions apart and builds no whole trace.
+    result = synthesize_optimal(elaborate(parse_program(mp_pairs(4)), 16), whole=True)
     assert result.status == "fixed" and len(result.synthesized) == 8
     assert len(result.buggy_traces) == 175
     # Four executions of each of the four pairs, each closed once.

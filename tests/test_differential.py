@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import CORPUS, O, load, with_fences
+from conftest import CORPUS, O, corpus_text, load, with_fences
 from oracle import accepting_sc_orders, oracle_traces, trace_signature
 from test_litmus import random_litmus_program
 from fencesynth.cycles import candidate_slots
@@ -22,7 +22,7 @@ from fencesynth.enumerator import (
     find_buggy_traces,
     has_buggy_trace,
     iter_buggy_traces,
-    thread_groups,
+    parts,
 )
 from fencesynth.errors import ResourceLimitError
 from fencesynth.limits import Limits
@@ -171,9 +171,9 @@ def sanity_mutants(monkeypatch, result):
     probed = []
     decide = driver.has_buggy_trace
 
-    def recording(p, *args):
+    def recording(p, *args, **kw):
         probed.append(p)
-        return decide(p, *args)
+        return decide(p, *args, **kw)
 
     with monkeypatch.context() as m:
         m.setattr(driver, "has_buggy_trace", recording)
@@ -221,7 +221,7 @@ def test_enumerators_match_oracle_on_random_programs(seeds):
 
 
 # ---------------------------------------------------------------------------
-# The existence decision over object-disjoint thread groups
+# The existence decision over assertion-independent parts
 
 
 def oracle_falsifies(p):
@@ -247,13 +247,13 @@ def test_existence_matches_oracle_on_fixes_and_mutants(name, monkeypatch):
     result = driver.synthesize(p, mode="opt")
     assert result.status == driver.FIXED
     mutants = sanity_mutants(monkeypatch, result)
-    assert len(mutants) >= 2 * len(thread_groups(p))
+    assert len(mutants) >= 2 * len(parts(p) or [p])
     for q in [p, result.fixed_program] + mutants:
         assert_decided_as_the_oracle(q)
 
 
 def test_existence_matches_oracle_on_two_bugs():
-    assert len(thread_groups(load("two_bugs"))) == 2
+    assert len(parts(load("two_bugs"))) == 2
     assert_decided_as_the_oracle(load("two_bugs"))
 
 
@@ -293,14 +293,15 @@ def small_join_seeds(count):
 @pytest.mark.parametrize("kind", ["or", "and", "coupled", "objects", "one"])
 def test_existence_matches_oracle_on_joined_random_programs(kind):
     seeds = small_join_seeds(50)
-    buggy = 0
+    buggy = split = 0
     for seed in seeds:
         p = elaborate(parse_program(joined(seed, kind)), 16)
-        assert len(thread_groups(p)) >= 2
         assert_decided_as_the_oracle(p)
         buggy += has_buggy_trace(p)
-    # Neither answer is vacuous over the seeds.
-    assert 0 < buggy < len(seeds)
+        split += parts(p) is not None
+    # Neither answer is vacuous over the seeds, and each kind has joins
+    # that are decided by parts.
+    assert 0 < buggy < len(seeds) and split > 0
 
 
 def test_existence_prunes_a_group_whose_values_decide_the_assertion(monkeypatch):
@@ -317,7 +318,7 @@ def test_existence_prunes_a_group_whose_values_decide_the_assertion(monkeypatch)
     text = program("ring_beside", threads + [("side", ["store(w, 1, rlx)"])],
                    "!(%s)" % " && ".join("r%d == 0" % i for i in range(n)))
     p = elaborate(parse_program(text), 16)
-    assert len(thread_groups(p)) == 2
+    assert len(parts(p)) == 2
     checked = []
     coherence = enumerator.coherence_violations
 
@@ -387,3 +388,118 @@ def test_sanity_and_verify_check_few_executions_on_many_pairs(monkeypatch):
     assert [o.verdict for o in report.outcomes] == ["bug-reappears"] * 12
     assert checked["sanity"] <= 100
     assert checked["verify"] < 3367
+
+
+# ---------------------------------------------------------------------------
+# Opt and sanity by parts against the whole path
+
+# A trace bound counts whole executions, so with one every decision takes
+# the whole path: opt's enumeration, its verify and each sanity mutant.
+WHOLE = 10**9
+
+
+def corpus_join(a, b, combine="(%s) && (%s)"):
+    """Corpus programs ``a`` and ``b`` side by side under ``combine`` of their
+    assertions; ``b``'s threads, objects and locals take a ``_b`` suffix."""
+
+    def pieces(name, suffix):
+        text = corpus_text(name)
+        lines = [line for line in text.splitlines() if line.strip() and not line.lstrip().startswith("#")]
+        if suffix:
+            p = parse_program(text)
+            names = set(p.init) | {t.tid for t in p.threads}
+            names |= {n for t in p.threads for n in p.locals_of(t.tid)}
+            pattern = re.compile(r"\b(%s)\b" % "|".join(sorted(names)))
+            lines = [pattern.sub(r"\1" + suffix, line) for line in lines]
+        return lines[1][len("init "):], lines[2:-1], lines[-1][len("assert "):]
+
+    (init_a, threads_a, assert_a), (init_b, threads_b, assert_b) = pieces(a, ""), pieces(b, "_b")
+    lines = ["program %s_%s" % (a, b), "init %s, %s" % (init_a, init_b)]
+    return "\n".join(lines + threads_a + threads_b + ["assert " + combine % (assert_a, assert_b)]) + "\n"
+
+
+def opt_outputs(p, limits=None):
+    """The opt result, its report without the timings line, and the sanity
+    report."""
+    from fencesynth import driver
+
+    result = driver.synthesize_optimal(p, limits)
+    report = "".join(line for line in result.render().splitlines(True) if not line.startswith("timings:"))
+    return result, report, driver.sanity_check(result.fixed_program, result, limits).render()
+
+
+def assert_parts_path_is_the_whole_path(p):
+    result, report, sanity = opt_outputs(p)
+    _, whole_report, whole_sanity = opt_outputs(p, Limits(max_traces=WHOLE))
+    assert (report, sanity) == (whole_report, whole_sanity), p.name
+    return result
+
+
+MANY_BUGS = {
+    **{"mp_pairs_%d" % m: (mp_pairs, m) for m in range(1, 6)},
+    **{"sb_padded_%d" % m: (sb_padded, m) for m in range(1, 4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANY_BUGS))
+def test_opt_by_parts_reports_as_the_whole_path_on_many_bugs(name):
+    make, m = MANY_BUGS[name]
+    p = elaborate(parse_program(make(m)), 16)
+    assert len(parts(p) or [p]) == m
+    result = assert_parts_path_is_the_whole_path(p)
+    assert result.status == "fixed" and len(result.synthesized) == 2 * m
+
+
+# Fifty joins of two corpus programs, on a fixed seed.  Joins with one of
+# the three programs of the most buggy traces are left out: beside another
+# program of several, whole-program opt and sanity took over 3 s each.
+CORPUS_JOINS = random.Random(17).sample(
+    [
+        pair
+        for pair in itertools.combinations(CORPUS, 2)
+        if not {"dekker_core", "fen_strengthen", "relseq_rmw"} & set(pair)
+    ],
+    50,
+)
+
+
+def test_opt_by_parts_reports_as_the_whole_path_on_corpus_joins():
+    statuses = collections.Counter()
+    for a, b in CORPUS_JOINS:
+        p = elaborate(parse_program(corpus_join(a, b)), 16)
+        statuses[assert_parts_path_is_the_whole_path(p).status] += 1
+    # Every verdict occurs.
+    assert set(statuses) == {"fixed", "no-fix", "already-correct"}
+
+
+def test_coupled_corpus_joins_take_the_one_part_path():
+    for a, b in CORPUS_JOINS[:10]:
+        p = elaborate(parse_program(corpus_join(a, b, "(%s) || (%s)")), 16)
+        assert parts(p) is None, p.name
+        assert_parts_path_is_the_whole_path(p)
+
+
+def test_a_part_without_a_fix_names_the_whole_program_trace():
+    from fencesynth import driver
+
+    p = elaborate(parse_program(corpus_join("r_nofix", "sb_rlx")), 16)
+    assert len(parts(p)) == 2
+    result = assert_parts_path_is_the_whole_path(p)
+    assert result.status == "no-fix"
+    assert result.no_fix_trace == driver.synthesize_optimal(p, whole=True).no_fix_trace
+    assert result.solutions_by_trace[result.no_fix_trace] == []
+
+
+@pytest.mark.parametrize("make, weight", [(mp_pairs, 2), (sb_padded, 6)])
+def test_opt_and_sanity_by_parts_reach_thirty_bugs(make, weight):
+    # The whole path timed out at mp pairs m=7 and padded sb m=4 in a 10 s
+    # opt and sanity budget.
+    from fencesynth import driver
+
+    m = 30
+    limits = Limits(timeout_secs=5)
+    result = driver.synthesize_optimal(elaborate(parse_program(make(m)), 16), limits)
+    assert result.status == "fixed"
+    assert (len(result.synthesized), result.weight) == (2 * m, weight * m)
+    report = driver.sanity_check(result.fixed_program, result, limits)
+    assert report.passed and len(report.outcomes) >= 2 * m

@@ -99,7 +99,7 @@ def test_apply_solution_and_sanity_check_leave_their_input_unchanged(name):
         typed = TypedSolution(assignment=((FenceSlot("t1", 1), O.ACQ),))
     else:
         p = load(name)
-        res = synthesize_optimal(p)
+        res = synthesize_optimal(p, whole=True)  # one query over every buggy trace
         model = find_min_model(res.queries[0])
         typed = assign_memory_orders(model, res.solutions_by_trace)
         assert bool(res.strengthened) == (name == "fen_strengthen")
