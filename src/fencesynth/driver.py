@@ -205,7 +205,6 @@ def _solve(traces: list[Trace], result: SynthesisResult, limits: Limits, memo: d
     timings = result.timings
     start = len(result.buggy_traces)
     result.buggy_traces += traces
-    result.traces_analyzed += len(traces)
     t0 = time.monotonic()
     for tid, tr in enumerate(traces, start):
         sols = analyze_trace(tr, tid, limits, memo=memo)
@@ -232,14 +231,19 @@ def synthesize_optimal(p: Program, limits: Limits | None = None, whole: bool = F
     """Collect all buggy traces, solve their query, fix, re-verify.
 
     A program of several assertion-independent parts (``parts``) is solved
-    part by part unless ``whole`` is set: each part's consistent executions
-    are enumerated once, each part's buggy ones are solved on their own and
-    the typed solutions' union is applied, verified and reported once.  Its
-    ``traces analyzed`` is the whole program's buggy executions, Π Tᵢ − Π Sᵢ
-    over the parts' consistent executions Tᵢ and those Sᵢ that satisfy the
-    part's conjunction.  A part without a fix is reported from the whole
-    path, so the no-fix trace id is in whole-program order.  The
-    ``--emit-*`` artifacts are those of the whole path.
+    part by part unless ``whole`` is set.  Each part is first asked for a
+    first buggy trace, pruned as in ``has_buggy_trace``, so a program
+    without a bug builds no execution that holds.  Otherwise each part's
+    buggy executions are solved on their own and the typed solutions'
+    union is applied, verified and reported once.  Its ``traces analyzed``
+    is the whole program's buggy executions, Π Tᵢ − Π Sᵢ over the parts'
+    consistent executions Tᵢ and those Sᵢ that satisfy the part's
+    conjunction.  A lone buggy part counts as Tᵢ = Bᵢ, its buggy
+    executions, and Sᵢ = 0, which gives the same count, so its enumeration
+    stays pruned; the other parts are enumerated whole.  A part without a
+    fix is reported from the whole path, so the no-fix trace id is in
+    whole-program order.  The ``--emit-*`` artifacts are those of the
+    whole path.
 
     Soundness.  No relation crosses parts (``has_buggy_trace``), so a fence
     in one part changes no execution of another, and a falsifying whole
@@ -261,9 +265,13 @@ def synthesize_optimal(p: Program, limits: Limits | None = None, whole: bool = F
 
     t0 = time.monotonic()
     if by_parts:
+        feeds = [iter_buggy_traces(sub, limits) for sub in subs]
+        firsts = [next(feed, None) for feed in feeds]
+        n_buggy = len(subs) - firsts.count(None)
         buggy, total, holding = [], 1, 1
-        for sub in subs:
-            traces = enumerate_consistent_traces(sub, limits)
+        for sub, feed, first in zip(subs, feeds, firsts) if n_buggy else ():
+            lone = first is not None and n_buggy == 1
+            traces = [first, *feed] if lone else enumerate_consistent_traces(sub, limits)
             buggy.append([tr for tr in traces if not tr.assertion_holds])
             total *= len(traces)
             holding *= len(traces) - len(buggy[-1])
@@ -271,7 +279,9 @@ def synthesize_optimal(p: Program, limits: Limits | None = None, whole: bool = F
     else:
         buggy = [find_buggy_traces(p, limits)]
         analyzed = len(buggy[0])
-    result = SynthesisResult(status=FIXED, timings={"enumerate": time.monotonic() - t0})
+    result = SynthesisResult(
+        status=FIXED, traces_analyzed=analyzed, timings={"enumerate": time.monotonic() - t0}
+    )
     if not analyzed:
         result.status = ALREADY_CORRECT
         result.fixed_program = p
@@ -283,12 +293,10 @@ def synthesize_optimal(p: Program, limits: Limits | None = None, whole: bool = F
         if typed is None:
             return synthesize_optimal(p, limits, whole=True) if by_parts else result
         assignment += typed.assignment
-    result.traces_analyzed = analyzed
 
     t0 = time.monotonic()
     fixed = apply_solution(p, TypedSolution(tuple(sorted(assignment))), synth_iter=0)
-    # Fences change no part: a program of one part is verified whole.
-    if has_buggy_trace(fixed, limits, whole=subs is None):
+    if has_buggy_trace(fixed, limits):
         raise InternalCheckError(
             "solution verification failed: %d buggy traces remain"
             % len(find_buggy_traces(fixed, limits))
@@ -328,6 +336,7 @@ def synthesize_fast(p: Program, limits: Limits | None = None) -> SynthesisResult
             break
         if result.iterations >= limits.max_iters:
             raise ResourceLimitError("iterative-synthesis", "max iterations reached")
+        result.traces_analyzed += 1
         typed = _solve([first], result, limits, memo)
         if typed is None:
             return result
@@ -393,8 +402,8 @@ def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | Non
     has no buggy trace, and a mutant differs from it in one fence, which
     lies in one assertion-independent part and changes no part
     (``parts``).  So a mutant has a buggy trace iff the sub-program of its
-    fence's part has one, and only that sub-program is decided, as one
-    part: the fixed program's parts are computed once.
+    fence's part has one, and only that sub-program is decided, with no
+    further split: the fixed program's parts are computed once.
     """
     limits = limits or Limits()
     report = SanityReport()
@@ -424,7 +433,8 @@ def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | Non
             if tid in tids:
                 mutant = replace(sub, threads=[t for t in mutant.threads if t.tid in tids], next_uid=mutant.next_uid)
         try:
-            buggy = has_buggy_trace(mutant, limits, whole=True)
+            # One part by construction, so no split is asked for.
+            buggy = next(iter_buggy_traces(mutant, limits), None) is not None
             verdict = "bug-reappears" if buggy else "still-clean"
         except ResourceLimitError:
             verdict = "inconclusive"

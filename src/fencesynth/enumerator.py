@@ -533,11 +533,10 @@ def parts(p: Program, limits: Limits | None = None) -> list[Program] | None:
     return subs
 
 
-def has_buggy_trace(p: Program, limits: Limits | None = None, whole: bool = False) -> bool:
+def has_buggy_trace(p: Program, limits: Limits | None = None) -> bool:
     """Whether some consistent execution falsifies the assertion: whether
     some part's sub-program (``parts``; the whole program where there is
-    none, or with ``whole``, which a caller that knows ``p`` is one part
-    sets) has a first buggy trace.
+    none) has a first buggy trace.
 
     Soundness.  sb, rf and mo never cross parts, so neither do sw and hb.
     Every coherence shape lies within one object, and every sc clause
@@ -551,5 +550,4 @@ def has_buggy_trace(p: Program, limits: Limits | None = None, whole: bool = Fals
     falsifies that part's conjunction.
     """
     limits = limits or Limits()
-    subs = None if whole else parts(p, limits)
-    return any(next(iter_buggy_traces(sub, limits), None) is not None for sub in subs or [p])
+    return any(next(iter_buggy_traces(sub, limits), None) is not None for sub in parts(p, limits) or [p])

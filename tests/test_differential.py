@@ -165,18 +165,19 @@ def test_enumerator_matches_oracle_on_generated_programs(name):
 
 
 def sanity_mutants(monkeypatch, result):
-    """The mutant programs ``sanity_check`` decides for an opt result."""
+    """The mutant programs ``sanity_check`` decides for an opt result: each
+    the sub-program of its fence's part."""
     from fencesynth import driver
 
     probed = []
-    decide = driver.has_buggy_trace
+    decide = driver.iter_buggy_traces
 
-    def recording(p, *args, **kw):
+    def recording(p, *args):
         probed.append(p)
-        return decide(p, *args, **kw)
+        return decide(p, *args)
 
     with monkeypatch.context() as m:
-        m.setattr(driver, "has_buggy_trace", recording)
+        m.setattr(driver, "iter_buggy_traces", recording)
         driver.sanity_check(result.fixed_program, result)
     return probed
 
@@ -304,21 +305,21 @@ def test_existence_matches_oracle_on_joined_random_programs(kind):
     assert 0 < buggy < len(seeds) and split > 0
 
 
-def test_existence_prunes_a_group_whose_values_decide_the_assertion(monkeypatch):
-    # An sc ring of 8 beside a thread on its own object: the ring's values
-    # alone decide the assertion, so its group is pruned as buggy-trace
-    # enumeration prunes it (one candidate checked), not enumerated whole.
-    from fencesynth import enumerator
-
-    n = 8
+def ring_beside(n=8):
+    """An sc ring of ``n`` beside a thread on its own object: the ring's
+    values alone decide the assertion, and it holds."""
     threads = [
         ("t%d" % i, ["store(x%d, 1, sc)" % i, "r%d = load(x%d, sc)" % (i, (i + 1) % n)])
         for i in range(n)
     ]
-    text = program("ring_beside", threads + [("side", ["store(w, 1, rlx)"])],
+    return program("ring_beside", threads + [("side", ["store(w, 1, rlx)"])],
                    "!(%s)" % " && ".join("r%d == 0" % i for i in range(n)))
-    p = elaborate(parse_program(text), 16)
-    assert len(parts(p)) == 2
+
+
+def checked_candidates(monkeypatch, run):
+    """``run()`` and the number of candidate executions it checked."""
+    from fencesynth import enumerator
+
     checked = []
     coherence = enumerator.coherence_violations
 
@@ -326,9 +327,17 @@ def test_existence_prunes_a_group_whose_values_decide_the_assertion(monkeypatch)
         checked.append(tr)
         return coherence(tr)
 
-    monkeypatch.setattr(enumerator, "coherence_violations", counting)
-    assert not has_buggy_trace(p)
-    assert len(checked) == 1
+    with monkeypatch.context() as m:
+        m.setattr(enumerator, "coherence_violations", counting)
+        return run(), len(checked)
+
+
+def test_existence_prunes_a_group_whose_values_decide_the_assertion(monkeypatch):
+    # The ring's group is pruned as buggy-trace enumeration prunes it (one
+    # candidate checked), not enumerated whole.
+    p = elaborate(parse_program(ring_beside()), 16)
+    assert len(parts(p)) == 2
+    assert checked_candidates(monkeypatch, lambda: has_buggy_trace(p)) == (False, 1)
 
 
 def test_existence_with_a_trace_bound_counts_whole_executions():
@@ -488,6 +497,44 @@ def test_a_part_without_a_fix_names_the_whole_program_trace():
     assert result.status == "no-fix"
     assert result.no_fix_trace == driver.synthesize_optimal(p, whole=True).no_fix_trace
     assert result.solutions_by_trace[result.no_fix_trace] == []
+
+
+def beside_lone(text):
+    """``text`` with one more thread, on an object of its own: a part with
+    an empty conjunction."""
+    text = re.sub(r"^init (.*)$", r"init \1, lone_obj = 0", text, count=1, flags=re.M)
+    return re.sub(r"^assert ", "thread lone {\n  store(lone_obj, 1, rlx)\n}\nassert ", text, flags=re.M)
+
+
+def test_opt_by_parts_checks_no_more_candidates_than_the_whole_path(monkeypatch):
+    # Each part is asked for a first buggy trace before any is enumerated
+    # whole, so the bug-free ring beside a thread checks one candidate, as
+    # the whole path does.  A lone buggy part stays pruned; the lone
+    # thread's one execution, which the count needs, is the one candidate
+    # more.  A program without a fix re-runs the whole path and is left out.
+    from fencesynth import driver
+
+    p = elaborate(parse_program(ring_beside()), 16)
+    for whole in (False, True):
+        result, checked = checked_candidates(monkeypatch, lambda: driver.synthesize_optimal(p, whole=whole))
+        assert (result.status, checked) == ("already-correct", 1)
+
+    # Each one-part corpus program beside a lone thread; assert_true's
+    # conjunct names nothing, so it is taken whole.
+    texts = [beside_lone(corpus_text(name)) for name in CORPUS if parts(load(name)) is None]
+    texts.remove(beside_lone(corpus_text("assert_true")))
+    texts += [beside_lone(mp_program("mp_poll_%d" % k, polls=k)) for k in (2, 4)]
+    compared = collections.Counter()
+    for text in texts:
+        p = elaborate(parse_program(text), 16)
+        assert len(parts(p)) == 2, p.name
+        by_parts, checked = checked_candidates(monkeypatch, lambda: driver.synthesize_optimal(p))
+        whole, whole_checked = checked_candidates(monkeypatch, lambda: driver.synthesize_optimal(p, whole=True))
+        assert by_parts.render().split("timings:")[0] == whole.render().split("timings:")[0], p.name
+        if whole.status != "no-fix":
+            assert checked <= whole_checked + (whole.status == "fixed"), p.name
+            compared[whole.status] += 1
+    assert compared["fixed"] > 20 and compared["already-correct"] > 2
 
 
 @pytest.mark.parametrize("make, weight", [(mp_pairs, 2), (sb_padded, 6)])
