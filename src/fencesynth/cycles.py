@@ -17,10 +17,6 @@ roles its own order supports, so a solution that relies on it asks
 nothing of it and does not name it.
 
 A solution names source coordinates only: fence slots, never event ids.
-No hb path, coherence composition or sc-order cycle leaves a connected
-component of threads and objects (a thread joins each object it
-accesses; Shasha and Snir, TOPLAS 1988), so ``analyze_trace`` analyses
-each component of a trace on its own, each distinct one once per memo.
 Every list of solutions comes in one canonical order: by condition (the
 six weak ones in the order above, then ``to-sc``), then fences, then
 orders.
@@ -33,12 +29,12 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalCheckError, ResourceLimitError
 from .limits import Limits
-from .model import Event, FenceSlot, Trace, components
+from .model import Event, FenceSlot, Trace
 from .orders import MemoryOrder
 from .relations import _IN, _OUT, COHERENCE, _minimal, close_masks, coherence_shapes, fence_order
 
@@ -53,10 +49,6 @@ class CandidateSolution:
     trace_id: int
     fences: frozenset[FenceSlot]
     orders: tuple[tuple[FenceSlot, MemoryOrder], ...]
-
-    @property
-    def orders_map(self) -> dict[FenceSlot, MemoryOrder]:
-        return dict(self.orders)
 
     @property
     def weight(self) -> int:
@@ -353,84 +345,13 @@ def _canonical(sol: CandidateSolution):
     return _CONDITIONS.index(sol.condition), sorted(sol.fences), [o.rank for _, o in sol.orders]
 
 
-def _analyze(tr: Trace, trace_id: int, limits: Limits | None) -> list[CandidateSolution]:
-    it = insert_candidate_fences(tr)
-    weak = find_weak_cycles(it, trace_id, limits)
-    strong = find_strong_cycles(it, trace_id, limits)
-    return weak + [s for s in strong if not any(w.fences <= s.fences for w in weak)]
-
-
-def analyze_trace(
-    tr: Trace,
-    trace_id: int = 0,
-    limits: Limits | None = None,
-    memo: dict | None = None,
-) -> list[CandidateSolution]:
+def analyze_trace(tr: Trace, trace_id: int = 0, limits: Limits | None = None) -> list[CandidateSolution]:
     """Weak plus strong solutions for one buggy trace, in canonical order.
 
     A strong solution is dropped when some weak solution needs a subset of
     its fences, at orders never heavier than sc.
-
-    A trace of several connected components is analysed per component,
-    each distinct component once per ``memo`` (one dict per run; a fresh
-    one when none is given): no hb path, coherence composition or sc-order
-    cycle leaves a component, and no weak solution of one covers a strong
-    solution of another.
     """
-    keys = _components(tr)
-    if keys is None:
-        return _analyze(tr, trace_id, limits)
-    if limits is not None:
-        limits.check_time("cycle-detection")
-    memo = {} if memo is None else memo
-    sols: list[CandidateSolution] = []
-    for key in keys:
-        found = memo.get(key)
-        if found is None:
-            fields, sb, rf, mo = key
-            events = [Event(i, *f) for i, f in enumerate(fields)]
-            found = memo[key] = _analyze(Trace(events, sb, rf, mo), 0, limits)
-        sols += found
-    return [replace(s, trace_id=trace_id) for s in sorted(sols, key=_canonical)]
-
-
-def _components(tr: Trace):
-    """The memo key of each connected component of ``tr`` that has a
-    thread, or None when there is only one such component.
-
-    A thread joins each object it accesses, an init write joins its
-    object, and the two ends of every sb, rf and mo pair join each other.
-    The key renumbers the component's events in id order and restricts sb,
-    rf and mo to them.
-    """
-    accesses = list(
-        dict.fromkeys(
-            ((0, e.thr), (0, e.thr) if e.obj is None else (1, e.obj))
-            for e in tr.events
-            if e.thr is not None
-        )
-    )
-    if len(components(accesses)) < 2:
-        return None
-    node = {e.id: (0, e.thr) if e.thr is not None else (1, e.obj) for e in tr.events}
-    joins = [(node[a], node[b]) for rel in (tr.sb, tr.rf, tr.mo) for a, b in rel]
-    comps = components(accesses + joins)
-    if len(comps) < 2:
-        return None
-    group = {n: k for k, comp in enumerate(comps) for n in comp}
-    members: list[list[Event]] = [[] for _ in comps]
-    for e in tr.events:
-        if node[e.id] in group:
-            members[group[node[e.id]]].append(e)
-    where = {e.id: i for g in members for i, e in enumerate(g)}
-    rels = [([], [], []) for _ in comps]
-    for j, rel in enumerate((tr.sb, tr.rf, tr.mo)):
-        for a, b in rel:
-            rels[group[node[a]]][j].append((where[a], where[b]))
-    return [
-        (
-            tuple((e.thr, e.idx, e.act, e.obj, e.ord, e.loc, e.rval, e.wval, e.cont) for e in g),
-            *map(frozenset, r),
-        )
-        for g, r in zip(members, rels)
-    ]
+    it = insert_candidate_fences(tr)
+    weak = find_weak_cycles(it, trace_id, limits)
+    strong = find_strong_cycles(it, trace_id, limits)
+    return weak + [s for s in strong if not any(w.fences <= s.fences for w in weak)]

@@ -1,25 +1,25 @@
-"""Synthesis drivers: whole-program (optimal) and one-trace-at-a-time.
+"""Synthesis drivers: optimal (by parts) and one-trace-at-a-time.
 
-Both drivers feed buggy traces to one solve step: the optimal driver feeds
-every buggy trace and applies the typed solution once; the fast driver
-feeds the first buggy trace, applies that fix, re-enumerates and repeats.
-Fast is near-optimal and may synthesize extra fences on adversarial query
-structure.  A program of several assertion-independent parts
-(``enumerator.parts``) is solved part by part by the optimal driver.  Both
-verify the fix exactly: ``opt`` decides with ``has_buggy_trace`` that no
-consistent execution of the fixed program falsifies the assertion, and
-``fast`` stops when its next pass finds no buggy trace.  A sanity checker
-confirms each synthesized fence is load-bearing by weakening or removing
-it and deciding the same question for each mutant, on the sub-program of
-the fence's part only.  A fence already in the program changes only when a
-synthesized fence is merged into it; the report lists that as a
-strengthening.
+Both drivers feed buggy traces to one solve step, which analyses each
+trace whole.  The optimal driver feeds every buggy trace of each
+assertion-independent part (``enumerator.parts``; the whole program is the
+one part where there is no split) and applies the union of the parts'
+typed solutions once; the fast driver feeds the first buggy trace, applies
+that fix, re-enumerates and repeats.  Fast is near-optimal and may
+synthesize extra fences on adversarial query structure.  Both verify the
+fix exactly: ``opt`` decides with ``has_buggy_trace`` that no consistent
+execution of the fixed program falsifies the assertion, and ``fast``
+stops when its next pass finds no buggy trace.  A sanity checker confirms
+each synthesized fence is load-bearing by weakening or removing it in a
+copy of its part's sub-program and deciding the same question there.  A
+fence already in the program changes only when a synthesized fence is
+merged into it; the report lists that as a strengthening.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .cycles import CandidateSolution, analyze_trace
 from .errors import InternalCheckError, LitmusError, ResourceLimitError
@@ -45,7 +45,7 @@ NO_FIX = "no-fix"
 class SynthesizedFence:
     slot: FenceSlot  # gap in the input program's numbering
     order: MemoryOrder
-    iteration: int  # 0 for the whole-program driver
+    iteration: int  # 0 for the optimal driver
     iter_tag: tuple[int, ...] = ()  # unroll iterations of the neighboring code
 
 
@@ -195,10 +195,10 @@ def _diff(original: Program, fixed: Program):
 
 
 # ---------------------------------------------------------------------------
-# The solve step both drivers share, and whole-program synthesis (optimal)
+# The solve step both drivers share, and synthesis by parts (optimal)
 
 
-def _solve(traces: list[Trace], result: SynthesisResult, limits: Limits, memo: dict) -> TypedSolution | None:
+def _solve(traces: list[Trace], result: SynthesisResult, limits: Limits) -> TypedSolution | None:
     """Analyse ``traces`` as the result's next trace ids and solve their
     query; None, with the no-fix verdict recorded, when a trace has no
     solution.  Adds to ``timings["analyze"]`` and ``timings["solve"]``."""
@@ -207,7 +207,7 @@ def _solve(traces: list[Trace], result: SynthesisResult, limits: Limits, memo: d
     result.buggy_traces += traces
     t0 = time.monotonic()
     for tid, tr in enumerate(traces, start):
-        sols = analyze_trace(tr, tid, limits, memo=memo)
+        sols = analyze_trace(tr, tid, limits)
         result.solutions_by_trace.append(sols)
         if not sols:
             result.status = NO_FIX
@@ -230,8 +230,8 @@ def _solve(traces: list[Trace], result: SynthesisResult, limits: Limits, memo: d
 def synthesize_optimal(p: Program, limits: Limits | None = None, whole: bool = False) -> SynthesisResult:
     """Collect all buggy traces, solve their query, fix, re-verify.
 
-    A program of several assertion-independent parts (``parts``) is solved
-    part by part unless ``whole`` is set.  Each part is first asked for a
+    The program is solved part by part (``parts``); it is one part where
+    there is no split or ``whole`` is set.  Each part is first asked for a
     first buggy trace, pruned as in ``has_buggy_trace``, so a program
     without a bug builds no execution that holds.  Otherwise each part's
     buggy executions are solved on their own and the typed solutions'
@@ -241,9 +241,9 @@ def synthesize_optimal(p: Program, limits: Limits | None = None, whole: bool = F
     conjunction.  A lone buggy part counts as Tᵢ = Bᵢ, its buggy
     executions, and Sᵢ = 0, which gives the same count, so its enumeration
     stays pruned; the other parts are enumerated whole.  A part without a
-    fix is reported from the whole path, so the no-fix trace id is in
-    whole-program order.  The ``--emit-*`` artifacts are those of the
-    whole path.
+    fix among several is reported again with ``whole`` set, so the no-fix
+    trace id is in whole-program order; ``--emit-*`` sets ``whole`` too,
+    to print whole-program traces.
 
     Soundness.  No relation crosses parts (``has_buggy_trace``), so a fence
     in one part changes no execution of another, and a falsifying whole
@@ -260,25 +260,20 @@ def synthesize_optimal(p: Program, limits: Limits | None = None, whole: bool = F
     limits = limits or Limits()
     if not p.elaborated:
         p = elaborate(p)
-    subs = parts(p, limits)
-    by_parts = subs is not None and not whole
+    subs = [p] if whole else parts(p, limits) or [p]
 
     t0 = time.monotonic()
-    if by_parts:
-        feeds = [iter_buggy_traces(sub, limits) for sub in subs]
-        firsts = [next(feed, None) for feed in feeds]
-        n_buggy = len(subs) - firsts.count(None)
-        buggy, total, holding = [], 1, 1
-        for sub, feed, first in zip(subs, feeds, firsts) if n_buggy else ():
-            lone = first is not None and n_buggy == 1
-            traces = [first, *feed] if lone else enumerate_consistent_traces(sub, limits)
-            buggy.append([tr for tr in traces if not tr.assertion_holds])
-            total *= len(traces)
-            holding *= len(traces) - len(buggy[-1])
-        analyzed = total - holding
-    else:
-        buggy = [find_buggy_traces(p, limits)]
-        analyzed = len(buggy[0])
+    feeds = [iter_buggy_traces(sub, limits) for sub in subs]
+    firsts = [next(feed, None) for feed in feeds]
+    n_buggy = len(subs) - firsts.count(None)
+    buggy, total, holding = [], 1, 1
+    for sub, feed, first in zip(subs, feeds, firsts) if n_buggy else ():
+        lone = first is not None and n_buggy == 1
+        traces = [first, *feed] if lone else enumerate_consistent_traces(sub, limits)
+        buggy.append([tr for tr in traces if not tr.assertion_holds])
+        total *= len(traces)
+        holding *= len(traces) - len(buggy[-1])
+    analyzed = total - holding
     result = SynthesisResult(
         status=FIXED, traces_analyzed=analyzed, timings={"enumerate": time.monotonic() - t0}
     )
@@ -286,12 +281,11 @@ def synthesize_optimal(p: Program, limits: Limits | None = None, whole: bool = F
         result.status = ALREADY_CORRECT
         result.fixed_program = p
         return result
-    memo: dict = {}
     assignment: list = []
     for traces in filter(None, buggy):
-        typed = _solve(traces, result, limits, memo)
+        typed = _solve(traces, result, limits)
         if typed is None:
-            return synthesize_optimal(p, limits, whole=True) if by_parts else result
+            return synthesize_optimal(p, limits, whole=True) if len(subs) > 1 else result
         assignment += typed.assignment
 
     t0 = time.monotonic()
@@ -321,9 +315,6 @@ def synthesize_fast(p: Program, limits: Limits | None = None) -> SynthesisResult
     timings = {"enumerate": 0.0, "analyze": 0.0, "solve": 0.0}
     result = SynthesisResult(status=FIXED, timings=timings)
 
-    # A component no pass has touched keeps its source positions, and so
-    # its memo key, from one pass to the next.
-    memo: dict = {}
     # Fences change no part: on a program of several, a pass after the
     # first decides existence by parts before it enumerates whole.
     several = parts(p, limits) is not None
@@ -337,7 +328,7 @@ def synthesize_fast(p: Program, limits: Limits | None = None) -> SynthesisResult
         if result.iterations >= limits.max_iters:
             raise ResourceLimitError("iterative-synthesis", "max iterations reached")
         result.traces_analyzed += 1
-        typed = _solve([first], result, limits, memo)
+        typed = _solve([first], result, limits)
         if typed is None:
             return result
 
@@ -402,8 +393,9 @@ def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | Non
     has no buggy trace, and a mutant differs from it in one fence, which
     lies in one assertion-independent part and changes no part
     (``parts``).  So a mutant has a buggy trace iff the sub-program of its
-    fence's part has one, and only that sub-program is decided, with no
-    further split: the fixed program's parts are computed once.
+    fence's part has one, and only a copy of that sub-program is mutated
+    and decided, with no further split: the fixed program's parts are
+    computed once.
     """
     limits = limits or Limits()
     report = SanityReport()
@@ -424,17 +416,12 @@ def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | Non
                     return block, i, s
         raise InternalCheckError("lost a synthesized fence while mutating")
 
-    fixed_parts = parts(p_fixed, limits) or ()
+    part_of = {t.tid: sub for sub in parts(p_fixed, limits) or [p_fixed] for t in sub.threads}
 
-    def probe(mutant, tid, fence_name, mutation):
-        mutant = renumber(mutant)
-        for sub in fixed_parts:
-            tids = {t.tid for t in sub.threads}
-            if tid in tids:
-                mutant = replace(sub, threads=[t for t in mutant.threads if t.tid in tids], next_uid=mutant.next_uid)
+    def probe(mutant, fence_name, mutation):
         try:
             # One part by construction, so no split is asked for.
-            buggy = next(iter_buggy_traces(mutant, limits), None) is not None
+            buggy = next(iter_buggy_traces(renumber(mutant), limits), None) is not None
             verdict = "bug-reappears" if buggy else "still-clean"
         except ResourceLimitError:
             verdict = "inconclusive"
@@ -445,15 +432,15 @@ def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | Non
     for tid, stmt in synth:
         name = "fence(%s) uid=%d" % (stmt.ord, stmt.uid)
 
-        removal = elaborate(p_fixed)
+        removal = elaborate(part_of[tid])
         block, i, _ = locate(removal, stmt.uid)
         del block[i]
-        probe(removal, tid, name, "removed")
+        probe(removal, name, "removed")
 
         for weaker in _WEAKENINGS[stmt.ord]:
-            weakened = elaborate(p_fixed)
+            weakened = elaborate(part_of[tid])
             _, _, target = locate(weakened, stmt.uid)
             target.ord = weaker
-            probe(weakened, tid, name, "weakened to %s" % weaker)
+            probe(weakened, name, "weakened to %s" % weaker)
 
     return report

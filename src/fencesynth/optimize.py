@@ -104,10 +104,6 @@ class TypedSolution:
     orders_exact: bool = True
 
     @property
-    def assignment_map(self) -> dict[FenceSlot, MemoryOrder]:
-        return dict(self.assignment)
-
-    @property
     def weight(self) -> int:
         return sum(o.weight for _, o in self.assignment)
 

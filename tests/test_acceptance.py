@@ -122,7 +122,7 @@ def test_criterion_05_order_assignment_vectors(announce):
     ts = assign_memory_orders(
         frozenset({F1, F2, F3}), [[_sol(0, {F1: O.REL, F2: O.AR, F3: O.ACQ})]]
     )
-    assert ts.assignment_map == {F1: O.REL, F2: O.AR, F3: O.ACQ}
+    assert dict(ts.assignment) == {F1: O.REL, F2: O.AR, F3: O.ACQ}
     assert ts.weight == 4
     # The same shape arises end to end on the three-thread ring.
     res = synthesize_optimal(load("lb3"))
@@ -137,7 +137,7 @@ def test_criterion_05_order_assignment_vectors(announce):
     t1c2 = _sol(0, {F1: O.REL, F2: O.ACQ, F3: O.AR})
     t2c1 = _sol(1, {F1: O.REL, F2: O.ACQ, F3: O.ACQ})
     ts = assign_memory_orders(frozenset({F1, F2, F3}), [[t1c1, t1c2], [t2c1]])
-    assert ts.assignment_map == {F1: O.REL, F2: O.ACQ, F3: O.AR}
+    assert dict(ts.assignment) == {F1: O.REL, F2: O.ACQ, F3: O.AR}
     assert ts.weight == 4
     announce(5, "order assignment: (rel, ar, acq) weight 4; coalescing picks 4 over 5")
 

@@ -1,5 +1,5 @@
-"""Candidate fences, elementary-cycle enumeration, weak/strong analyses and
-their per-component memo."""
+"""Candidate fences, elementary-cycle enumeration and the weak/strong
+analyses."""
 
 import itertools
 import random
@@ -143,7 +143,7 @@ def test_weak_cycles_rwrw(rwrw):
     # other thread's fence is dominated and dropped.
     assert sets == {frozenset({"t1@1"}), frozenset({"t2@1"})}
     single = next(s for s in weak if slot_names(s) == {"t1@1"})
-    assert single.orders_map[FenceSlot("t1", 1)] is O.REL
+    assert dict(single.orders)[FenceSlot("t1", 1)] is O.REL
     assert single.condition in ("co-rh", "co-h")
     assert all(s.kind == "weak" for s in weak)
 
@@ -222,7 +222,7 @@ def test_weak_solutions_are_sound_at_their_own_orders():
     for name in CORPUS:
         for tr in find_buggy_traces(load(name)):
             for sol in find_weak_cycles(insert_candidate_fences(tr)):
-                mutant = with_fences(tr, sol.orders_map)
+                mutant = with_fences(tr, dict(sol.orders))
                 assert coherence_violations(mutant), (name, sol)
                 checked += 1
     assert checked >= 20
@@ -243,7 +243,7 @@ def test_weak_solutions_are_not_dominated():
             for b in weak:
                 if a.orders == b.orders:
                     continue
-                assert not covers(a.orders_map, b.orders_map), (name, a, b)
+                assert not covers(dict(a.orders), dict(b.orders)), (name, a, b)
 
 
 def test_weak_analysis_honors_an_expired_deadline(rwrw):
@@ -437,7 +437,7 @@ def test_strong_duplicate_of_weak_is_dropped():
 
 
 # ---------------------------------------------------------------------------
-# Per-component analysis with a memo
+# The canonical order of solution lists, over many programs
 
 
 def padded_pairs(m):
@@ -517,7 +517,7 @@ WRC_RELAY = program(
 
 def beside_a_lone_thread(text):
     # The same program with a first thread that stores to an object of its
-    # own: every trace then has at least two components.
+    # own: every trace then has at least two independent thread groups.
     lines = text.splitlines()
     at = next(i for i, line in enumerate(lines) if line.startswith("init "))
     lines[at] += ", zz = 0"
@@ -525,7 +525,7 @@ def beside_a_lone_thread(text):
     return "\n".join(lines) + "\n"
 
 
-MEMO_PROGRAMS = {
+ANALYSIS_PROGRAMS = {
     **{name: load(name) for name in CORPUS},
     **{name + "_beside_lone": beside_a_lone_thread(corpus_text(name)) for name in CORPUS},
     "ring_beside_pair": RING_BESIDE_PAIR,
@@ -556,49 +556,22 @@ def canonical_key(sol):
     )
 
 
-def whole_trace_analysis(tr, trace_id):
-    # Both analyses on all of the trace's candidate fences at once, without
-    # splitting it; a strong solution goes when a weak one needs a subset of
-    # its fences.
-    it = insert_candidate_fences(tr)
-    weak = find_weak_cycles(it, trace_id)
-    strong = find_strong_cycles(it, trace_id)
-    kept = [s for s in strong if not any(w.fences <= s.fences for w in weak)]
-    return sorted(weak + kept, key=canonical_key)
-
-
 @pytest.fixture(scope="module")
-def memo_program_traces():
+def program_traces():
     out = {}
-    for name, p in MEMO_PROGRAMS.items():
+    for name, p in ANALYSIS_PROGRAMS.items():
         if isinstance(p, str):
             p = elaborate(parse_program(p), 16)
         out[name] = find_buggy_traces(p)
     return out
 
 
-def test_memoized_analysis_equals_the_whole_trace_analysis(memo_program_traces):
-    # Every buggy trace's solution list, order and trace ids included, is
-    # the whole-trace analysis, with one memo per program and without one.
-    split = 0
-    for name, traces in memo_program_traces.items():
-        memo = {}
-        for i, tr in enumerate(traces):
-            reference = whole_trace_analysis(tr, i)
-            assert analyze_trace(tr, i, memo=memo) == reference, (name, i)
-            assert analyze_trace(tr, i) == reference, (name, i)
-        split += bool(memo)
-    # The memo is only used on traces of several components.
-    assert split >= 60
-
-
-def test_every_solution_list_is_in_canonical_order(memo_program_traces):
+def test_every_solution_list_is_in_canonical_order(program_traces):
     lists = []
-    for name, traces in memo_program_traces.items():
-        memo = {}
-        lists += [((name, i), analyze_trace(tr, i, memo=memo)) for i, tr in enumerate(traces)]
+    for name, traces in program_traces.items():
+        lists += [((name, i), analyze_trace(tr, i)) for i, tr in enumerate(traces)]
     for name in CORPUS:
-        for i, tr in enumerate(memo_program_traces[name]):
+        for i, tr in enumerate(program_traces[name]):
             it = insert_candidate_fences(tr)
             lists += [((name, i), find_weak_cycles(it, i)), ((name, i), find_strong_cycles(it, i))]
     for where, sols in lists:
@@ -606,82 +579,8 @@ def test_every_solution_list_is_in_canonical_order(memo_program_traces):
     assert sum(len(sols) > 1 for _, sols in lists) >= 500
 
 
-def test_memo_is_not_used_across_a_relation_between_components():
-    # A hand-made sb pair from one store-buffering core to the other joins
-    # the two components: the trace is one component, analysed whole.
-    tr = find_buggy_traces(load("two_bugs"))[0]
-    memo = {}
-    analyze_trace(tr, 0, memo=memo)
-    assert len(memo) == 2
-    t1, t3 = tr.thread_events["t1"], tr.thread_events["t3"]
-    joined = Trace(tr.events, tr.sb | {(t1[-1].id, t3[0].id)}, tr.rf, tr.mo)
-    memo = {}
-    assert analyze_trace(joined, 0, memo=memo) == whole_trace_analysis(joined, 0)
-    assert memo == {}
-
-
-def test_memo_keeps_the_solutions_of_a_component_outside_the_bug():
-    p = elaborate(parse_program(MP_BESIDE_SB), 16)
-    sb_slots = {FenceSlot(t, g) for t in ("s0", "s1") for g in range(3)}
-    kept = 0
-    memo = {}
-    for i, tr in enumerate(find_buggy_traces(p)):
-        sols = analyze_trace(tr, i, memo=memo)
-        assert sols == whole_trace_analysis(tr, i)
-        kept += any(s.fences <= sb_slots for s in sols)
-    assert kept == 1
-    # One entry per distinct execution of each pair.
-    assert len(memo) == 4 + 1
-
-
-def test_opt_closes_each_distinct_component_once(monkeypatch):
-    import fencesynth.relations
-
-    closures = []
-    role_closure = fencesynth.relations.role_closure
-
-    def counting(it, limits=None):
-        closures.append(it)
-        return role_closure(it, limits)
-
-    monkeypatch.setattr(fencesynth.relations, "role_closure", counting)
-    # The whole path, whose traces --emit-traces prints: opt by parts
-    # analyses each pair's executions apart and builds no whole trace.
-    result = synthesize_optimal(elaborate(parse_program(mp_pairs(4)), 16), whole=True)
-    assert result.status == "fixed" and len(result.synthesized) == 8
-    assert len(result.buggy_traces) == 175
-    # Four executions of each of the four pairs, each closed once.
-    assert len(closures) == 16
-
-
-@pytest.mark.parametrize("m, distinct", [(3, 7), (4, 10)])
-def test_fast_closes_each_distinct_component_once(monkeypatch, m, distinct):
-    import fencesynth.relations
-
-    closures = []
-    role_closure = fencesynth.relations.role_closure
-
-    def counting(it, limits=None):
-        closures.append(it)
-        return role_closure(it, limits)
-
-    monkeypatch.setattr(fencesynth.relations, "role_closure", counting)
-    result = synthesize_fast(elaborate(parse_program(mp_pairs(m)), 16))
-    assert result.status == "fixed" and result.iterations == m
-    assert len(result.synthesized) == 2 * m
-    # m passes over traces of m components each: a component that an
-    # earlier pass already closed is not closed again.
-    assert len(closures) == distinct
-    for i, tr in enumerate(result.buggy_traces):
-        assert result.solutions_by_trace[i] == whole_trace_analysis(tr, i)
-
-
 def test_memoized_analysis_honors_an_expired_deadline():
-    traces = find_buggy_traces(elaborate(parse_program(mp_pairs(2)), 16))
-    memo = {}
-    for i, tr in enumerate(traces):
-        analyze_trace(tr, i, memo=memo)
-    for cache in (memo, {}):
-        with pytest.raises(ResourceLimitError) as exc:
-            analyze_trace(traces[0], 0, Limits(timeout_secs=-1.0).start(), memo=cache)
-        assert exc.value.phase == "cycle-detection"
+    tr = find_buggy_traces(elaborate(parse_program(mp_pairs(2)), 16))[0]
+    with pytest.raises(ResourceLimitError) as exc:
+        analyze_trace(tr, 0, Limits(timeout_secs=-1.0).start())
+    assert exc.value.phase == "cycle-detection"

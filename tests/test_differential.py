@@ -488,6 +488,27 @@ def test_coupled_corpus_joins_take_the_one_part_path():
         assert_parts_path_is_the_whole_path(p)
 
 
+def test_each_sanity_mutant_copies_only_its_fences_part(monkeypatch):
+    # A mutant is made from a copy of its fence's part, not of the whole
+    # fixed program.
+    from fencesynth import driver
+
+    result = driver.synthesize_optimal(elaborate(parse_program(sb_padded(3)), 16))
+    copies = []
+    copy = driver.elaborate
+
+    def recording(q, *args):
+        copies.append(copy(q, *args))
+        return copies[-1]
+
+    monkeypatch.setattr(driver, "elaborate", recording)
+    report = driver.sanity_check(result.fixed_program, result)
+    groups = [{t.tid for t in sub.threads} for sub in parts(result.fixed_program)]
+    assert report.passed and len(copies) == len(report.outcomes) == 12
+    for q in copies:
+        assert {t.tid for t in q.threads} in groups
+
+
 def test_a_part_without_a_fix_names_the_whole_program_trace():
     from fencesynth import driver
 

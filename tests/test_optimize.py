@@ -144,7 +144,7 @@ def test_assign_orders_three_fence_chain():
     # and releases, and one acquire fence weighs 1 + 2 + 1 = 4.
     chain = sol(0, {F1: O.REL, F2: O.AR, F3: O.ACQ})
     ts = assign_memory_orders(frozenset({F1, F2, F3}), [[chain]])
-    assert ts.assignment_map == {F1: O.REL, F2: O.AR, F3: O.ACQ}
+    assert dict(ts.assignment) == {F1: O.REL, F2: O.AR, F3: O.ACQ}
     assert ts.weight == 4
 
 
@@ -158,7 +158,7 @@ def test_assign_orders_coalescing_picks_lighter_combination():
     t2c1 = sol(1, {F1: O.REL, F2: O.ACQ, F3: O.ACQ})
     model = frozenset({F1, F2, F3})
     ts = assign_memory_orders(model, [[t1c1, t1c2], [t2c1]])
-    assert ts.assignment_map == {F1: O.REL, F2: O.ACQ, F3: O.AR}
+    assert dict(ts.assignment) == {F1: O.REL, F2: O.ACQ, F3: O.AR}
     assert ts.weight == 4
     assert ts.orders_exact
 
@@ -166,7 +166,7 @@ def test_assign_orders_coalescing_picks_lighter_combination():
 def test_assign_orders_strong_cycle_all_sc():
     strong = sol(0, {F1: O.SC, F2: O.SC}, kind="strong")
     ts = assign_memory_orders(frozenset({F1, F2}), [[strong]])
-    assert ts.assignment_map == {F1: O.SC, F2: O.SC}
+    assert dict(ts.assignment) == {F1: O.SC, F2: O.SC}
     assert ts.weight == 6
 
 
@@ -202,7 +202,7 @@ def test_assign_orders_exact_over_large_product():
     per_trace = [[sol(0, {F1: O.REL}), sol(0, {F1: O.ACQ})], [sol(1, {F1: O.ACQ})]]
     per_trace += [[sol(t, {F2: O.REL}), sol(t, {F2: O.ACQ})] for t in range(2, 17)]
     ts = assign_memory_orders(frozenset({F1, F2}), per_trace)
-    assert ts.assignment_map == {F1: O.ACQ, F2: O.REL}
+    assert dict(ts.assignment) == {F1: O.ACQ, F2: O.REL}
     assert ts.weight == 2
 
 
