@@ -1,7 +1,7 @@
 """The ``fensy`` command line interface.
 
 Exit codes: 0 fixed or already correct, 1 no fix exists, 2 resource limit
-exceeded, 3 input error.
+exceeded or out of memory, 3 input error.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="bound for 'repeat' unrolling (default %d)" % DEFAULT_UNROLL)
     ap.add_argument("--timeout-secs", type=float, default=None, metavar="N")
     ap.add_argument("--max-traces", type=int, default=None, metavar="N",
-                    help="bound on the consistent executions, buggy or not, of "
-                    "each program enumerated; exceeding it exits 2 "
-                    "(default: no bound)")
+                    help="bound on the executions one enumeration yields; each "
+                    "part's sub-program is enumerated on its own; exceeding it "
+                    "exits 2 (default: no bound)")
     ap.add_argument("--max-iters", type=int, default=Limits.max_iters, metavar="N",
                     help="iteration guard for --mode fast (default %d)" % Limits.max_iters)
     ap.add_argument("--emit-traces", metavar="PATH",
@@ -95,6 +95,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print("fensy: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError:
+        print("fensy: out of memory during synthesis", file=sys.stderr)
+        return 2
 
     emits = []
     if args.emit_traces:
@@ -121,6 +124,9 @@ def main(argv=None) -> int:
             report = sanity_check(result.fixed_program, result, limits)
         except ResourceLimitError as exc:
             print("fensy: %s" % exc, file=sys.stderr)
+            return 2
+        except MemoryError:
+            print("fensy: out of memory during sanity-check", file=sys.stderr)
             return 2
         sys.stdout.write(report.render())
 

@@ -260,7 +260,7 @@ def synthesize_optimal(p: Program, limits: Limits | None = None, whole: bool = F
     limits = limits or Limits()
     if not p.elaborated:
         p = elaborate(p)
-    subs = [p] if whole else parts(p, limits) or [p]
+    subs = [p] if whole else parts(p) or [p]
 
     t0 = time.monotonic()
     feeds = [iter_buggy_traces(sub, limits) for sub in subs]
@@ -317,7 +317,7 @@ def synthesize_fast(p: Program, limits: Limits | None = None) -> SynthesisResult
 
     # Fences change no part: on a program of several, a pass after the
     # first decides existence by parts before it enumerates whole.
-    several = parts(p, limits) is not None
+    several = parts(p) is not None
     while True:
         t0 = time.monotonic()
         clean = result.iterations and several and not has_buggy_trace(p, limits)
@@ -416,7 +416,7 @@ def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | Non
                     return block, i, s
         raise InternalCheckError("lost a synthesized fence while mutating")
 
-    part_of = {t.tid: sub for sub in parts(p_fixed, limits) or [p_fixed] for t in sub.threads}
+    part_of = {t.tid: sub for sub in parts(p_fixed) or [p_fixed] for t in sub.threads}
 
     def probe(mutant, fence_name, mutation):
         try:

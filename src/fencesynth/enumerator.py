@@ -326,9 +326,6 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Tra
     if not p.elaborated:
         raise LitmusError("program must be elaborated before enumeration")
     limits = limits or Limits()
-    # Without a trace bound, candidates whose assertion holds are dropped
-    # before they are built; with one, every consistent execution counts.
-    prune = buggy_only and limits.max_traces is None
     cand = candidate_values(p)
     bindings = p.assertion_bindings()
     asserted = sorted({where for kind, where in bindings.values() if kind == "object"})
@@ -353,7 +350,7 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Tra
     for combo in itertools.product(*per_thread):
         limits.check_time("trace-enumeration")
         final_locals = {thread.tid: env for thread, (_, env, _) in zip(p.threads, combo)}
-        if prune and not _may_falsify(p, bindings, asserted, combo, final_locals):
+        if buggy_only and not _may_falsify(p, bindings, asserted, combo, final_locals):
             continue
         events = list(init_events)
         sb_pairs: set[tuple[int, int]] = set()
@@ -398,7 +395,7 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Tra
             chains = [(k,) + perm for k, perm in enumerate(mo_choice)]
             final_shared = {obj: by_id[chain[-1]].wval for obj, chain in zip(objects, chains)}
             holds = _assertion_holds(p, bindings, final_shared, final_locals)
-            if prune and holds:
+            if buggy_only and holds:
                 continue
             mo = frozenset((a, b) for chain in chains for i, a in enumerate(chain) for b in chain[i + 1 :])
             # rmw atomicity: an rmw reads from its immediate mo predecessor.
@@ -434,8 +431,7 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Tra
                         raise ResourceLimitError(
                             "trace-enumeration", "more than %d traces" % limits.max_traces
                         )
-                    if not (buggy_only and holds):
-                        yield tr
+                    yield tr
 
 
 def _linear_extensions(ids: tuple[int, ...], before, limits: Limits) -> Iterator[tuple[int, ...]]:
@@ -464,9 +460,6 @@ def iter_buggy_traces(p: Program, limits: Limits | None = None) -> Iterator[Trac
     check: a thread-run combination none of whose reachable final states
     falsifies it is skipped before its events are built, and mo choices
     whose final state satisfies it are dropped before the rf product.
-    With ``limits.max_traces`` set, consistency is still checked on every
-    candidate, so the bound counts the same executions as in
-    ``enumerate_consistent_traces``.
     """
     return _traces(p, limits, buggy_only=True)
 
@@ -489,11 +482,10 @@ def conjuncts(e: Expr) -> list[Expr]:
     return [e]
 
 
-def parts(p: Program, limits: Limits | None = None) -> list[Program] | None:
+def parts(p: Program) -> list[Program] | None:
     """The sub-programs of the assertion-independent parts of ``p``, or None
-    where ``p`` is taken whole: it has one part, a conjunct names no thread's
-    local and no object a thread accesses, or ``limits.max_traces`` is set,
-    which counts whole executions.
+    where ``p`` is taken whole: it has one part, or a conjunct names no
+    thread's local and no object a thread accesses.
 
     Threads, objects and the assertion's top-level conjuncts fall into
     components (``components``): a thread joins each object it accesses,
@@ -503,8 +495,6 @@ def parts(p: Program, limits: Limits | None = None) -> list[Program] | None:
     access no object, so inserting, removing or retyping one changes no
     part.
     """
-    if limits is not None and limits.max_traces is not None:
-        return None
     # Nodes: (0, thread id), (1, object), (2, conjunct index).
     pairs = [((0, t.tid), (0, t.tid)) for t in p.threads]
     pairs += [
@@ -549,5 +539,4 @@ def has_buggy_trace(p: Program, limits: Limits | None = None) -> bool:
     names, so an execution falsifies it iff one of its part executions
     falsifies that part's conjunction.
     """
-    limits = limits or Limits()
-    return any(next(iter_buggy_traces(sub, limits), None) is not None for sub in parts(p, limits) or [p])
+    return any(next(iter_buggy_traces(sub, limits), None) is not None for sub in parts(p) or [p])

@@ -12,16 +12,13 @@ from .errors import ResourceLimitError
 class Limits:
     """Budget for one synthesis run.
 
-    ``max_traces`` bounds how many consistent executions the enumerator may
-    see.  Buggy-trace enumeration counts the same executions: with the
-    bound set, it also checks consistency on the candidates that satisfy
-    the assertion, which it otherwise drops unchecked.  ``timeout_secs`` is
-    a global soft deadline, running from the construction of the
-    ``Limits`` (``start`` restarts it), that every exponential search
-    checks inside its loops, order assignment included, and
-    ``max_iters`` bounds the fix passes of the iterative
-    (one-trace-at-a-time) driver: a buggy trace left after that many
-    passes is a limit error.
+    ``max_traces`` bounds the executions one enumeration yields: every
+    consistent one, or only the buggy ones.  ``timeout_secs`` is a global
+    soft deadline, running from the construction of the ``Limits``
+    (``start`` restarts it), that every exponential search checks inside
+    its loops, order assignment included, and ``max_iters`` bounds the fix
+    passes of the iterative (one-trace-at-a-time) driver: a buggy trace
+    left after that many passes is a limit error.
     """
 
     max_traces: int | None = None

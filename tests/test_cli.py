@@ -134,8 +134,21 @@ def test_timeout_inside_the_mo_product_exits_two(tmp_path, capsys):
 
 
 def test_max_traces_exits_two(capsys):
-    code, _, err = run(capsys, str(CORPUS_DIR / "sb_rlx.lit"), "--max-traces", "1")
-    assert code == 2
+    # The bound counts the buggy executions enumerated, and sb_rlx has one.
+    code, _, err = run(capsys, str(CORPUS_DIR / "sb_rlx.lit"), "--max-traces", "0")
+    assert code == 2 and "trace-enumeration" in err
+
+
+@pytest.mark.parametrize("name, phase", [("synthesize", "synthesis"), ("sanity_check", "sanity-check")])
+def test_out_of_memory_exits_two_with_the_phase_named(monkeypatch, capsys, name, phase):
+    from fencesynth import cli
+
+    def exhausted(*args, **kw):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, name, exhausted)
+    code, _, err = run(capsys, str(CORPUS_DIR / "sb_rlx.lit"), "--sanity-check")
+    assert code == 2 and err == "fensy: out of memory during %s\n" % phase
 
 
 def test_emitters_write_files(tmp_path, capsys):

@@ -21,7 +21,6 @@ from fencesynth.enumerator import (
     exists_sc_total_order,
     find_buggy_traces,
     has_buggy_trace,
-    iter_buggy_traces,
     parts,
 )
 from fencesynth.errors import ResourceLimitError
@@ -340,28 +339,37 @@ def test_existence_prunes_a_group_whose_values_decide_the_assertion(monkeypatch)
     assert checked_candidates(monkeypatch, lambda: has_buggy_trace(p)) == (False, 1)
 
 
-def test_existence_with_a_trace_bound_counts_whole_executions():
-    # With max_traces set, the answer and the limit error are those of the
-    # whole-program enumeration, for every bound.
+def test_existence_with_a_trace_bound_gives_the_unbounded_answer():
+    # A bound counts the buggy traces one enumeration yields, and existence
+    # asks each part for one: every positive bound gives the unbounded
+    # answer, and bound 0 trips exactly where some part has a buggy trace.
     from fencesynth import driver
-
-    def answer(decide, q, bound):
-        try:
-            return decide(q, Limits(max_traces=bound))
-        except ResourceLimitError as exc:
-            return exc.phase
-
-    def whole(q, limits):
-        return next(iter_buggy_traces(q, limits), None) is not None
 
     p = elaborate(parse_program(mp_pairs(2)), 16)
     answers = set()
     for q in (p, driver.synthesize(p, mode="opt").fixed_program):
-        for bound in range(0, 40, 3):
-            expected = answer(whole, q, bound)
-            assert answer(has_buggy_trace, q, bound) == expected, bound
-            answers.add(expected)
-    assert answers == {True, False, "trace-enumeration"}
+        expected = has_buggy_trace(q)
+        for bound in range(1, 40, 3):
+            assert has_buggy_trace(q, Limits(max_traces=bound)) == expected, bound
+        if any(map(find_buggy_traces, parts(q))):
+            with pytest.raises(ResourceLimitError) as exc:
+                has_buggy_trace(q, Limits(max_traces=0))
+            assert exc.value.phase == "trace-enumeration"
+        else:
+            assert not has_buggy_trace(q, Limits(max_traces=0))
+        answers.add(expected)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("make, n", [(mp_pairs, 3), (sb_ring, 6)])
+def test_a_trace_bound_changes_no_candidate_checked_and_no_report(monkeypatch, make, n):
+    # A bound that is never reached selects no other path: mp pairs stays
+    # split into parts, and the ring's enumeration stays pruned.
+    p = elaborate(parse_program(make(n)), 16)
+    unbounded, checked = checked_candidates(monkeypatch, lambda: opt_outputs(p))
+    bounded, bounded_checked = checked_candidates(monkeypatch, lambda: opt_outputs(p, Limits(max_traces=10**9)))
+    assert bounded[0].status == "fixed" and unbounded[1:] == bounded[1:]
+    assert bounded_checked == checked
 
 
 def test_existence_honours_an_expired_deadline():
@@ -402,11 +410,6 @@ def test_sanity_and_verify_check_few_executions_on_many_pairs(monkeypatch):
 # ---------------------------------------------------------------------------
 # Opt and sanity by parts against the whole path
 
-# A trace bound counts whole executions, so with one every decision takes
-# the whole path: opt's enumeration, its verify and each sanity mutant.
-WHOLE = 10**9
-
-
 def corpus_join(a, b, combine="(%s) && (%s)"):
     """Corpus programs ``a`` and ``b`` side by side under ``combine`` of their
     assertions; ``b``'s threads, objects and locals take a ``_b`` suffix."""
@@ -438,8 +441,26 @@ def opt_outputs(p, limits=None):
 
 
 def assert_parts_path_is_the_whole_path(p):
+    """Opt and sanity on ``p`` report as with ``parts`` splitting nothing,
+    where every decision takes the whole path: opt's enumeration, its
+    verify and each sanity mutant enumerate programs of all ``p``'s
+    threads."""
+    from fencesynth import driver, enumerator
+
     result, report, sanity = opt_outputs(p)
-    _, whole_report, whole_sanity = opt_outputs(p, Limits(max_traces=WHOLE))
+    enumerated = []
+    traces = enumerator._traces
+
+    def recording(q, *args, **kw):
+        enumerated.append(len(q.threads))
+        return traces(q, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as m:
+        for module in (driver, enumerator):
+            m.setattr(module, "parts", lambda q: None)
+        m.setattr(enumerator, "_traces", recording)
+        _, whole_report, whole_sanity = opt_outputs(p)
+    assert enumerated and set(enumerated) == {len(p.threads)}, p.name
     assert (report, sanity) == (whole_report, whole_sanity), p.name
     return result
 

@@ -504,15 +504,16 @@ def test_buggy_enumeration_checks_only_falsifying_candidates(monkeypatch):
     assert len(enumerate_consistent_traces(p)) == 64 and len(checked) == 64
 
 
-def test_max_traces_counts_every_consistent_execution_in_buggy_enumeration(monkeypatch):
-    # With a trace bound, candidates that satisfy the assertion are still
-    # checked and counted, so the bound trips where the full enumeration's
-    # does.
+def test_max_traces_counts_only_the_buggy_executions_in_buggy_enumeration(monkeypatch):
+    # A trace bound leaves buggy-trace enumeration pruned: the ring checks
+    # its one falsifying candidate, and the bound counts that one trace.
     p = _ring_of_six()
     checked = _count_coherence_checks(monkeypatch)
-    assert len(find_buggy_traces(p, Limits(max_traces=64))) == 1 and len(checked) == 64
-    with pytest.raises(ResourceLimitError):
-        find_buggy_traces(p, Limits(max_traces=63))
+    assert len(find_buggy_traces(p, Limits(max_traces=10**9))) == 1 and len(checked) == 1
+    assert len(find_buggy_traces(p, Limits(max_traces=1))) == 1
+    with pytest.raises(ResourceLimitError) as exc:
+        find_buggy_traces(p, Limits(max_traces=0))
+    assert exc.value.phase == "trace-enumeration"
 
 
 def mo_stores(k):

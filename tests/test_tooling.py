@@ -130,6 +130,27 @@ def test_coherence_names_are_spelled_in_relations_only():
     assert spelled == {"relations.py"}
 
 
+def test_max_traces_is_read_only_where_it_is_set_and_counted():
+    # The trace bound only bounds an enumeration: the CLI sets it, and
+    # the enumerator counts against it.  Read anywhere else, it would
+    # select a path, as it once switched off pruning and the split by
+    # parts.  Names, attributes, keywords and the CLI's flag string count.
+    def mentions(node):
+        return any(
+            "max_traces" in (getattr(n, "attr", None), getattr(n, "id", None), getattr(n, "arg", None))
+            or (isinstance(n, ast.Constant) and n.value == "max_traces")
+            for n in ast.walk(node)
+        )
+
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if mentions(node):
+                where = "" if path.name == "limits.py" else ":" + getattr(node, "name", "")
+                readers.add(path.name + where)
+    assert readers == {"limits.py", "cli.py:main", "enumerator.py:_traces"}
+
+
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     # Solutions are deduplicated through sets of values that hold strings,
     # whose hashes change with PYTHONHASHSEED, and relations are frozensets
