@@ -4,8 +4,8 @@ The pipeline: parse a litmus program, enumerate every consistent execution,
 keep the assertion-violating ones, detect the coherence and sc-order cycles
 each candidate fence set would create, solve a monotone minimum-model query
 over fence slots, assign each fence the weakest sound memory order, and
-rewrite the program.  Two drivers exist: a whole-program optimal one and a
-one-trace-at-a-time near-optimal one.
+rewrite the program.  Two drivers exist: an optimal one, which solves each
+assertion-independent part alone, and a one-trace-at-a-time near-optimal one.
 """
 
 from .cycles import (

@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .driver import ALREADY_CORRECT, FIXED, NO_FIX, sanity_check, synthesize, synthesize_optimal
+from .driver import ALREADY_CORRECT, FIXED, NO_FIX, sanity_check, synthesize
 from .errors import LitmusError, ResourceLimitError
 from .limits import Limits
 from .litmus import elaborate, parse_program, print_program, DEFAULT_UNROLL
@@ -37,11 +37,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--max-iters", type=int, default=Limits.max_iters, metavar="N",
                     help="iteration guard for --mode fast (default %d)" % Limits.max_iters)
     ap.add_argument("--emit-traces", metavar="PATH",
-                    help="dump the analyzed buggy traces, one fact per line")
+                    help="dump the analyzed buggy traces (each part's, with "
+                    "part-local event ids), one fact per line")
     ap.add_argument("--emit-cycles", metavar="PATH",
                     help="dump every candidate solution, one line each")
     ap.add_argument("--emit-query", metavar="PATH",
-                    help="dump the slot query, one clause per line")
+                    help="dump the slot query of each part, one clause per line")
     ap.add_argument("--sanity-check", action="store_true",
                     help="weaken/remove each synthesized fence and re-check")
     ap.add_argument("--print-fixed", action="store_true",
@@ -87,11 +88,7 @@ def main(argv=None) -> int:
     ).start()
 
     try:
-        if args.mode == "opt" and (args.emit_traces or args.emit_cycles or args.emit_query):
-            # The emitters print whole-program traces, solutions and query.
-            result = synthesize_optimal(program, limits, whole=True)
-        else:
-            result = synthesize(program, mode=args.mode, limits=limits)
+        result = synthesize(program, mode=args.mode, limits=limits)
     except ResourceLimitError as exc:
         print("fensy: %s" % exc, file=sys.stderr)
         return 2

@@ -4,16 +4,17 @@ Both drivers feed buggy traces to one solve step, which analyses each
 trace whole.  The optimal driver feeds every buggy trace of each
 assertion-independent part (``enumerator.parts``; the whole program is the
 one part where there is no split) and applies the union of the parts'
-typed solutions once; the fast driver feeds the first buggy trace, applies
-that fix, re-enumerates and repeats.  Fast is near-optimal and may
-synthesize extra fences on adversarial query structure.  Both verify the
-fix exactly: ``opt`` decides with ``has_buggy_trace`` that no consistent
-execution of the fixed program falsifies the assertion, and ``fast``
-stops when its next pass finds no buggy trace.  A sanity checker confirms
-each synthesized fence is load-bearing by weakening or removing it in a
-copy of its part's sub-program and deciding the same question there.  A
-fence already in the program changes only when a synthesized fence is
-merged into it; the report lists that as a strengthening.
+typed solutions once, or stops at the first part without a fix; the fast
+driver feeds the first buggy trace, applies that fix, re-enumerates and
+repeats.  Fast is near-optimal and may synthesize extra fences on
+adversarial query structure.  Both verify the fix exactly: ``opt``
+decides with ``has_buggy_trace`` that no consistent execution of the
+fixed program falsifies the assertion, and ``fast`` stops when its next
+pass finds no buggy trace.  A sanity checker confirms each synthesized
+fence is load-bearing by weakening or removing it in a copy of its part's
+sub-program and deciding the same question there.  A fence already in the
+program changes only when a synthesized fence is merged into it; the
+report lists that as a strengthening.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ class SynthesisResult:
     notes: list[str] = field(default_factory=list)
     no_fix_trace: int | None = None
     fixed_program: Program | None = None
-    # Artifacts for emitters and tests: the traces ``_solve`` analysed, of
-    # each part's sub-program where opt solved by parts.
+    # Artifacts for emitters and tests: the traces ``_solve`` analysed, in
+    # order (``no_fix_trace`` and query clauses index them), each of its
+    # part's sub-program with part-local event ids.
     buggy_traces: list[Trace] = field(default_factory=list)
     solutions_by_trace: list[list[CandidateSolution]] = field(default_factory=list)
     queries: list[Query] = field(default_factory=list)
@@ -227,11 +229,11 @@ def _solve(traces: list[Trace], result: SynthesisResult, limits: Limits) -> Type
     return typed
 
 
-def synthesize_optimal(p: Program, limits: Limits | None = None, whole: bool = False) -> SynthesisResult:
+def synthesize_optimal(p: Program, limits: Limits | None = None) -> SynthesisResult:
     """Collect all buggy traces, solve their query, fix, re-verify.
 
-    The program is solved part by part (``parts``); it is one part where
-    there is no split or ``whole`` is set.  Each part is first asked for a
+    The program is solved part by part (``parts``; the whole program is the
+    one part where there is no split).  Each part is first asked for a
     first buggy trace, pruned as in ``has_buggy_trace``, so a program
     without a bug builds no execution that holds.  Otherwise each part's
     buggy executions are solved on their own and the typed solutions'
@@ -241,9 +243,8 @@ def synthesize_optimal(p: Program, limits: Limits | None = None, whole: bool = F
     conjunction.  A lone buggy part counts as Tᵢ = Bᵢ, its buggy
     executions, and Sᵢ = 0, which gives the same count, so its enumeration
     stays pruned; the other parts are enumerated whole.  A part without a
-    fix among several is reported again with ``whole`` set, so the no-fix
-    trace id is in whole-program order; ``--emit-*`` sets ``whole`` too,
-    to print whole-program traces.
+    fix ends the run: ``no_fix_trace`` indexes ``buggy_traces``, the
+    parts' traces in the order they were analysed.
 
     Soundness.  No relation crosses parts (``has_buggy_trace``), so a fence
     in one part changes no execution of another, and a falsifying whole
@@ -260,7 +261,7 @@ def synthesize_optimal(p: Program, limits: Limits | None = None, whole: bool = F
     limits = limits or Limits()
     if not p.elaborated:
         p = elaborate(p)
-    subs = [p] if whole else parts(p) or [p]
+    subs = parts(p) or [p]
 
     t0 = time.monotonic()
     feeds = [iter_buggy_traces(sub, limits) for sub in subs]
@@ -285,7 +286,7 @@ def synthesize_optimal(p: Program, limits: Limits | None = None, whole: bool = F
     for traces in filter(None, buggy):
         typed = _solve(traces, result, limits)
         if typed is None:
-            return synthesize_optimal(p, limits, whole=True) if len(subs) > 1 else result
+            return result
         assignment += typed.assignment
 
     t0 = time.monotonic()

@@ -4,6 +4,7 @@ beyond the hand-written corpus."""
 from __future__ import annotations
 
 import collections
+import contextlib
 import itertools
 import random
 import re
@@ -86,8 +87,8 @@ def program(name, threads, assertion):
     return "\n".join(lines) + "\n"
 
 
-def sb_ring(n):
-    threads = [("t%d" % i, ["store(x%d, 1, rlx)" % i, "r%d = load(x%d, rlx)" % (i, (i + 1) % n)])
+def sb_ring(n, order="rlx"):
+    threads = [("t%d" % i, ["store(x%d, 1, %s)" % (i, order), "r%d = load(x%d, %s)" % (i, (i + 1) % n, order)])
                for i in range(n)]
     return program("sb_ring_%d" % n, threads,
                    "!(%s)" % " && ".join("r%d == 0" % i for i in range(n)))
@@ -440,14 +441,12 @@ def opt_outputs(p, limits=None):
     return result, report, driver.sanity_check(result.fixed_program, result, limits).render()
 
 
-def assert_parts_path_is_the_whole_path(p):
-    """Opt and sanity on ``p`` report as with ``parts`` splitting nothing,
-    where every decision takes the whole path: opt's enumeration, its
-    verify and each sanity mutant enumerate programs of all ``p``'s
-    threads."""
-    from fencesynth import driver, enumerator
+@contextlib.contextmanager
+def enumerated_thread_counts():
+    """The thread count of each program ``enumerator._traces`` enumerates
+    inside the block, in a list."""
+    from fencesynth import enumerator
 
-    result, report, sanity = opt_outputs(p)
     enumerated = []
     traces = enumerator._traces
 
@@ -456,11 +455,44 @@ def assert_parts_path_is_the_whole_path(p):
         return traces(q, *args, **kw)
 
     with pytest.MonkeyPatch.context() as m:
+        m.setattr(enumerator, "_traces", recording)
+        yield enumerated
+
+
+@contextlib.contextmanager
+def whole_path():
+    """Inside the block ``parts`` splits nothing, so every decision takes
+    the whole path."""
+    from fencesynth import driver, enumerator
+
+    with pytest.MonkeyPatch.context() as m:
         for module in (driver, enumerator):
             m.setattr(module, "parts", lambda q: None)
-        m.setattr(enumerator, "_traces", recording)
+        yield
+
+
+def no_fix_masked(report):
+    """``report`` with the no-fix trace number masked: by parts it indexes
+    the traces opt analysed, part by part; on the whole path, the whole
+    program's."""
+    return re.sub(r"^trace \d+ admits", "trace N admits", report, flags=re.M)
+
+
+def assert_parts_path_is_the_whole_path(p):
+    """Opt and sanity on ``p`` report as with ``parts`` splitting nothing,
+    where every decision takes the whole path: opt's enumeration, its
+    verify and each sanity mutant enumerate programs of all ``p``'s
+    threads.  A no-fix trace number may differ where ``p`` has several
+    parts; it names a buggy trace opt analysed and found no solution for."""
+    result, report, sanity = opt_outputs(p)
+    with whole_path(), enumerated_thread_counts() as enumerated:
         _, whole_report, whole_sanity = opt_outputs(p)
     assert enumerated and set(enumerated) == {len(p.threads)}, p.name
+    if result.status == "no-fix":
+        assert not result.buggy_traces[result.no_fix_trace].assertion_holds, p.name
+        assert result.solutions_by_trace[result.no_fix_trace] == [], p.name
+        if parts(p):
+            report, whole_report = no_fix_masked(report), no_fix_masked(whole_report)
     assert (report, sanity) == (whole_report, whole_sanity), p.name
     return result
 
@@ -530,15 +562,20 @@ def test_each_sanity_mutant_copies_only_its_fences_part(monkeypatch):
         assert {t.tid for t in q.threads} in groups
 
 
-def test_a_part_without_a_fix_names_the_whole_program_trace():
-    from fencesynth import driver
-
-    p = elaborate(parse_program(corpus_join("r_nofix", "sb_rlx")), 16)
-    assert len(parts(p)) == 2
-    result = assert_parts_path_is_the_whole_path(p)
-    assert result.status == "no-fix"
-    assert result.no_fix_trace == driver.synthesize_optimal(p, whole=True).no_fix_trace
-    assert result.solutions_by_trace[result.no_fix_trace] == []
+def test_a_part_without_a_fix_names_a_trace_opt_analysed():
+    # The no-fix trace is r_nofix's first, numbered among the traces opt
+    # analysed part by part: after sb_rlx's one trace, whose clause the
+    # query holds, where sb_rlx's part comes first.  The whole path names
+    # its traces 2 and 4 of the product.
+    for a, b, nofix in (("r_nofix", "sb_rlx", 0), ("sb_rlx", "r_nofix", 1)):
+        p = elaborate(parse_program(corpus_join(a, b)), 16)
+        assert len(parts(p)) == 2
+        result = assert_parts_path_is_the_whole_path(p)
+        assert (result.status, result.no_fix_trace) == ("no-fix", nofix)
+        tr = result.buggy_traces[nofix]
+        suffix = "_b" if b == "r_nofix" else ""
+        assert {e.thr for e in tr.events if not e.is_init} == {"t1" + suffix, "t2" + suffix}
+        assert [tid for q in result.queries for tid, _ in q.clauses] == list(range(nofix))
 
 
 def beside_lone(text):
@@ -553,12 +590,13 @@ def test_opt_by_parts_checks_no_more_candidates_than_the_whole_path(monkeypatch)
     # whole, so the bug-free ring beside a thread checks one candidate, as
     # the whole path does.  A lone buggy part stays pruned; the lone
     # thread's one execution, which the count needs, is the one candidate
-    # more.  A program without a fix re-runs the whole path and is left out.
+    # more, with or without a fix.
     from fencesynth import driver
 
     p = elaborate(parse_program(ring_beside()), 16)
-    for whole in (False, True):
-        result, checked = checked_candidates(monkeypatch, lambda: driver.synthesize_optimal(p, whole=whole))
+    for path in (contextlib.nullcontext, whole_path):
+        with path():
+            result, checked = checked_candidates(monkeypatch, lambda: driver.synthesize_optimal(p))
         assert (result.status, checked) == ("already-correct", 1)
 
     # Each one-part corpus program beside a lone thread; assert_true's
@@ -571,12 +609,13 @@ def test_opt_by_parts_checks_no_more_candidates_than_the_whole_path(monkeypatch)
         p = elaborate(parse_program(text), 16)
         assert len(parts(p)) == 2, p.name
         by_parts, checked = checked_candidates(monkeypatch, lambda: driver.synthesize_optimal(p))
-        whole, whole_checked = checked_candidates(monkeypatch, lambda: driver.synthesize_optimal(p, whole=True))
-        assert by_parts.render().split("timings:")[0] == whole.render().split("timings:")[0], p.name
-        if whole.status != "no-fix":
-            assert checked <= whole_checked + (whole.status == "fixed"), p.name
-            compared[whole.status] += 1
-    assert compared["fixed"] > 20 and compared["already-correct"] > 2
+        with whole_path():
+            whole, whole_checked = checked_candidates(monkeypatch, lambda: driver.synthesize_optimal(p))
+        reports = [no_fix_masked(r.render().split("timings:")[0]) for r in (by_parts, whole)]
+        assert reports[0] == reports[1], p.name
+        assert checked <= whole_checked + (whole.status != "already-correct"), p.name
+        compared[whole.status] += 1
+    assert compared["fixed"] > 20 and compared["already-correct"] > 2 and compared["no-fix"] == 3
 
 
 @pytest.mark.parametrize("make, weight", [(mp_pairs, 2), (sb_padded, 6)])
@@ -592,3 +631,46 @@ def test_opt_and_sanity_by_parts_reach_thirty_bugs(make, weight):
     assert (len(result.synthesized), result.weight) == (2 * m, weight * m)
     report = driver.sanity_check(result.fixed_program, result, limits)
     assert report.passed and len(report.outcomes) >= 2 * m
+
+
+def nofix_beside_pairs(m):
+    """r_nofix's threads beside ``m`` mp pairs, under the conjunction of
+    their assertions: r_nofix's part has no fix."""
+    threads = [("t1", ["store(x, 1, rlx)", "store(y, 1, rlx)"]), ("t2", ["store(y, 2, rlx)", "a = load(x, rlx)"])]
+    bugs = ["!(a == 0 && y == 1)"]
+    for i in range(m):
+        t, bug = mp(pair=i)
+        threads += t
+        bugs.append("!(%s)" % bug)
+    return program("nofix_beside_%d" % m, threads, " && ".join(bugs))
+
+
+def test_a_part_without_a_fix_beside_thirty_bugs_reports_no_fix():
+    # Thirty parts: a whole-program enumeration grows ×5 per mp pair.
+    from fencesynth import driver
+
+    p = elaborate(parse_program(nofix_beside_pairs(30)), 16)
+    assert len(parts(p)) == 31
+    result = driver.synthesize_optimal(p, Limits(timeout_secs=5))
+    assert result.status == "no-fix"
+    assert result.solutions_by_trace[result.no_fix_trace] == []
+
+
+def test_emit_flags_print_what_opt_analysed(tmp_path, capsys):
+    # With --emit-* opt enumerates each mp pair's sub-program, as without
+    # them, and dumps each pair's one buggy trace (of 781 whole ones).
+    from fencesynth.cli import main
+
+    source = tmp_path / "mp_pairs_5.lit"
+    source.write_text(mp_pairs(5))
+    query, traces = tmp_path / "mp.query", tmp_path / "mp.traces"
+    reports = []
+    for flags in ([], ["--emit-query", str(query), "--emit-traces", str(traces)]):
+        with enumerated_thread_counts() as enumerated:
+            assert main([str(source), *flags]) == 0
+        assert enumerated and set(enumerated) == {2}
+        out = capsys.readouterr().out
+        reports.append([line for line in out.splitlines() if not line.startswith("timings:")])
+    assert reports[0] == reports[1]
+    assert query.read_text().splitlines() == ["trace %d: (r%d@1 ∧ w%d@1)" % (i, i, i) for i in range(5)]
+    assert re.findall(r"^trace \d+$", traces.read_text(), re.M) == ["trace %d" % i for i in range(5)]

@@ -99,9 +99,12 @@ def test_apply_solution_and_sanity_check_leave_their_input_unchanged(name):
         typed = TypedSolution(assignment=((FenceSlot("t1", 1), O.ACQ),))
     else:
         p = load(name)
-        res = synthesize_optimal(p, whole=True)  # one query over every buggy trace
-        model = find_min_model(res.queries[0])
-        typed = assign_memory_orders(model, res.solutions_by_trace)
+        res = synthesize_optimal(p)
+        assignment = []
+        for query in res.queries:  # one per part with a bug
+            sols = [res.solutions_by_trace[tid] for tid, _ in query.clauses]
+            assignment += assign_memory_orders(find_min_model(query), sols).assignment
+        typed = TypedSolution(tuple(sorted(assignment)))
         assert bool(res.strengthened) == (name == "fen_strengthen")
     before = _identity(p)
     fixed = apply_solution(p, typed)

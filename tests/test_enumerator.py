@@ -16,8 +16,8 @@ from fencesynth.enumerator import (
 from fencesynth.errors import ResourceLimitError
 from fencesynth.limits import Limits
 from fencesynth.litmus import elaborate, parse_program
-from fencesynth.optimize import TypedSolution
-from fencesynth.driver import apply_solution
+from fencesynth.optimize import Query, TypedSolution, find_min_model
+from fencesynth.driver import apply_solution, synthesize_optimal
 from fencesynth.model import FenceSlot
 
 
@@ -547,3 +547,30 @@ def test_enumeration_meets_its_deadline_inside_the_products(text):
         find_buggy_traces(p, Limits(timeout_secs=0.3))
     assert exc.value.phase == "trace-enumeration"
     assert time.monotonic() - start < 0.3 + 0.25
+
+
+def _later_phase_shapes():
+    from test_differential import mp_program, sb_ring
+
+    ring = elaborate(parse_program(sb_ring(12, "sc")))
+    stores = elaborate(parse_program(mp_program("mp_stores_30", k_stores=30)))
+    clause = Query(((0, (frozenset(FenceSlot("t1", g) for g in range(26)),)),))
+    return {
+        "sc-order": lambda limits: find_buggy_traces(ring, limits),
+        "cycle-detection": lambda limits: synthesize_optimal(stores, limits),
+        "min-model": lambda limits: find_min_model(clause, limits),
+    }
+
+
+@pytest.mark.parametrize("phase", ["sc-order", "cycle-detection", "min-model"])
+def test_later_phases_meet_their_deadline(phase):
+    # The sc ring of 12 has one falsifying candidate, whose sc order the
+    # search refutes in about 4 s; mp stores k=30 enumerates its 30 buggy
+    # traces in about 0.1 s and analyses them in about 2 s; one clause of
+    # 26 slots leaves 2^26 smaller subsets to probe.
+    run = _later_phase_shapes()[phase]
+    start = time.monotonic()
+    with pytest.raises(ResourceLimitError) as exc:
+        run(Limits(timeout_secs=0.5))
+    assert exc.value.phase == phase
+    assert time.monotonic() - start < 2
