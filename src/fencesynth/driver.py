@@ -1,36 +1,32 @@
-"""Synthesis drivers: optimal (by parts) and one-trace-at-a-time.
+"""Synthesis drivers: optimal and one-trace-at-a-time, both by parts.
 
-Both drivers feed buggy traces to one solve step, which analyses each
-trace whole.  The optimal driver feeds every buggy trace of each
-assertion-independent part (``enumerator.parts``; the whole program is the
-one part where there is no split) and applies the union of the parts'
-typed solutions once, or stops at the first part without a fix; the fast
-driver feeds the first buggy trace, applies that fix, re-enumerates and
-repeats.  Fast is near-optimal and may synthesize extra fences on
-adversarial query structure.  Both verify the fix exactly: ``opt``
-decides with ``has_buggy_trace`` that no consistent execution of the
-fixed program falsifies the assertion, and ``fast`` stops when its next
-pass finds no buggy trace.  A sanity checker confirms each synthesized
-fence is load-bearing by weakening or removing it in a copy of its part's
-sub-program and deciding the same question there.  A fence already in the
-program changes only when a synthesized fence is merged into it; the
-report lists that as a strengthening.
+Both drivers work on each assertion-independent part (``enumerator.parts``;
+the whole program is the one part where there is no split) through its
+pruned buggy-trace enumeration, and feed buggy traces to one solve step,
+which analyses each trace whole.  The optimal driver feeds every buggy
+trace of each part and applies the union of the parts' typed solutions
+once, or stops at the first part without a fix; the fast driver feeds a
+part's first buggy trace, applies that fix, re-enumerates the part and
+repeats, then moves to the next part.  Fast is near-optimal and may
+synthesize extra fences on adversarial query structure.  Both verify the
+fix exactly: ``opt`` decides with ``has_buggy_trace`` that no consistent
+execution of the fixed program falsifies the assertion, and ``fast`` stops
+when its next pass finds no buggy trace in the last part.  A sanity
+checker confirms each synthesized fence is load-bearing by weakening or
+removing it in a copy of its part's sub-program and deciding the same
+question there.  A fence already in the program changes only when a
+synthesized fence is merged into it; the report lists that as a
+strengthening.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .cycles import CandidateSolution, analyze_trace
 from .errors import InternalCheckError, LitmusError, ResourceLimitError
-from .enumerator import (
-    enumerate_consistent_traces,
-    find_buggy_traces,
-    has_buggy_trace,
-    iter_buggy_traces,
-    parts,
-)
+from .enumerator import find_buggy_traces, has_buggy_trace, iter_buggy_traces, parts
 from .limits import Limits
 from .litmus import Fence, If, Program, elaborate, preorder, renumber
 from .model import FenceSlot, SourceLocation, Trace
@@ -63,7 +59,7 @@ class SynthesisResult:
     synthesized: list[SynthesizedFence] = field(default_factory=list)
     strengthened: list[StrengthenedFence] = field(default_factory=list)
     iterations: int = 0
-    traces_analyzed: int = 0  # buggy executions of the whole program
+    traces_analyzed: int = 0  # buggy traces enumerated, summed over parts
     timings: dict[str, float] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
     no_fix_trace: int | None = None
@@ -233,18 +229,14 @@ def synthesize_optimal(p: Program, limits: Limits | None = None) -> SynthesisRes
     """Collect all buggy traces, solve their query, fix, re-verify.
 
     The program is solved part by part (``parts``; the whole program is the
-    one part where there is no split).  Each part is first asked for a
-    first buggy trace, pruned as in ``has_buggy_trace``, so a program
-    without a bug builds no execution that holds.  Otherwise each part's
-    buggy executions are solved on their own and the typed solutions'
-    union is applied, verified and reported once.  Its ``traces analyzed``
-    is the whole program's buggy executions, Π Tᵢ − Π Sᵢ over the parts'
-    consistent executions Tᵢ and those Sᵢ that satisfy the part's
-    conjunction.  A lone buggy part counts as Tᵢ = Bᵢ, its buggy
-    executions, and Sᵢ = 0, which gives the same count, so its enumeration
-    stays pruned; the other parts are enumerated whole.  A part without a
-    fix ends the run: ``no_fix_trace`` indexes ``buggy_traces``, the
-    parts' traces in the order they were analysed.
+    one part where there is no split).  Each part's buggy executions are
+    enumerated pruned, as in ``has_buggy_trace``, so a program without a
+    bug builds no execution that holds.  Each buggy part is solved on its
+    own and the typed solutions' union is applied, verified and reported
+    once.  ``traces analyzed`` is the number of buggy traces enumerated,
+    summed over the parts.  A part without a fix ends the run:
+    ``no_fix_trace`` indexes ``buggy_traces``, the parts' traces in the
+    order they were analysed.
 
     Soundness.  No relation crosses parts (``has_buggy_trace``), so a fence
     in one part changes no execution of another, and a falsifying whole
@@ -261,29 +253,17 @@ def synthesize_optimal(p: Program, limits: Limits | None = None) -> SynthesisRes
     limits = limits or Limits()
     if not p.elaborated:
         p = elaborate(p)
-    subs = parts(p) or [p]
 
     t0 = time.monotonic()
-    feeds = [iter_buggy_traces(sub, limits) for sub in subs]
-    firsts = [next(feed, None) for feed in feeds]
-    n_buggy = len(subs) - firsts.count(None)
-    buggy, total, holding = [], 1, 1
-    for sub, feed, first in zip(subs, feeds, firsts) if n_buggy else ():
-        lone = first is not None and n_buggy == 1
-        traces = [first, *feed] if lone else enumerate_consistent_traces(sub, limits)
-        buggy.append([tr for tr in traces if not tr.assertion_holds])
-        total *= len(traces)
-        holding *= len(traces) - len(buggy[-1])
-    analyzed = total - holding
-    result = SynthesisResult(
-        status=FIXED, traces_analyzed=analyzed, timings={"enumerate": time.monotonic() - t0}
-    )
-    if not analyzed:
+    buggy = list(filter(None, (list(iter_buggy_traces(sub, limits)) for sub in parts(p) or [p])))
+    timings = {"enumerate": time.monotonic() - t0}
+    result = SynthesisResult(status=FIXED, traces_analyzed=sum(map(len, buggy)), timings=timings)
+    if not buggy:
         result.status = ALREADY_CORRECT
         result.fixed_program = p
         return result
     assignment: list = []
-    for traces in filter(None, buggy):
+    for traces in buggy:
         typed = _solve(traces, result, limits)
         if typed is None:
             return result
@@ -308,7 +288,10 @@ def synthesize_optimal(p: Program, limits: Limits | None = None) -> SynthesisRes
 
 
 def synthesize_fast(p: Program, limits: Limits | None = None) -> SynthesisResult:
-    """Fix the first buggy trace, re-enumerate, repeat until clean."""
+    """Fix the first buggy trace, re-enumerate, repeat until clean, one part
+    at a time (``parts``, in order).  A fence changes no part, so the
+    program is clean once each part is; pass numbers count across parts,
+    and ``max_iters`` bounds them all."""
     limits = limits or Limits()
     if not p.elaborated:
         p = elaborate(p)
@@ -316,28 +299,27 @@ def synthesize_fast(p: Program, limits: Limits | None = None) -> SynthesisResult
     timings = {"enumerate": 0.0, "analyze": 0.0, "solve": 0.0}
     result = SynthesisResult(status=FIXED, timings=timings)
 
-    # Fences change no part: on a program of several, a pass after the
-    # first decides existence by parts before it enumerates whole.
-    several = parts(p) is not None
-    while True:
-        t0 = time.monotonic()
-        clean = result.iterations and several and not has_buggy_trace(p, limits)
-        first = None if clean else next(iter_buggy_traces(p, limits), None)
-        timings["enumerate"] += time.monotonic() - t0
-        if first is None:
-            break
-        if result.iterations >= limits.max_iters:
-            raise ResourceLimitError("iterative-synthesis", "max iterations reached")
-        result.traces_analyzed += 1
-        typed = _solve([first], result, limits)
-        if typed is None:
-            return result
+    for part in parts(p) or [p]:
+        tids = {t.tid for t in part.threads}
+        while True:
+            t0 = time.monotonic()
+            part = replace(part, threads=[t for t in p.threads if t.tid in tids])
+            first = next(iter_buggy_traces(part, limits), None)
+            timings["enumerate"] += time.monotonic() - t0
+            if first is None:
+                break
+            if result.iterations >= limits.max_iters:
+                raise ResourceLimitError("iterative-synthesis", "max iterations reached")
+            result.traces_analyzed += 1
+            typed = _solve([first], result, limits)
+            if typed is None:
+                return result
 
-        result.iterations += 1
-        result.notes.append(
-            "pass %d: %s" % (result.iterations, ", ".join("%s:%s" % (s, o) for s, o in typed.assignment))
-        )
-        p = apply_solution(p, typed, synth_iter=result.iterations)
+            result.iterations += 1
+            result.notes.append(
+                "pass %d: %s" % (result.iterations, ", ".join("%s:%s" % (s, o) for s, o in typed.assignment))
+            )
+            p = apply_solution(p, typed, synth_iter=result.iterations)
 
     result.status = FIXED if result.iterations > 0 else ALREADY_CORRECT
     result.fixed_program = p
