@@ -249,7 +249,7 @@ def _sccs(vertices: Sequence[int], adj: Mapping[int, Sequence[int]]) -> list[lis
 
 
 # The locally weakest order of a fence, by the roles (``_IN``, ``_OUT``)
-# it plays in the sw/dob steps of a weak solution.
+# it plays in the sw steps of a weak solution.
 _ROLE_ORDER = {_IN: MemoryOrder.ACQ, _OUT: MemoryOrder.REL, _IN | _OUT: MemoryOrder.AR}
 
 

@@ -255,7 +255,7 @@ def synthesize_optimal(p: Program, limits: Limits | None = None) -> SynthesisRes
         p = elaborate(p)
 
     t0 = time.monotonic()
-    buggy = list(filter(None, (list(iter_buggy_traces(sub, limits)) for sub in parts(p) or [p])))
+    buggy = list(filter(None, (list(iter_buggy_traces(sub, limits)) for sub in parts(p))))
     timings = {"enumerate": time.monotonic() - t0}
     result = SynthesisResult(status=FIXED, traces_analyzed=sum(map(len, buggy)), timings=timings)
     if not buggy:
@@ -299,7 +299,7 @@ def synthesize_fast(p: Program, limits: Limits | None = None) -> SynthesisResult
     timings = {"enumerate": 0.0, "analyze": 0.0, "solve": 0.0}
     result = SynthesisResult(status=FIXED, timings=timings)
 
-    for part in parts(p) or [p]:
+    for part in parts(p):
         tids = {t.tid for t in part.threads}
         while True:
             t0 = time.monotonic()
@@ -399,7 +399,7 @@ def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | Non
                     return block, i, s
         raise InternalCheckError("lost a synthesized fence while mutating")
 
-    part_of = {t.tid: sub for sub in parts(p_fixed) or [p_fixed] for t in sub.threads}
+    part_of = {t.tid: sub for sub in parts(p_fixed) for t in sub.threads}
 
     def probe(mutant, fence_name, mutation):
         try:

@@ -159,12 +159,11 @@ def coherence_violations(tr) -> list[str]:
     """Names of the violated coherence axioms (empty for a coherent trace),
     in ``COHERENCE`` order.
 
-    The axioms are evaluated on the transitive closure of hb, matching the
-    hb-run semantics used by cycle detection: a composition is reflexive
-    iff the ends ``coherence_shapes`` yields for it lie in hb_closed.
+    A composition is reflexive iff the ends ``coherence_shapes`` yields
+    for it lie in hb, as in the fence analyses.
     """
-    hbc = tr.hb_closed
-    found = {name for name, a, b in coherence_shapes(tr) if (a, b) in hbc}
+    hb = tr.hb
+    found = {name for name, a, b in coherence_shapes(tr) if (a, b) in hb}
     return [name for name in COHERENCE if name in found]
 
 
@@ -186,7 +185,7 @@ def exists_sc_total_order(tr, limits: Limits | None = None) -> bool:
     limits = limits or Limits()
     scset = set(sc_ids)
     mo = tr.mo
-    hbc = tr.hb_closed
+    hb = tr.hb
     sc_writes = {obj: [c for c in chain if c in scset] for obj, chain in tr.mo_chains.items()}
 
     rows = sc_clauses(tr)
@@ -201,10 +200,10 @@ def exists_sc_total_order(tr, limits: Limits | None = None) -> bool:
         robj = tr.event(r).obj
         rows[r] &= ~sum(1 << c for c in sc_writes[robj] if (w, c) in mo and (r, c) not in mo)
         w_is_init = tr.event(w).is_init
-        banned = frozenset(c for c in sc_writes[robj] if w_is_init or (w, c) in hbc)
+        banned = frozenset(c for c in sc_writes[robj] if w_is_init or (w, c) in hb)
         if banned:
             last_write_bans[r] = (robj, banned)
-    for a, b in hbc:
+    for a, b in hb:
         if a in scset and b in scset:
             rows[a] |= 1 << b
 
@@ -482,10 +481,10 @@ def conjuncts(e: Expr) -> list[Expr]:
     return [e]
 
 
-def parts(p: Program) -> list[Program] | None:
-    """The sub-programs of the assertion-independent parts of ``p``, or None
-    where ``p`` is taken whole: it has one part, or a conjunct names no
-    thread's local and no object a thread accesses.
+def parts(p: Program) -> list[Program]:
+    """The sub-programs of the assertion-independent parts of ``p``, or
+    ``[p]`` where ``p`` is taken whole: it has one part, or a conjunct names
+    no thread's local and no object a thread accesses.
 
     Threads, objects and the assertion's top-level conjuncts fall into
     components (``components``): a thread joins each object it accesses,
@@ -504,7 +503,7 @@ def parts(p: Program) -> list[Program] | None:
         if isinstance(s, (Load, Store, FetchAdd))
     ]
     if len(components(pairs)) < 2:  # one group of threads is one part
-        return None
+        return [p]
     cs = conjuncts(p.assertion)
     bindings = p.assertion_bindings()
     for k, c in enumerate(cs):
@@ -512,7 +511,7 @@ def parts(p: Program) -> list[Program] | None:
         pairs += [((2, k), (0 if kind == "local" else 1, where)) for kind, where in map(bindings.get, expr_vars(c))]
     comps = components(pairs)
     if len(comps) < 2 or any(all(kind != 0 for kind, _ in comp) for comp in comps):
-        return None
+        return [p]
     subs = []
     for comp in comps:
         tids, objs = {n for kind, n in comp if kind == 0}, {n for kind, n in comp if kind == 1}
@@ -525,8 +524,7 @@ def parts(p: Program) -> list[Program] | None:
 
 def has_buggy_trace(p: Program, limits: Limits | None = None) -> bool:
     """Whether some consistent execution falsifies the assertion: whether
-    some part's sub-program (``parts``; the whole program where there is
-    none) has a first buggy trace.
+    some part's sub-program (``parts``) has a first buggy trace.
 
     Soundness.  sb, rf and mo never cross parts, so neither do sw and hb.
     Every coherence shape lies within one object, and every sc clause
@@ -539,4 +537,4 @@ def has_buggy_trace(p: Program, limits: Limits | None = None) -> bool:
     names, so an execution falsifies it iff one of its part executions
     falsifies that part's conjunction.
     """
-    return any(next(iter_buggy_traces(sub, limits), None) is not None for sub in parts(p) or [p])
+    return any(next(iter_buggy_traces(sub, limits), None) is not None for sub in parts(p))

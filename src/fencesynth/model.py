@@ -119,8 +119,8 @@ class Trace:
 
     ``candidates`` are the ids of the untyped candidate fences spliced into
     sb (see ``cycles.insert_candidate_fences``); an enumerated execution has
-    none.  Candidate fences extend sb (and hence sw/dob/ithb/hb and so) but
-    never participate in rf, mo or fr.  All candidates carry the strongest
+    none.  Candidate fences extend sb (and hence sw, hb and so) but never
+    participate in rf, mo or fr.  All candidates carry the strongest
     order; the coherence analysis only relies on their release/acquire
     capability.
 
@@ -211,22 +211,9 @@ class Trace:
         return self._hb_info[0]
 
     @property
-    def dob(self) -> Relation:
-        return self._hb_info[1]
-
-    @cached_property
-    def ithb(self) -> Relation:
-        from .relations import compute_ithb
-
-        return compute_ithb(self)
-
-    @cached_property
     def hb(self) -> Relation:
-        return self.sb | self.ithb
-
-    @property
-    def hb_closed(self) -> Relation:
-        return self._hb_info[2]
+        """(sb ∪ sw)+, the happens-before that the axioms read."""
+        return self._hb_info[1]
 
     @cached_property
     def fr(self) -> Relation:
@@ -249,7 +236,7 @@ class Trace:
         return tuple(sorted(self.slot_of.values()))
 
     def role_closure(self, limits=None):
-        """The minimal fence-role masks of every hb_closed pair, computed
+        """The minimal fence-role masks of every hb pair, computed
         once (see ``relations.role_closure``); ``limits`` bounds that run."""
         if self._roles is None:
             from .relations import role_closure
@@ -300,6 +287,6 @@ def components(pairs: Iterable[tuple[Hashable, Hashable]]) -> list[list]:
 def dump_trace(tr: Trace) -> str:
     """One fact per line, stable sort: events, then sb/rf/mo, then derived."""
     lines = [str(e) for e in tr.events]
-    for name in ("sb", "rf", "mo", "sw", "dob", "hb", "fr", "so"):
+    for name in ("sb", "rf", "mo", "sw", "hb", "fr", "so"):
         lines.extend("%s %d %d" % (name, a, b) for a, b in sorted(getattr(tr, name)))
     return "\n".join(lines) + "\n"

@@ -5,19 +5,13 @@ both read: hb, the coherence compositions and the sc clauses.
 All functions are pure over immutable traces and accept either a plain
 execution or an intermediate one: a ``Trace`` whose candidate fences are
 spliced into sb (see ``cycles.insert_candidate_fences``).  Each relation
-is a frozenset of (a, b) event-id pairs (``model.Relation``).  The axioms
-are evaluated on hb_closed = (sb ∪ sw ∪ dob)+.  The README's inter-thread
-happens-before, the least fixpoint of
-
-    sw ⊆ ithb;  dob ⊆ ithb;  sw;sb ⊆ ithb;  sb;ithb ⊆ ithb;  ithb;ithb ⊆ ithb
-
-with hb = sb ∪ ithb, has the same closure: each ithb step is a path of
-sb, sw and dob edges, each of which is in hb.  ``compute_ithb`` keeps that
-fixpoint for ``--emit-traces``.
+is a frozenset of (a, b) event-id pairs (``model.Relation``).  sw holds
+the release-sequence case too, as in C11 and RC11, and the axioms are
+evaluated on hb = (sb ∪ sw)+.
 
 hb is a witness-free fixpoint over per-event bitmasks.  On an intermediate
 trace, the fence analyses also need to know which fences each pair relies
-on: ``role_closure`` closes the sb/sw/dob steps over antichains of
+on: ``role_closure`` closes the sb and sw steps over antichains of
 ⊆-minimal candidate-fence role masks, and ``compute_so_info`` carries
 them through the sc clauses, giving each so edge the masks of the fences
 it relies on, its candidate ends included.
@@ -49,80 +43,42 @@ def release_sequence(tr, w: Event) -> list[Event]:
     return out
 
 
-def derive_sync(tr) -> tuple[Relation, Relation]:
-    """The sw and dob relations, including the fence-induced cases.
+def derive_sync(tr) -> Relation:
+    """sw, with its fence and release-sequence cases.
 
-    For each rf edge (w, r): a release-capable w synchronizes with an
-    acquire-capable r directly, with an acquire fence sequenced after r,
-    from a release fence sequenced before w, or fence to fence.  dob lifts
-    the same two acquire-side cases to the release-sequence head of w.
+    For each rf edge (w, r), the release sources of w synchronize with the
+    acquire sinks of r.  The sources are the heads of w's release sequences
+    (each release write whose release sequence holds w, w itself if it is
+    release) and the release fences sequenced before w.  The sinks are r
+    if it is acquire and the acquire fences sequenced after r.  RC11's
+    release sequence from a fence ([F];po;rs) is not modelled.
     """
     rel_fences = {f.id for f in tr.fences if f.ord.at_least_release}
     acq_fences = {f.id for f in tr.fences if f.ord.at_least_acquire}
-    acq_after: dict[int, list[int]] = {}
-    rel_before: dict[int, list[int]] = {}
+    sources: dict[int, list[int]] = {}
+    sinks: dict[int, list[int]] = {}
+    for e in tr.events:
+        if e.is_write and e.ord.at_least_release:
+            for member in release_sequence(tr, e):
+                sources.setdefault(member.id, []).append(e.id)
+        if e.is_read and e.ord.at_least_acquire:
+            sinks.setdefault(e.id, []).append(e.id)
     for a, b in tr.sb:
         if b in acq_fences:
-            acq_after.setdefault(a, []).append(b)
+            sinks.setdefault(a, []).append(b)
         if a in rel_fences:
-            rel_before.setdefault(b, []).append(a)
-    sw: set[tuple[int, int]] = set()
-    dob: set[tuple[int, int]] = set()
-
-    heads = [w for w in tr.writes if w.ord.at_least_release and not w.is_init]
-    in_release_seq: dict[int, list[int]] = {}
-    for head in heads:
-        for member in release_sequence(tr, head):
-            in_release_seq.setdefault(member.id, []).append(head.id)
-
-    for w_id, r_id in tr.rf:
-        w_rel = tr.event(w_id).ord.at_least_release
-        r_acq = tr.event(r_id).ord.at_least_acquire
-        acq_after_r = acq_after.get(r_id, ())
-        rel_before_w = rel_before.get(w_id, ())
-        if w_rel:
-            if r_acq:
-                sw.add((w_id, r_id))
-            for f in acq_after_r:
-                sw.add((w_id, f))
-        if r_acq:
-            for f in rel_before_w:
-                sw.add((f, r_id))
-        for f1 in rel_before_w:
-            for f2 in acq_after_r:
-                sw.add((f1, f2))
-        for head in in_release_seq.get(w_id, ()):
-            if r_acq:
-                dob.add((head, r_id))
-            for f in acq_after_r:
-                dob.add((head, f))
-
-    return frozenset(sw), frozenset(dob)
+            sources.setdefault(b, []).append(a)
+    return frozenset((a, b) for w, r in tr.rf for a in sources.get(w, ()) for b in sinks.get(r, ()))
 
 
-def compute_hb_info(tr) -> tuple[Relation, Relation, Relation]:
-    """sw, dob and hb_closed = (sb ∪ sw ∪ dob)+ of a trace.
+def compute_hb_info(tr) -> tuple[Relation, Relation]:
+    """sw and hb = (sb ∪ sw)+ of a trace.
 
     Only plain executions need these: the fence analyses of an
     intermediate trace close the same steps in ``role_closure``.
     """
-    sw, dob = derive_sync(tr)
-    return sw, dob, _from_rows(_closure(_rows(tr, tr.sb, sw, dob)))
-
-
-def compute_ithb(tr) -> Relation:
-    """Inter-thread happens-before, the least fixpoint of the five rules.
-
-    sb is transitive, so ithb = (sb? ; (sw ∪ sw;sb ∪ dob))+.
-    """
-    sb = _rows(tr, tr.sb)
-    base = _rows(tr, tr.dob)
-    for a, b in tr.sw:
-        base[a] |= (1 << b) | sb[b]
-    step = dict(base)
-    for a, x in tr.sb:
-        step[a] |= base[x]
-    return _from_rows(_closure(step))
+    sw = derive_sync(tr)
+    return sw, _from_rows(_closure(_rows(tr, tr.sb, sw)))
 
 
 def _rows(tr, *rels: Relation) -> dict[int, int]:
@@ -318,12 +274,10 @@ def role_closure(it, limits: Limits | None = None) -> dict[int, dict[int, tuple[
     """Row a, column b: the minimal role masks of the hb paths from a to b.
 
     An sb step needs no role; an sw(a, b) step needs out(a) and in(b) of
-    whichever ends are candidate fences; a dob(a, b) step needs in(b) if b
-    is one (its head is a write).  The support is exactly hb_closed, and
-    every bit of a mask is a candidate fence that entered through an sw or
-    dob endpoint, so it plays that role.
+    whichever ends are candidate fences.  The support is exactly hb, and
+    every bit of a mask is a candidate fence that entered through an sw
+    endpoint, so it plays that role.
     """
-    sw, dob = derive_sync(it)
     fence_bit = {f: 2 * i for i, f in enumerate(fence_order(it))}
 
     def bits(e: int, role: int) -> int:
@@ -332,10 +286,8 @@ def role_closure(it, limits: Limits | None = None) -> dict[int, dict[int, tuple[
     steps: dict[tuple[int, int], list[int]] = {}
     for a, b in it.sb:
         steps.setdefault((a, b), []).append(0)
-    for a, b in sw:
+    for a, b in derive_sync(it):
         steps.setdefault((a, b), []).append(bits(a, _OUT) | bits(b, _IN))
-    for a, b in dob:
-        steps.setdefault((a, b), []).append(bits(b, _IN))
 
     rows: dict[int, dict[int, tuple[int, ...]]] = {e.id: {} for e in it.events}
     for (a, b), masks in steps.items():
@@ -352,12 +304,12 @@ def compute_so_info(it) -> dict[tuple[int, int], tuple[int, ...]]:
     The clauses of ``sc_clauses`` are applied to every pair of hb ∪ mo ∪
     rf ∪ fr.  sc pairs with no forced order stay unordered.  Every edge
     relies on its ends, where they are candidates; an mo, rf or fr pair
-    relies on nothing else, and a pair of hb_closed also on the fences of
+    relies on nothing else, and a pair of hb also on the fences of
     its role masks.
 
     The three fence clauses add nothing for an hb pair: sb ⊆ hb, so the
-    pair they would add is itself in hb_closed, by paths that need no more
-    fences, and the first clause adds it.  So only sc pairs of hb_closed
+    pair they would add is itself in hb, by paths that need no more
+    fences, and the first clause adds it.  So only sc pairs of hb
     are added to the fence-free rows.
     """
     sc = sum(1 << e.id for e in it.sc_events)

@@ -407,8 +407,9 @@ def trace_signature(tr):
     )
 
 
-def accepting_sc_orders(tr):
-    """All accepted sc total orders of a package trace, as event-id tuples."""
+def _oracle_view(tr):
+    """A package trace as the oracle's (events, sb, rf, mo, chains) over
+    (thread, position) keys, and the event id of each key."""
     events = []
     key_of = {}
     for e in tr.events:
@@ -419,12 +420,24 @@ def accepting_sc_orders(tr):
     rf = {(key_of[a], key_of[b]) for a, b in tr.rf}
     mo = {(key_of[a], key_of[b]) for a, b in tr.mo}
     chains = {obj: [key_of[i] for i in chain] for obj, chain in tr.mo_chains.items()}
-    hbc, _, _ = _naive_hb(events, sb, rf, mo, chains)
-    back = {v: k for k, v in key_of.items()}
+    return (events, sb, rf, mo, chains), {v: k for k, v in key_of.items()}
+
+
+def accepting_sc_orders(tr):
+    """All accepted sc total orders of a package trace, as event-id tuples."""
+    view, back = _oracle_view(tr)
+    hbc, _, _ = _naive_hb(*view)
     return [
         tuple(back[k] for k in perm)
-        for perm in _accepted_sc_orders(events, sb, rf, mo, hbc)
+        for perm in _accepted_sc_orders(*view[:4], hbc)
     ]
+
+
+def naive_hb_of(tr):
+    """``_naive_hb`` of a package trace, (hb closure, sw, dob), as sets of
+    event-id pairs."""
+    view, back = _oracle_view(tr)
+    return tuple({(back[a], back[b]) for a, b in rel} for rel in _naive_hb(*view))
 
 
 def brute_force_cycles(adj: dict[int, list[int]]) -> set[tuple[int, ...]]:

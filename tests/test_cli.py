@@ -166,7 +166,7 @@ def test_emitters_write_files(tmp_path, capsys):
     t = traces.read_text()
     assert t.startswith("trace 0\n")
     # This trace reads the initial values, so from-reads is nonempty;
-    # unsynchronized relaxed accesses leave sw/dob/so empty.
+    # unsynchronized relaxed accesses leave sw and so empty.
     for fact in ("event ", "sb ", "rf ", "mo ", "hb ", "fr "):
         assert "\n" + fact in t
     c = cycles.read_text()

@@ -248,7 +248,7 @@ def test_existence_matches_oracle_on_fixes_and_mutants(name, monkeypatch):
     result = driver.synthesize(p, mode="opt")
     assert result.status == driver.FIXED
     mutants = sanity_mutants(monkeypatch, result)
-    assert len(mutants) >= 2 * len(parts(p) or [p])
+    assert len(mutants) >= 2 * len(parts(p))
     for q in [p, result.fixed_program] + mutants:
         assert_decided_as_the_oracle(q)
 
@@ -299,7 +299,7 @@ def test_existence_matches_oracle_on_joined_random_programs(kind):
         p = elaborate(parse_program(joined(seed, kind)), 16)
         assert_decided_as_the_oracle(p)
         buggy += has_buggy_trace(p)
-        split += parts(p) is not None
+        split += len(parts(p)) > 1
     # Neither answer is vacuous over the seeds, and each kind has joins
     # that are decided by parts.
     assert 0 < buggy < len(seeds) and split > 0
@@ -467,7 +467,7 @@ def whole_path():
 
     with pytest.MonkeyPatch.context() as m:
         for module in (driver, enumerator):
-            m.setattr(module, "parts", lambda q: None)
+            m.setattr(module, "parts", lambda q: [q])
         yield
 
 
@@ -502,7 +502,7 @@ def assert_parts_path_is_the_whole_path(p):
         assert result.solutions_by_trace[result.no_fix_trace] == [], p.name
     if result.status == "fixed":
         assert result.traces_analyzed == len(result.buggy_traces), p.name
-    if parts(p):
+    if len(parts(p)) > 1:
         report, whole_report = parts_masked(report), parts_masked(whole_report)
     assert (report, sanity) == (whole_report, whole_sanity), p.name
     return result
@@ -518,7 +518,7 @@ MANY_BUGS = {
 def test_opt_by_parts_reports_as_the_whole_path_on_many_bugs(name):
     make, m = MANY_BUGS[name]
     p = elaborate(parse_program(make(m)), 16)
-    assert len(parts(p) or [p]) == m
+    assert len(parts(p)) == m
     result = assert_parts_path_is_the_whole_path(p)
     assert result.status == "fixed" and len(result.synthesized) == 2 * m
 
@@ -548,7 +548,7 @@ def test_opt_by_parts_reports_as_the_whole_path_on_corpus_joins():
 def test_coupled_corpus_joins_take_the_one_part_path():
     for a, b in CORPUS_JOINS[:10]:
         p = elaborate(parse_program(corpus_join(a, b, "(%s) || (%s)")), 16)
-        assert parts(p) is None, p.name
+        assert len(parts(p)) == 1, p.name
         assert_parts_path_is_the_whole_path(p)
 
 
@@ -613,7 +613,7 @@ def test_opt_by_parts_checks_no_more_candidates_than_the_whole_path(monkeypatch)
 
     # Each one-part corpus program beside a lone thread; assert_true's
     # conjunct names nothing, so it is taken whole.
-    texts = [beside_lone(corpus_text(name)) for name in CORPUS if parts(load(name)) is None]
+    texts = [beside_lone(corpus_text(name)) for name in CORPUS if len(parts(load(name))) == 1]
     texts.remove(beside_lone(corpus_text("assert_true")))
     texts += [beside_lone(mp_program("mp_poll_%d" % k, polls=k)) for k in (2, 4)]
     compared = collections.Counter()

@@ -297,7 +297,6 @@ def test_assert_true_never_buggy():
 
 def test_hb_irreflexive_on_accepted_traces(rwrw):
     for tr in enumerate_consistent_traces(rwrw):
-        assert not reflexive(tr.hb_closed)
         assert not reflexive(tr.hb)
 
 

@@ -1,4 +1,4 @@
-"""Derived relations: release sequences, sw/dob, hb, fr, and the sc order,
+"""Derived relations: release sequences, sw, hb, fr, and the sc order,
 and the bitmask closure behind hb, against naive set-comprehension
 references."""
 
@@ -97,7 +97,7 @@ def test_sw_direct_release_acquire():
         rf=[("w", "r")],
         mo_tail={"x": ["w"]},
     )
-    sw, dob = derive_sync(tr)
+    sw = derive_sync(tr)
     assert (ids["w"], ids["r"]) in sw
 
 
@@ -111,7 +111,7 @@ def test_sw_release_write_to_acquire_fence():
         rf=[("w", "r")],
         mo_tail={"x": ["w"]},
     )
-    sw, _ = derive_sync(tr)
+    sw = derive_sync(tr)
     assert (ids["w"], ids["f"]) in sw
     assert (ids["w"], ids["r"]) not in sw  # the read itself is relaxed
 
@@ -126,7 +126,7 @@ def test_sw_release_fence_to_acquire_read():
         rf=[("w", "r")],
         mo_tail={"x": ["w"]},
     )
-    sw, _ = derive_sync(tr)
+    sw = derive_sync(tr)
     assert (ids["f"], ids["r"]) in sw
 
 
@@ -140,7 +140,7 @@ def test_sw_fence_to_fence():
         rf=[("w", "r")],
         mo_tail={"x": ["w"]},
     )
-    sw, _ = derive_sync(tr)
+    sw = derive_sync(tr)
     assert (ids["f1"], ids["f2"]) in sw
 
 
@@ -154,11 +154,10 @@ def test_relaxed_rf_yields_no_sync():
         rf=[("w", "r")],
         mo_tail={"x": ["w"]},
     )
-    sw, dob = derive_sync(tr)
-    assert len(sw) == 0 and len(dob) == 0
+    assert len(derive_sync(tr)) == 0
 
 
-def test_dob_through_release_sequence_rmw():
+def test_sw_through_release_sequence_rmw():
     tr, ids = make_trace(
         init={"x": 0},
         threads={
@@ -169,8 +168,9 @@ def test_dob_through_release_sequence_rmw():
         rf=[("w", "u"), ("u", "r")],
         mo_tail={"x": ["w", "u"]},
     )
-    _, dob = derive_sync(tr)
-    assert (ids["w"], ids["r"]) in dob
+    # The head w synchronizes with r, which reads the rmw u that continues
+    # w's release sequence.
+    assert (ids["w"], ids["r"]) in derive_sync(tr)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +187,7 @@ def test_hb_sw_then_sb():
         rf=[("a", "b")],
         mo_tail={"x": ["a", "c"]},
     )
-    ithb, hb = tr.ithb, tr.hb
-    assert (ids["a"], ids["c"]) in ithb  # sw;sb
-    assert (ids["a"], ids["c"]) in hb
+    assert (ids["a"], ids["c"]) in tr.hb  # sw;sb
 
 
 def test_hb_is_sb_without_synchronization():
@@ -199,9 +197,8 @@ def test_hb_is_sb_without_synchronization():
         rf=[("a", "b")],
         mo_tail={"x": ["a"]},
     )
-    ithb, hb = tr.ithb, tr.hb
-    assert len(ithb) == 0
-    assert hb == tr.sb
+    assert len(tr.sw) == 0
+    assert tr.hb == tr.sb
 
 
 def test_release_fence_closes_read_write_cycle(rwrw):
@@ -213,7 +210,7 @@ def test_release_fence_closes_read_write_cycle(rwrw):
     ry = next(e for e in fixed.events if e.is_read and e.obj == "y")
     wy = next(e for e in fixed.events if e.is_write and e.obj == "y" and not e.is_init)
     assert (ry.id, wy.id) in fixed.hb
-    assert reflexive({(w, c) for w, r in fixed.rf for b, c in fixed.hb_closed if b == r})
+    assert reflexive({(w, c) for w, r in fixed.rf for b, c in fixed.hb if b == r})
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +313,8 @@ def test_plain_trace_so_is_that_of_the_trace_without_candidates():
 
 
 def test_hb_closures_are_built_for_plain_traces_only(monkeypatch):
-    # The fence analyses read sw and dob only; the hb closures of a trace
-    # with candidate fences would be built for nothing.
+    # The fence analyses read sw only; the hb closure of a trace with
+    # candidate fences would be built for nothing.
     import fencesynth.relations
     from fencesynth.driver import synthesize
 
@@ -336,52 +333,56 @@ def test_hb_closures_are_built_for_plain_traces_only(monkeypatch):
     assert not [tr for tr in seen if tr.fence_event_ids]
 
 
-def test_hb_is_stated_once():
-    # hb_closed = (sb ∪ sw ∪ dob)+ is the closure of the README's
-    # hb = sb ∪ ithb, and the support of the role-mask closure, on every
-    # consistent execution of the corpus and of 150 random programs.
+def corpus_and_random_programs():
+    """The corpus and 150 random programs: 674 consistent executions."""
     from fencesynth.litmus import elaborate, parse_program
-    from fencesynth.relations import role_closure
     from test_litmus import random_litmus_program
 
-    programs = [load(name) for name in CORPUS]
-    programs += [elaborate(parse_program(random_litmus_program(seed))) for seed in range(150)]
+    randoms = [elaborate(parse_program(random_litmus_program(seed))) for seed in range(150)]
+    return [load(name) for name in CORPUS] + randoms
+
+
+def test_hb_is_stated_once():
+    # hb is (sb ∪ sw)+ and the support of the role-mask closure, on every
+    # consistent execution of the corpus and of 150 random programs.
+    from fencesynth.relations import role_closure
+
     checked = 0
-    for p in programs:
+    for p in corpus_and_random_programs():
         for tr in enumerate_consistent_traces(p):
-            assert tr.hb == tr.sb | tr.ithb
-            assert tr.hb_closed == closure(tr.hb)
             support = {(a, b) for a, row in role_closure(tr).items() for b in row}
-            assert tr.hb_closed == support
+            assert tr.hb == closure(tr.sb | tr.sw) == support
             checked += 1
     assert checked == 674
 
 
-def test_only_dump_trace_computes_ithb(monkeypatch):
-    # The pipeline reads hb_closed only; ithb and hb = sb ∪ ithb are built
-    # for --emit-traces.
-    import fencesynth.relations
-    from fencesynth.driver import FIXED, sanity_check, synthesize
+def test_sw_and_hb_match_the_oracle():
+    # sw holds the oracle's sw ∪ dob, its release-sequence case, and hb is
+    # the oracle's hb closure, on every consistent execution of the corpus
+    # and of 150 random programs.
+    from oracle import naive_hb_of
+
+    checked = through_release_sequences = 0
+    for p in corpus_and_random_programs():
+        for tr in enumerate_consistent_traces(p):
+            hb, sw, dob = naive_hb_of(tr)
+            assert tr.sw == sw | dob, p.name
+            assert tr.hb == hb, p.name
+            checked += 1
+            through_release_sequences += not dob <= sw
+    assert checked == 674 and through_release_sequences == 12
+
+
+def test_hb_holds_release_sequence_then_sb():
+    # t2 reads y = 2 from t1's relaxed store, which continues the release
+    # sequence of its store y = 1 (event 3), so 3 and t1's earlier store
+    # (event 2) happen before t2's later load (event 6).
     from fencesynth.model import dump_trace
 
-    seen = []
-    compute_ithb = fencesynth.relations.compute_ithb
-
-    def recording(tr):
-        seen.append(tr)
-        return compute_ithb(tr)
-
-    monkeypatch.setattr(fencesynth.relations, "compute_ithb", recording)
-    buggy = []
-    for name in CORPUS:
-        for mode in ("opt", "fast"):
-            result = synthesize(load(name), mode)
-            if result.status == FIXED:
-                sanity_check(result.fixed_program, result)
-            buggy += result.buggy_traces
-    assert seen == [] and buggy
-    dump_trace(buggy[0])
-    assert seen == [buggy[0]]
+    [tr] = [t for t in enumerate_consistent_traces(load("relseq_thread")) if t.final_locals["t2"]["a"] == 2]
+    assert tr.event(3).ord is O.REL and tr.event(6).obj == "d"
+    assert {(3, 6), (2, 6)} <= tr.hb
+    assert "\nhb 3 6\n" in dump_trace(tr)
 
 
 def test_sync_monotone_under_added_fences():
@@ -389,7 +390,7 @@ def test_sync_monotone_under_added_fences():
     slots = sorted(insert_candidate_fences(tr).slots)
     small = insert_candidate_fences(tr, slots=slots[:2])
     big = insert_candidate_fences(tr)
-    for name in ("sw", "dob", "ithb", "hb"):
+    for name in ("sw", "hb"):
         assert getattr(small, name) <= getattr(big, name)
 
 
@@ -414,7 +415,7 @@ def test_so_transitive_subset_of_every_accepted_order():
 def test_every_relation_is_a_frozenset():
     # A relation is its pair set: base and derived relations of every
     # consistent corpus execution, and those of its intermediate trace.
-    names = ("sb", "rf", "mo", "sw", "dob", "ithb", "hb", "hb_closed", "fr", "so")
+    names = ("sb", "rf", "mo", "sw", "hb", "fr", "so")
     checked = 0
     for name in CORPUS:
         for tr in enumerate_consistent_traces(load(name)):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import collections
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -130,6 +131,19 @@ def test_coherence_names_are_spelled_in_relations_only():
     assert spelled == {"relations.py"}
 
 
+def test_hb_has_one_name():
+    # sw holds the release-sequence case and hb is (sb ∪ sw)+; a module
+    # that spells the names of a split sw or of a second hb, in code or
+    # prose, states hb twice.
+    spelled = [
+        "%s:%d %s" % (path.name, n, word)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        for word in re.findall(r"\b(?:dob|ithb|hb_closed|compute_ithb)\b", line)
+    ]
+    assert spelled == []
+
+
 def test_max_traces_is_read_only_where_it_is_set_and_counted():
     # The trace bound only bounds an enumeration: the CLI sets it, and
     # the enumerator counts against it.  Read anywhere else, it would
@@ -180,7 +194,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
 
 
 def test_package_stays_under_the_north_star():
-    # The package's line budget, 3,275 lines: a change that adds code first
+    # The package's line budget, 3,210 lines: a change that adds code first
     # deletes some.
     lines = sum(len(path.read_text().splitlines()) for path in PACKAGE.glob("*.py"))
-    assert lines <= 3275
+    assert lines <= 3210
