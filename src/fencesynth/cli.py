@@ -1,7 +1,7 @@
 """The ``fensy`` command line interface.
 
 Exit codes: 0 fixed or already correct, 1 no fix exists, 2 resource limit
-exceeded or out of memory, 3 input error.
+exceeded or out of memory, 3 input error, 4 internal error (a tool bug).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .driver import ALREADY_CORRECT, FIXED, NO_FIX, sanity_check, synthesize
-from .errors import LitmusError, ResourceLimitError
+from .errors import InternalCheckError, LitmusError, ResourceLimitError
 from .limits import Limits
 from .litmus import elaborate, parse_program, print_program, DEFAULT_UNROLL
 from .model import dump_trace
@@ -87,45 +87,42 @@ def main(argv=None) -> int:
         max_iters=args.max_iters,
     ).start()
 
+    phase = "synthesis"
     try:
         result = synthesize(program, mode=args.mode, limits=limits)
+
+        emits = []
+        if args.emit_traces:
+            chunks = []
+            for i, tr in enumerate(result.buggy_traces):
+                chunks.append("trace %d\n%s" % (i, dump_trace(tr)))
+            emits.append((args.emit_traces, "\n".join(chunks)))
+        if args.emit_cycles:
+            lines = [s.render() for sols in result.solutions_by_trace for s in sols]
+            emits.append((args.emit_cycles, "\n".join(lines) + ("\n" if lines else "")))
+        if args.emit_query:
+            emits.append((args.emit_query, "".join(q.render() for q in result.queries)))
+        for path, text in emits:
+            try:
+                Path(path).write_text(text, encoding="utf-8")
+            except OSError as exc:
+                print("fensy: cannot write %s: %s" % (path, exc), file=sys.stderr)
+                return 3
+
+        sys.stdout.write(result.render())
+
+        if args.sanity_check and result.status == FIXED:
+            phase = "sanity-check"
+            sys.stdout.write(sanity_check(result.fixed_program, result, limits).render())
     except ResourceLimitError as exc:
         print("fensy: %s" % exc, file=sys.stderr)
         return 2
     except MemoryError:
-        print("fensy: out of memory during synthesis", file=sys.stderr)
+        print("fensy: out of memory during %s" % phase, file=sys.stderr)
         return 2
-
-    emits = []
-    if args.emit_traces:
-        chunks = []
-        for i, tr in enumerate(result.buggy_traces):
-            chunks.append("trace %d\n%s" % (i, dump_trace(tr)))
-        emits.append((args.emit_traces, "\n".join(chunks)))
-    if args.emit_cycles:
-        lines = [s.render() for sols in result.solutions_by_trace for s in sols]
-        emits.append((args.emit_cycles, "\n".join(lines) + ("\n" if lines else "")))
-    if args.emit_query:
-        emits.append((args.emit_query, "".join(q.render() for q in result.queries)))
-    for path, text in emits:
-        try:
-            Path(path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print("fensy: cannot write %s: %s" % (path, exc), file=sys.stderr)
-            return 3
-
-    sys.stdout.write(result.render())
-
-    if args.sanity_check and result.status == FIXED:
-        try:
-            report = sanity_check(result.fixed_program, result, limits)
-        except ResourceLimitError as exc:
-            print("fensy: %s" % exc, file=sys.stderr)
-            return 2
-        except MemoryError:
-            print("fensy: out of memory during sanity-check", file=sys.stderr)
-            return 2
-        sys.stdout.write(report.render())
+    except InternalCheckError as exc:
+        print("fensy: internal error: %s" % exc, file=sys.stderr)
+        return 4
 
     if args.print_fixed and result.fixed_program is not None:
         sys.stdout.write(print_program(result.fixed_program))

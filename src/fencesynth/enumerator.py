@@ -173,34 +173,28 @@ def exists_sc_total_order(tr, limits: Limits | None = None) -> bool:
     S must contain hb on sc events and the sc clauses (``sc_clauses``), so
     every sc-read-source and sc-fence rule but one is a plain precedence.
     Those are forced edges, and a cycle among them rejects at once.  The
-    remaining rule is disjunctive: an sc read of a non-sc write w must not
-    have, as its last preceding sc write to the object, one that w happens
-    before.  It is checked as the read is placed, in a search over linear
-    extensions of the forced edges that remembers the placed sets it could
-    not complete.
+    remaining rule is disjunctive: an sc read of a write w neither sc nor
+    init must not have, as its last preceding sc write to the object, one
+    that w happens before.  Only this check reads these bans, as the read
+    is placed, in a search over linear extensions of the forced edges that
+    remembers the placed sets it could not complete.
     """
     sc_ids = sorted(e.id for e in tr.sc_events)
     if not sc_ids:
         return True
     limits = limits or Limits()
     scset = set(sc_ids)
-    mo = tr.mo
     hb = tr.hb
-    sc_writes = {obj: [c for c in chain if c in scset] for obj, chain in tr.mo_chains.items()}
 
     rows = sc_clauses(tr)
-    # An sc read r of a non-sc write w may follow an sc write c mo-after w,
-    # so the plain fr pair (r, c) is not forced; the disjunctive rule is
-    # kept instead, as r -> (object, writes whose S-immediacy before r
-    # rejects).
+    # The disjunctive rule, as r -> (object, writes whose S-immediacy
+    # before r rejects), for each sc read r of a source neither sc nor init.
     last_write_bans: dict[int, tuple[str, frozenset[int]]] = {}
     for w, r in tr.rf:
-        if r not in scset or w in scset:
+        if r not in scset or w in scset or tr.event(w).is_init:
             continue
         robj = tr.event(r).obj
-        rows[r] &= ~sum(1 << c for c in sc_writes[robj] if (w, c) in mo and (r, c) not in mo)
-        w_is_init = tr.event(w).is_init
-        banned = frozenset(c for c in sc_writes[robj] if w_is_init or (w, c) in hb)
+        banned = frozenset(c for c in tr.mo_chains[robj] if c in scset and (w, c) in hb)
         if banned:
             last_write_bans[r] = (robj, banned)
     for a, b in hb:

@@ -174,10 +174,6 @@ class Trace:
         return {t: tuple(sorted(v, key=lambda e: e.idx)) for t, v in out.items()}
 
     @cached_property
-    def writes(self) -> tuple[Event, ...]:
-        return tuple(e for e in self.events if e.is_write)
-
-    @cached_property
     def fences(self) -> tuple[Event, ...]:
         return tuple(e for e in self.events if e.is_fence)
 

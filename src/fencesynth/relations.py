@@ -173,7 +173,10 @@ def sc_clauses(tr) -> dict[int, int]:
 
     S must contain each: in such a pair b may not come first, and
     - (a, b), both sc: S agrees with mo, and an sc read sees the last sc
-      write before it (or, in the consistency check, a non-sc write);
+      write before it.  The fr pair (r, c) is left out where the sc read
+      r, not an rmw, reads a write w neither sc nor init: C11 lets r
+      follow c when w does not happen before c.  An init write happens
+      before every sc write, so a read of one keeps its pairs;
     - (a, F): after an sc fence F sb-after b, a read sees b or a later
       write, and a write is mo-after b;
     - (F, b): before an sc fence F sb-before a, b would be seen or
@@ -194,10 +197,13 @@ def sc_clauses(tr) -> dict[int, int]:
     for rel in (tr.mo, tr.rf, tr.fr):
         for a, b in rel:
             reach[a] |= tails[b]
+    # An sc read of a source neither sc nor init keeps only its fence pairs.
+    plain = [(w, r) for w, r in tr.rf if tr.event(r).act == "read" and not tr.event(w).is_init]
+    loose = {r for w, r in plain if sc >> r & 1 and not sc >> w & 1}
     rows = dict.fromkeys(heads, 0)  # row x: the y of each (x, a) ; (a, y)
     for a, row in reach.items():
         for x in _bits(heads[a]):
-            rows[x] |= row
+            rows[x] |= row & sc_fences if x in loose else row
     return rows
 
 
@@ -302,9 +308,10 @@ def compute_so_info(it) -> dict[tuple[int, int], tuple[int, ...]]:
     fence i of ``fence_order`` is bit 2i, its in bit.
 
     The clauses of ``sc_clauses`` are applied to every pair of hb ∪ mo ∪
-    rf ∪ fr.  sc pairs with no forced order stay unordered.  Every edge
-    relies on its ends, where they are candidates; an mo, rf or fr pair
-    relies on nothing else, and a pair of hb also on the fences of
+    rf ∪ fr.  sc pairs with no forced order stay unordered: the analysis
+    reads forced pairs only, not the bans of ``exists_sc_total_order``.
+    Every edge relies on its ends, where they are candidates; an mo, rf or
+    fr pair relies on nothing else, and a pair of hb also on the fences of
     its role masks.
 
     The three fence clauses add nothing for an hb pair: sb ⊆ hb, so the

@@ -7,6 +7,7 @@ import pytest
 from conftest import CORPUS_DIR
 from fencesynth import enumerator
 from fencesynth.cli import build_parser, main
+from fencesynth.errors import InternalCheckError
 from fencesynth.limits import Limits
 from fencesynth.litmus import parse_program, print_program
 
@@ -149,6 +150,36 @@ def test_out_of_memory_exits_two_with_the_phase_named(monkeypatch, capsys, name,
     monkeypatch.setattr(cli, name, exhausted)
     code, _, err = run(capsys, str(CORPUS_DIR / "sb_rlx.lit"), "--sanity-check")
     assert code == 2 and err == "fensy: out of memory during %s\n" % phase
+
+
+@pytest.mark.parametrize("name", ["synthesize", "sanity_check"])
+def test_internal_error_exits_four(monkeypatch, capsys, name):
+    # A failed internal check is a bug in the tool: it gets its own code,
+    # not the "no fix exists" one that an escaping traceback would give.
+    from fencesynth import cli
+
+    def broken(*args, **kw):
+        raise InternalCheckError("check failed")
+
+    monkeypatch.setattr(cli, name, broken)
+    code, _, err = run(capsys, str(CORPUS_DIR / "sb_rlx.lit"), "--sanity-check")
+    assert code == 4 and err == "fensy: internal error: check failed\n"
+
+
+@pytest.mark.parametrize("mode", ["opt", "fast"])
+def test_sc_read_of_a_relaxed_write_is_fixed_by_one_sc_fence(tmp_path, capsys, mode):
+    # scfr3's buggy execution has t3's sc load of x after t2's sc store of
+    # x = 2 in S, which C11 allows since it reads a relaxed write: the
+    # strong analysis must not force the pair the other way.
+    from test_differential import SCFR3
+
+    path = tmp_path / "scfr3.lit"
+    path.write_text(SCFR3)
+    code, out, err = run(capsys, str(path), "--mode", mode, "--sanity-check")
+    assert code == 0 and err == "", err
+    assert "synthesized fences (1, weight 3):\n  t2@1: sc" in out
+    assert "sanity check: passed" in out
+    assert "removed: bug-reappears" in out and "weakened to ar: bug-reappears" in out
 
 
 def test_emitters_write_files(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import CORPUS, O, closure, corpus_text, load, make_trace, reflexive, with_fences
 from oracle import brute_force_cycles
-from test_differential import mp_pairs, mp_program, program, sb_ring
+from test_differential import SCFR3, mp_pairs, mp_program, program, sb_ring
 from test_litmus import random_litmus_program
 from fencesynth.cycles import (
     analyze_trace,
@@ -304,13 +304,23 @@ def test_strong_solutions_are_sound():
     # Each strong solution's fences at sc, with every program fence at its
     # own order, leave no sc total order.
     checked = 0
-    for name in CORPUS:
-        for tr in find_buggy_traces(load(name)):
+    programs = {name: load(name) for name in CORPUS}
+    programs["scfr3"] = elaborate(parse_program(SCFR3), 16)
+    for name, p in programs.items():
+        for tr in find_buggy_traces(p):
             for sol in find_strong_cycles(insert_candidate_fences(tr)):
                 mutant = with_fences(tr, dict.fromkeys(sol.fences, O.SC))
                 assert not exists_sc_total_order(mutant), (name, sol)
                 checked += 1
     assert checked >= 30
+
+
+def test_scfr3_has_two_strong_solutions():
+    # Its buggy execution has t3's sc load after t2's sc store of x = 2,
+    # which the strong analysis must not force the other way.
+    (tr,) = find_buggy_traces(elaborate(parse_program(SCFR3), 16))
+    strong = find_strong_cycles(insert_candidate_fences(tr))
+    assert [slot_names(s) for s in strong] == [{"t2@1"}, {"t3@1"}]
 
 
 def test_strong_solutions_match_so_cycles_on_every_slot_subset():
@@ -539,6 +549,7 @@ ANALYSIS_PROGRAMS = {
     **{"padded_pairs_%d" % m: padded_pairs(m) for m in range(1, 4)},
     **{"random_%d" % seed: random_litmus_program(seed) for seed in range(150)},
     "mp_beside_sb": MP_BESIDE_SB,
+    "scfr3": SCFR3,
 }
 
 

@@ -28,6 +28,7 @@ from fencesynth.errors import ResourceLimitError
 from fencesynth.limits import Limits
 from fencesynth.litmus import elaborate, parse_program, print_program
 from fencesynth.model import Trace
+from fencesynth.relations import _bits, sc_clauses
 
 
 def test_sc_order_matches_oracle_on_sc_fence_mutants():
@@ -71,6 +72,24 @@ def test_sc_order_matches_oracle_on_sc_access_mutants():
                 sc = {e.id for e in m.sc_events}
                 searched += any(r in sc and w not in sc for w, r in m.rf)
     assert decided > 500 and searched > 100
+
+
+def test_forced_sc_pairs_hold_in_every_accepted_order():
+    # Every pair that sc_clauses forces, in every sc order the oracle
+    # accepts: the clauses force nothing that C11 leaves open.
+    programs = [load(name) for name in CORPUS] + [elaborate(parse_program(SCFR3), 16)]
+    programs += [elaborate(parse_program(random_litmus_program(seed)), 16) for seed in range(150)]
+    checked = 0
+    for p in programs:
+        for tr in enumerate_consistent_traces(p):
+            if not tr.sc_events:
+                continue
+            forced = [(x, y) for x, row in sc_clauses(tr).items() for y in _bits(row)]
+            for order in accepting_sc_orders(tr):
+                pos = {eid: i for i, eid in enumerate(order)}
+                assert all(pos[x] < pos[y] for x, y in forced), (p.name, forced, order)
+            checked += 1
+    assert checked == 360
 
 
 # Small parametric families, written out here so the suite does not depend
@@ -139,6 +158,25 @@ def sb_rmw(order):
         ("t1", ["v = fadd(y, 1, %s)" % order, "b = load(x, %s)" % order]),
     ]
     return program("sb_rmw_" + order, threads, "!(a == 0 && b == 0)")
+
+
+# An sc read of a relaxed write w with an sc write of 2 mo-after w: C11
+# lets the read follow that write in S, since w does not happen before it.
+SCFR3 = """program scfr3
+init x = 0, y = 0
+thread t1 {
+  store(x, 1, rlx)
+}
+thread t2 {
+  store(x, 2, sc)
+  store(y, 1, sc)
+}
+thread t3 {
+  store(y, 2, sc)
+  a = load(x, sc)
+}
+assert !(a == 1 && x == 2 && y == 2)
+"""
 
 
 FAMILIES = {

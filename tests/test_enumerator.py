@@ -1,6 +1,8 @@
 """The exhaustive execution enumerator and its consistency checks."""
 
+import collections
 import time
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -548,14 +550,62 @@ def test_enumeration_meets_its_deadline_inside_the_products(text):
     assert time.monotonic() - start < 0.3 + 0.25
 
 
-def _later_phase_shapes():
-    from test_differential import mp_program, sb_ring
+def ban_ring(n):
+    """An execution with no sc order that only the disjunctive rule finds:
+    thread ti stores x_i = 1 rlx and x_i = 2 sc, then its sc load of
+    x_{i+1} reads the rlx 1.  Each load must precede the next thread's sc
+    store, which no forced edge says."""
+    threads, rf, mo = {}, [], {}
+    for i in range(n):
+        x, nxt = "x%d" % i, "x%d" % ((i + 1) % n)
+        threads["t%d" % i] = [
+            ("a%d" % i, "write", x, O.RLX, None, 1),
+            ("b%d" % i, "write", x, O.SC, None, 2),
+            ("r%d" % i, "read", nxt, O.SC, 1, None),
+        ]
+        rf.append(("a%d" % ((i + 1) % n), "r%d" % i))
+        mo[x] = ["a%d" % i, "b%d" % i]
+    return make_trace(dict.fromkeys(mo, 0), threads, rf, mo)[0]
 
-    ring = elaborate(parse_program(sb_ring(12, "sc")))
+
+def test_ban_ring_has_no_sc_order():
+    from oracle import accepting_sc_orders
+
+    tr = ban_ring(3)
+    assert not coherence_violations(tr) and not exists_sc_total_order(tr)
+    assert accepting_sc_orders(tr) == []
+
+
+@dataclass
+class CountingLimits(Limits):
+    """Limits that count ``check_time`` calls per phase."""
+
+    checks: collections.Counter = field(default_factory=collections.Counter, repr=False)
+
+    def check_time(self, phase):
+        self.checks[phase] += 1
+        super().check_time(phase)
+
+
+def test_all_sc_ring_is_rejected_without_the_search():
+    # Each load of the all-sc ring reads an init write, whose fr pairs are
+    # forced, so the topological sort rejects the one falsifying candidate
+    # (the search once took 531,442 deadline checks here).
+    from test_differential import sb_ring
+
+    limits = CountingLimits()
+    assert find_buggy_traces(elaborate(parse_program(sb_ring(12, "sc"))), limits) == []
+    assert 0 < limits.checks["sc-order"] <= 12
+
+
+def _later_phase_shapes():
+    from test_differential import mp_program
+
+    ring = ban_ring(12)
     stores = elaborate(parse_program(mp_program("mp_stores_30", k_stores=30)))
     clause = Query(((0, (frozenset(FenceSlot("t1", g) for g in range(26)),)),))
     return {
-        "sc-order": lambda limits: find_buggy_traces(ring, limits),
+        "sc-order": lambda limits: exists_sc_total_order(ring, limits),
         "cycle-detection": lambda limits: synthesize_optimal(stores, limits),
         "min-model": lambda limits: find_min_model(clause, limits),
     }
@@ -563,8 +613,8 @@ def _later_phase_shapes():
 
 @pytest.mark.parametrize("phase", ["sc-order", "cycle-detection", "min-model"])
 def test_later_phases_meet_their_deadline(phase):
-    # The sc ring of 12 has one falsifying candidate, whose sc order the
-    # search refutes in about 4 s; mp stores k=30 enumerates its 30 buggy
+    # The search refutes the sc order of the ban ring of 12 in about
+    # 2.3 s; mp stores k=30 enumerates its 30 buggy
     # traces in about 0.1 s and analyses them in about 2 s; one clause of
     # 26 slots leaves 2^26 smaller subsets to probe.
     run = _later_phase_shapes()[phase]
