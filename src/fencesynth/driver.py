@@ -274,7 +274,7 @@ def synthesize_optimal(p: Program, limits: Limits | None = None) -> SynthesisRes
     if has_buggy_trace(fixed, limits):
         raise InternalCheckError(
             "solution verification failed: %d buggy traces remain"
-            % len(find_buggy_traces(fixed, limits))
+            % sum(len(find_buggy_traces(sub, limits)) for sub in parts(fixed))
         )
     result.timings["verify"] = time.monotonic() - t0
     result.fixed_program = fixed

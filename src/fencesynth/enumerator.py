@@ -10,14 +10,21 @@ order is deterministic: lexicographic in the choice vectors.
 
 The product is pruned before it is taken: rf sources and mo orders that
 contradict sb are never combined, since coherence rejects every execution
-built from them.  Buggy-trace enumeration also decides the assertion before
-any consistency check: the final locals are fixed by the thread runs and
-the final shared values by the mo choice, so a thread-run combination none
-of whose possible final states falsifies the assertion is skipped before
-its events are built, and mo choices that satisfy it are dropped before
-the rf product.  The sc-order decision turns hb and the sc clauses into
-forced precedence edges, rejects a forced cycle at once, and searches only
-for the one disjunctive rule, checked as each read is placed.
+built from them.  A thread-run combination with a read of a value that no
+write of its runs gives is skipped before its events are built, since that
+read has no rf source (GenMC's rule, Kokologiannakis et al., PLDI 2019).
+Only values that neither the initial value nor a literal store outside any
+branch is sure to supply are tracked, so most programs do no such work.
+Buggy-trace enumeration also decides the assertion before any consistency
+check.  The final locals are fixed by the thread runs: a run whose own
+locals make the assertion hold whatever the other names are (``eval_expr``
+is three-valued) is dropped before the product, as every combination with
+it holds.  The final shared values are fixed by the mo choice: a
+combination none of whose possible final states falsifies the assertion
+is skipped before its events are built, and mo choices that satisfy it are
+dropped before the rf product.  The sc-order decision turns hb and the sc
+clauses into forced precedence edges, rejects a forced cycle at once, and
+searches only for the one disjunctive rule, checked as each read is placed.
 
 ``has_buggy_trace`` asks only whether a buggy execution exists.  Threads
 that share no object are independent (Shasha and Snir, TOPLAS 1988), and
@@ -130,16 +137,12 @@ def _thread_runs(block, env, cand, limits: Limits) -> list[tuple[list[_EventSpec
 
 def _stmt_runs(stmt, env, cand, limits: Limits):
     if isinstance(stmt, (Load, FetchAdd)):
-        out = []
-        for v in cand[stmt.obj]:
-            env1 = dict(env)
-            env1[stmt.dest] = v
-            if isinstance(stmt, Load):
-                spec = _EventSpec("read", stmt.obj, stmt.ord, stmt, rval=v)
-            else:
-                spec = _EventSpec("rmw", stmt.obj, stmt.ord, stmt, rval=v, wval=v + stmt.addend)
-            out.append(([spec], env1))
-        return out
+        rmw = isinstance(stmt, FetchAdd)
+        return [
+            ([_EventSpec("rmw" if rmw else "read", stmt.obj, stmt.ord, stmt, v, v + stmt.addend if rmw else None)],
+             {**env, stmt.dest: v})
+            for v in cand[stmt.obj]
+        ]
     if isinstance(stmt, Store):
         value = stmt.value if isinstance(stmt.value, int) else env.get(stmt.value, 0)
         return [([_EventSpec("write", stmt.obj, stmt.ord, stmt, wval=value)], env)]
@@ -274,14 +277,10 @@ def _assertion_holds(p: Program, bindings, final_shared, final_locals) -> bool:
 
 def _may_falsify(p: Program, bindings, asserted, combo, final_locals) -> bool:
     """Whether some final state of a thread-run combination may falsify the
-    assertion.
-
-    An sb-respecting mo order ends in the last write of some thread that
-    writes the object, or in its initial write if no thread does; every
-    such choice for the asserted objects is tried.
-    """
+    assertion: each asserted object may end in the last write of any thread
+    that writes it (an mo order respects sb), or else in its initial write."""
     choices = [
-        sorted({last[obj] for _, _, last in combo if obj in last}) or [p.init[obj]]
+        sorted({run[2][obj] for run in combo if obj in run[2]}) or [p.init[obj]]
         for obj in asserted
     ]
     return any(
@@ -322,60 +321,60 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Tra
     cand = candidate_values(p)
     bindings = p.assertion_bindings()
     asserted = sorted({where for kind, where in bindings.values() if kind == "object"})
-    # Each thread run with the value of its last write to each object.
+    # Each value that neither the initial value nor a literal store outside
+    # any branch is sure to supply gets a bit; a run needs the bits it reads
+    # and gives the bits it writes (a sum of distinct bits is their union).
+    sure = {(s.obj, s.value) for t in p.threads for s in t.body if isinstance(s, Store)}
+    unsure = {(o, v) for o, vs in cand.items() for v in vs} - sure - set(p.init.items())
+    bit = {pair: 1 << k for k, pair in enumerate(unsure)}
     per_thread = []
     for t in p.threads:
         per_thread.append([])
+        mine = {n for n, b in bindings.items() if b == ("local", t.tid)}
         for specs, env in _thread_runs(t.body, {}, cand, limits):
             limits.check_time("trace-enumeration")
+            # A run whose own locals make the assertion hold falsifies nothing.
+            if buggy_only and mine and eval_expr(p.assertion, lambda n: env.get(n, 0) if n in mine else None):
+                continue
             last = {s.obj: s.wval for s in specs if s.act in ("write", "rmw")}
-            per_thread[-1].append((specs, env, last))
+            need = sum({bit.get((s.obj, s.rval), 0) for s in specs}) if bit else 0
+            give = sum({bit.get((s.obj, s.wval), 0) for s in specs}) if bit else 0
+            per_thread[-1].append((specs, env, last, need, give))
+    cover = any(run[3] for runs in per_thread for run in runs)
 
-    init_events = []
-    for k, (obj, val) in enumerate(p.init.items()):
-        init_events.append(
-            Event(id=k, thr=None, idx=k, act="write", obj=obj, ord=MemoryOrder.RLX, wval=val)
-        )
-    n_init = len(init_events)
+    init_events = [
+        Event(id=k, thr=None, idx=k, act="write", obj=obj, ord=MemoryOrder.RLX, wval=val)
+        for k, (obj, val) in enumerate(p.init.items())
+    ]
     objects = list(p.init)
 
     count = 0
     for combo in itertools.product(*per_thread):
         limits.check_time("trace-enumeration")
-        final_locals = {thread.tid: env for thread, (_, env, _) in zip(p.threads, combo)}
+        if cover:
+            need = give = 0
+            for run in combo:
+                need, give = need | run[3], give | run[4]
+            if need & ~give:  # a read whose value no write of the combination gives
+                continue
+        final_locals = {thread.tid: run[1] for thread, run in zip(p.threads, combo)}
         if buggy_only and not _may_falsify(p, bindings, asserted, combo, final_locals):
             continue
         events = list(init_events)
         sb_pairs: set[tuple[int, int]] = set()
-        next_id = n_init
-        for thread, (specs, _, _) in zip(p.threads, combo):
-            ids = []
-            for i, spec in enumerate(specs):
-                events.append(
-                    Event(
-                        id=next_id,
-                        thr=thread.tid,
-                        idx=i,
-                        act=spec.act,
-                        obj=spec.obj,
-                        ord=spec.ord,
-                        loc=SourceLocation(thread.tid, spec.stmt.idx),
-                        rval=spec.rval,
-                        wval=spec.wval,
-                        cont=spec.stmt.cont,
-                    )
-                )
-                ids.append(next_id)
-                next_id += 1
-            for i, a in enumerate(ids):
-                for b in ids[i + 1 :]:
-                    sb_pairs.add((a, b))
+        for thread, (specs, _, _, _, _) in zip(p.threads, combo):
+            ids = range(len(events), len(events) + len(specs))
+            sb_pairs.update(itertools.combinations(ids, 2))
+            events += [
+                Event(ids[i], thread.tid, i, s.act, s.obj, s.ord, SourceLocation(thread.tid, s.stmt.idx),
+                      s.rval, s.wval, s.stmt.cont)
+                for i, s in enumerate(specs)
+            ]
 
         # mo orders against sb are never built (co-mh rejects them).  The
         # final shared state depends on the mo choice alone, so the
         # assertion is decided here, before the rf product is taken.
         writes = [e for e in events if e.is_write]
-        by_id = {e.id: e for e in events}
         rmw_ids = {w.id for w in writes if w.act == "rmw"}
         perm_lists = []
         for obj in objects:
@@ -384,9 +383,9 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Tra
         mo_choices = []
         for mo_choice in itertools.product(*perm_lists):
             limits.check_time("trace-enumeration")
-            # Init events take ids 0.. in object order.
+            # Init events take ids 0.. in object order; events[i] has id i.
             chains = [(k,) + perm for k, perm in enumerate(mo_choice)]
-            final_shared = {obj: by_id[chain[-1]].wval for obj, chain in zip(objects, chains)}
+            final_shared = {obj: events[chain[-1]].wval for obj, chain in zip(objects, chains)}
             holds = _assertion_holds(p, bindings, final_shared, final_locals)
             if buggy_only and holds:
                 continue
@@ -450,9 +449,11 @@ def iter_buggy_traces(p: Program, limits: Limits | None = None) -> Iterator[Trac
     ``enumerate_consistent_traces`` lists them.
 
     The assertion is decided from the choices before any consistency
-    check: a thread-run combination none of whose reachable final states
-    falsifies it is skipped before its events are built, and mo choices
-    whose final state satisfies it are dropped before the rf product.
+    check: a thread run whose own final locals make it hold is dropped
+    before the product, a thread-run combination none of whose reachable
+    final states falsifies it is skipped before its events are built, and
+    mo choices whose final state satisfies it are dropped before the rf
+    product.  Each only skips executions that hold, so the order stays.
     """
     return _traces(p, limits, buggy_only=True)
 

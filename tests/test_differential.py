@@ -160,6 +160,24 @@ def sb_rmw(order):
     return program("sb_rmw_" + order, threads, "!(a == 0 && b == 0)")
 
 
+def fadd_counter(n):
+    # n threads that each add 1 to c once: c ends at n whatever they read.
+    threads = [("t%d" % i, ["u%d = fadd(c, 1, rlx)" % i]) for i in range(n)]
+    return program("fadd_counter_%d" % n, threads, "c == %d" % n)
+
+
+def dekker(n):
+    # dekker_core for n threads: each raises its flag, reads every other
+    # flag, and adds 1 to wins if it saw all of them down.
+    threads = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        body = ["store(f%d, 1, rlx)" % i] + ["a%d_%d = load(f%d, rlx)" % (i, j, j) for j in others]
+        cond = " && ".join("a%d_%d == 0" % (i, j) for j in others)
+        threads.append(("t%d" % i, body + ["if (%s) {" % cond, "  u%d = fadd(wins, 1, rlx)" % i, "}"]))
+    return program("dekker_%d" % n, threads, "wins <= 1")
+
+
 # An sc read of a relaxed write w with an sc write of 2 mo-after w: C11
 # lets the read follow that write in S, since w does not happen before it.
 SCFR3 = """program scfr3
@@ -187,6 +205,8 @@ FAMILIES = {
     "mp_pairs_2": mp_pairs(2),
     "sb_rmw_rlx": sb_rmw("rlx"),
     "sb_rmw_sc": sb_rmw("sc"),
+    **{"fadd_counter_%d" % n: fadd_counter(n) for n in (2, 3)},
+    "dekker_3": dekker(3),
 }
 
 

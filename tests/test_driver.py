@@ -1,6 +1,7 @@
 """Synthesis drivers, program rewriting, and the sanity checker."""
 
 import itertools
+import time
 
 import pytest
 
@@ -298,13 +299,34 @@ def test_no_smaller_or_lighter_fix_exists(prog):
 
 
 def test_verify_failure_counts_the_buggy_traces_left(monkeypatch):
-    # A fix that inserts nothing leaves all 7 buggy traces of the two
-    # independent bugs; verification must refuse it and count them.
+    # A fix that inserts nothing leaves the buggy trace of each of the two
+    # independent bugs; verification must refuse it and count them part by
+    # part, as opt counts the traces it analyses.
     from fencesynth import driver
 
     monkeypatch.setattr(driver, "apply_solution", lambda p, typed, synth_iter=0: p)
-    with pytest.raises(InternalCheckError, match="7 buggy traces remain"):
+    with pytest.raises(InternalCheckError, match="2 buggy traces remain"):
         driver.synthesize_optimal(load("two_bugs"))
+
+
+def test_a_failed_verify_stays_an_internal_error_on_many_parts(monkeypatch):
+    # A fix that drops one fence of mp pairs m=8 leaves one pair buggy.  The
+    # count of what remains is taken part by part; over the whole fixed
+    # program, a product of eight parts, it ran into the deadline and
+    # became a limit error.
+    from fencesynth import driver
+    from test_differential import mp_pairs
+
+    apply = driver.apply_solution
+
+    def drop_first(p, typed, synth_iter=0):
+        return apply(p, TypedSolution(typed.assignment[1:]), synth_iter)
+
+    monkeypatch.setattr(driver, "apply_solution", drop_first)
+    start = time.monotonic()
+    with pytest.raises(InternalCheckError, match="buggy traces remain"):
+        driver.synthesize_optimal(elaborate(parse_program(mp_pairs(8))), Limits(timeout_secs=10))
+    assert time.monotonic() - start < 1
 
 
 # ---------------------------------------------------------------------------

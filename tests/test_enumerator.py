@@ -13,6 +13,7 @@ from fencesynth.enumerator import (
     enumerate_consistent_traces,
     exists_sc_total_order,
     find_buggy_traces,
+    has_buggy_trace,
     is_consistent,
 )
 from fencesynth.errors import ResourceLimitError
@@ -349,18 +350,20 @@ def test_sc_rmw_may_read_the_initial_value():
     assert outcomes(traces, "u") == [(0,)]
 
 
-def _count_coherence_checks(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """The argument tuples of every call of the enumerator's ``name``."""
     from fencesynth import enumerator
 
-    checked = []
-    check = enumerator.coherence_violations
+    calls = []
+    call = getattr(enumerator, name)
 
-    def counted_check(tr):
-        checked.append(tr)
-        return check(tr)
+    def counted(*args):
+        calls.append(args)
+        return call(*args)
 
-    monkeypatch.setattr(enumerator, "coherence_violations", counted_check)
-    return checked
+    monkeypatch.setattr(enumerator, name, counted)
+    return calls
+
 
 
 def test_pruned_choices_shrink_the_candidate_set(monkeypatch):
@@ -373,7 +376,7 @@ def test_pruned_choices_shrink_the_candidate_set(monkeypatch):
         "thread r {\n  a = load(f, rlx)\n  b = load(d, rlx)\n}\n"
         "assert !(a == 1 && b != 5)\n" % stores
     ))
-    built = _count_coherence_checks(monkeypatch)
+    built = _count_calls(monkeypatch, "coherence_violations")
     assert len(enumerate_consistent_traces(p)) == 12
     # Unpruned, this enumeration builds 1,440 candidate executions.
     assert len(built) <= 144
@@ -497,7 +500,7 @@ def test_buggy_enumeration_checks_only_falsifying_candidates(monkeypatch):
 
     p = _ring_of_six()
     fixed = synthesize(p).fixed_program
-    checked = _count_coherence_checks(monkeypatch)
+    checked = _count_calls(monkeypatch, "coherence_violations")
     assert len(find_buggy_traces(p)) == 1 and len(checked) == 1
     checked.clear()
     assert find_buggy_traces(fixed) == [] and len(checked) == 1
@@ -509,12 +512,73 @@ def test_max_traces_counts_only_the_buggy_executions_in_buggy_enumeration(monkey
     # A trace bound leaves buggy-trace enumeration pruned: the ring checks
     # its one falsifying candidate, and the bound counts that one trace.
     p = _ring_of_six()
-    checked = _count_coherence_checks(monkeypatch)
+    checked = _count_calls(monkeypatch, "coherence_violations")
     assert len(find_buggy_traces(p, Limits(max_traces=10**9))) == 1 and len(checked) == 1
     assert len(find_buggy_traces(p, Limits(max_traces=1))) == 1
     with pytest.raises(ResourceLimitError) as exc:
         find_buggy_traces(p, Limits(max_traces=0))
     assert exc.value.phase == "trace-enumeration"
+
+
+def test_combinations_whose_reads_no_write_supplies_are_skipped(monkeypatch):
+    # dekker_core's wins takes 15 candidate values, so each thread has 16
+    # runs and the product 256 combinations.  A run that reads wins == k > 0
+    # needs the other thread's fadd to write k, so 6 combinations reach the
+    # assertion check, and the 2 that may end at wins == 2 reach rf sources.
+    checked = _count_calls(monkeypatch, "_may_falsify")
+    sourced = _count_calls(monkeypatch, "_rf_sources")
+    buggy = find_buggy_traces(load("dekker_core"))
+    assert [tr.final_shared["wins"] for tr in buggy] == [2, 2]
+    assert len(checked) <= 6 and len(sourced) <= 2
+
+
+def test_runs_whose_own_locals_satisfy_the_assertion_are_dropped(monkeypatch):
+    # In the sb ring of 16 each thread's run that reads 1 makes the
+    # assertion hold alone, so buggy enumeration forms one combination of
+    # 2^16 (no read value of the ring is unsure, so each combination formed
+    # reaches the assertion check).
+    from test_differential import sb_ring
+
+    checked = _count_calls(monkeypatch, "_may_falsify")
+    assert len(find_buggy_traces(elaborate(parse_program(sb_ring(16))))) == 1
+    assert len(checked) == 1
+
+
+def test_four_fetch_add_counter_is_decided_in_time():
+    # 21 candidate values of c give each thread 21 runs; only the
+    # combinations whose reads the other fetch-adds supply are built.
+    from test_differential import fadd_counter
+
+    start = time.monotonic()
+    result = synthesize_optimal(elaborate(parse_program(fadd_counter(4))), Limits(timeout_secs=10))
+    assert result.status == "already-correct"
+    assert time.monotonic() - start < 2
+
+
+# t1's fadd reads x and stores what it read to y; t2 copies y back to x.
+# Relaxed, the values feed themselves, so a reaches whatever the value
+# domain holds, and that domain's round bound counts fences.
+FEEDBACK = """program feedback
+init x = 0, y = 0
+thread t1 {
+  a = fadd(x, 1, rlx)
+  store(y, a, rlx)
+}
+thread t2 {
+  b = load(y, rlx)
+%s  store(x, b, rlx)
+}
+assert !(a == 5)
+"""
+
+
+def test_feedback_program_is_already_correct():
+    assert not has_buggy_trace(elaborate(parse_program(FEEDBACK % "")))
+
+
+@pytest.mark.xfail(strict=True, reason="candidate_values' round bound counts fences, so a fence widens the value domain")
+def test_a_fence_adds_no_buggy_execution():
+    assert not has_buggy_trace(elaborate(parse_program(FEEDBACK % "  fence(rel)\n")))
 
 
 def mo_stores(k):
