@@ -9,9 +9,11 @@ pair needs, then reads violations off ``coherence_shapes`` without
 enumerating cycles.  The strong analysis closes the forced sc order
 (``sc_clauses`` and hb) over the same minimal fence sets, which
 ``relations.compute_so_info`` gives each so edge with its candidate ends
-included, and reads its cycles off the diagonal.  Each violation's candidate
-fences form one candidate solution, with a locally weakest memory order
-read off each fence's synchronization role (sc for the strong analysis).
+included, and reads its cycles off the diagonal; the bitmask closure
+``relations._closure`` first drops the so edges that lie on no cycle.
+Each violation's candidate fences form one candidate solution, with a
+locally weakest memory order read off each fence's synchronization role
+(sc for the strong analysis).
 A fence already in the program is part of the input: it plays only the
 roles its own order supports, so a solution that relies on it asks
 nothing of it and does not name it.
@@ -21,22 +23,21 @@ Every list of solutions comes in one canonical order: by condition (the
 six weak ones in the order above, then ``to-sc``), then fences, then
 orders.
 
-Johnson's elementary-cycles algorithm stays available as a utility; the
-analyses do not call it.
+A depth-first search for elementary cycles, pruned by the same bitmask
+closure, stays available as a utility; the analyses do not call it.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import InternalCheckError, ResourceLimitError
 from .limits import Limits
 from .model import Event, FenceSlot, Trace
 from .orders import MemoryOrder
-from .relations import _IN, _OUT, COHERENCE, _minimal, close_masks, coherence_shapes, fence_order
+from .relations import _IN, _OUT, COHERENCE, _bits, _closure, _minimal, _rows, close_masks, coherence_shapes, fence_order
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,6 @@ class CandidateSolution:
     trace_id: int
     fences: frozenset[FenceSlot]
     orders: tuple[tuple[FenceSlot, MemoryOrder], ...]
-
-    @property
-    def weight(self) -> int:
-        return sum(o.weight for _, o in self.orders)
 
     def render(self) -> str:
         return "cycle %d %s %s fences=%s" % (
@@ -115,7 +112,7 @@ def insert_candidate_fences(tr: Trace, slots: Iterable[FenceSlot] | None = None)
 
 
 # ---------------------------------------------------------------------------
-# Elementary cycles (Johnson's algorithm)
+# Elementary cycles
 
 
 def enumerate_simple_cycles(
@@ -123,124 +120,39 @@ def enumerate_simple_cycles(
     limit: int | None = None,
     limits: Limits | None = None,
 ) -> list[list[int]]:
-    """Every elementary cycle of a directed graph, each exactly once.
+    """Every elementary cycle of a directed graph, each exactly once, as a
+    vertex list from its smallest vertex, the lists in lexicographic order.
 
-    Cycles are vertex lists starting at their smallest vertex, emitted in a
-    deterministic order.  ``limit`` caps the number of cycles; exceeding it
-    raises ResourceLimitError (cycle-count explosion).
+    A depth-first search from each vertex s steps only to larger vertices
+    that can reach s (``relations._closure``).  More than ``limit`` cycles
+    (a cycle-count explosion), or the deadline of ``limits``, checked at
+    every step, raises ResourceLimitError.
     """
+    limits = limits or Limits()
     nodes = sorted(set(graph) | {w for vs in graph.values() for w in vs})
-    adj = {v: sorted(set(graph.get(v, ()))) for v in nodes}
+    pos = {v: i for i, v in enumerate(nodes)}
+    succ = dict.fromkeys(range(len(nodes)), 0)
+    succ.update((pos[v], sum(1 << pos[w] for w in set(ws))) for v, ws in graph.items())
+    reach = _closure(succ)
     cycles: list[list[int]] = []
-
-    def emit(cycle: list[int]) -> None:
-        cycles.append(cycle)
-        if limit is not None and len(cycles) > limit:
-            raise ResourceLimitError("cycle-detection", "more than %d cycles" % limit)
-        if limits is not None and len(cycles) % 64 == 0:
-            limits.check_time("cycle-detection")
-
-    for v in nodes:  # self-loops first
-        if v in adj[v]:
-            emit([v])
-    adj = {v: [w for w in ws if w != v] for v, ws in adj.items()}
-
-    start_ptr = 0
-    while start_ptr < len(nodes):
-        subset = nodes[start_ptr:]
-        subset_set = set(subset)
-        sub_adj = {v: [w for w in adj[v] if w in subset_set] for v in subset}
-        comps = [c for c in _sccs(subset, sub_adj) if len(c) > 1]
-        if not comps:
-            break
-        comp = min(comps, key=min)
-        s = min(comp)
-        comp_set = set(comp)
-        comp_adj = {v: [w for w in sub_adj[v] if w in comp_set] for v in comp}
-
-        blocked = {v: False for v in comp}
-        blocked_deps: dict[int, set[int]] = {v: set() for v in comp}
-        path: list[int] = []
-
-        def unblock(v: int) -> None:
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                if blocked[u]:
-                    blocked[u] = False
-                    stack.extend(blocked_deps[u])
-                    blocked_deps[u].clear()
-
-        def circuit(v: int) -> bool:
-            found = False
-            path.append(v)
-            blocked[v] = True
-            for w in comp_adj[v]:
+    for s in succ:
+        inside = sum(1 << v for v in range(s, len(nodes)) if reach[v] >> s & 1)
+        path, steps = [s], [_bits(succ[s] & inside)]
+        while steps:
+            for w in steps[-1]:
+                limits.check_time("cycle-detection")
                 if w == s:
-                    emit(list(path))
-                    found = True
-                elif not blocked[w]:
-                    if circuit(w):
-                        found = True
-            if found:
-                unblock(v)
-            else:
-                for w in comp_adj[v]:
-                    blocked_deps[w].add(v)
-            path.pop()
-            return found
-
-        circuit(s)
-        start_ptr = nodes.index(s) + 1
-
-    return cycles
-
-
-def _sccs(vertices: Sequence[int], adj: Mapping[int, Sequence[int]]) -> list[list[int]]:
-    """Tarjan's strongly connected components (iterative)."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    onstack: set[int] = set()
-    stack: list[int] = []
-    out: list[list[int]] = []
-    counter = itertools.count()
-
-    for root in vertices:
-        if root in index:
-            continue
-        work = [(root, iter(adj.get(root, ())))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        onstack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = next(counter)
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(adj.get(w, ()))))
-                    advanced = True
+                    cycles.append([nodes[v] for v in path])
+                    if limit is not None and len(cycles) > limit:
+                        raise ResourceLimitError("cycle-detection", "more than %d cycles" % limit)
+                elif w not in path:
+                    path.append(w)
+                    steps.append(_bits(succ[w] & inside))
                     break
-                elif w in onstack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
-    return out
+            else:
+                steps.pop()
+                path.pop()
+    return cycles
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +210,11 @@ def find_strong_cycles(
     it.role_closure(limits)  # so_deps reads it; build it under this deadline
     deps = it.so_deps
     fences = fence_order(it)
-    adj: dict[int, list[int]] = {}
-    for a, b in sorted(deps):
-        adj.setdefault(a, []).append(b)
-    # Only the edges inside one strongly connected component lie on cycles.
-    comp = {v: i for i, c in enumerate(_sccs(list(adj), adj)) for v in c}
+    # Only the edges (a, b) where b reaches a lie on cycles.
+    reach = _closure(_rows(it, deps))
     rows: dict[int, dict[int, tuple[int, ...]]] = {}
     for (a, b), masks in sorted(deps.items()):
-        if comp[a] == comp.get(b):
+        if reach[b] >> a & 1:
             rows.setdefault(a, {})[b] = masks
     close_masks(rows, limits)
 

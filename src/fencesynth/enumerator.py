@@ -70,15 +70,16 @@ from .relations import COHERENCE, _bits, coherence_shapes, sc_clauses
 def candidate_values(p: Program) -> dict[str, tuple[int, ...]]:
     """Finite superset of the values each object can hold at runtime.
 
-    A monotone transfer iterated once per statement: any dynamically
-    producible value needs a chain of distinct statement executions, and
-    loops are already unrolled, so that many rounds reach a fixpoint.  A
-    round that grows no set, object or local, has reached it early.
+    A monotone transfer iterated once per load, store and fetch-add: any
+    dynamically producible value needs a chain of distinct executions of
+    them, and loops are already unrolled, so that many rounds reach a
+    fixpoint.  Branches and fences move no value, so a fence never widens
+    the domain.  A round that grows no set, object or local, ends early.
     """
     vals: dict[str, set[int]] = {o: {v} for o, v in p.init.items()}
     local_vals: dict[str, dict[str, set[int]]] = {t.tid: {} for t in p.threads}
     stmts = {
-        t.tid: [s for _, _, s in preorder(t.body) if not isinstance(s, If)] for t in p.threads
+        t.tid: [s for _, _, s in preorder(t.body) if not isinstance(s, (If, Fence))] for t in p.threads
     }
     rounds = sum(map(len, stmts.values())) + 1
     last = None

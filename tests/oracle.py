@@ -51,7 +51,9 @@ def _value_pools(p: Program) -> dict[str, set[int]]:
                 yield from stmts(s.orelse)
 
     all_stmts = [(t.tid, s) for t in p.threads for s in stmts(t.body)]
-    for _ in range(len(all_stmts) + 1):
+    # One round per load, store and fetch-add: branches and fences move no
+    # value, so a fence never widens the pools.
+    for _ in range(sum(isinstance(s, (Load, FetchAdd, Store)) for _, s in all_stmts) + 1):
         for tid, s in all_stmts:
             if isinstance(s, Load):
                 locals_pool.setdefault((tid, s.dest), set()).update(pools[s.obj])

@@ -113,22 +113,42 @@ def test_k4_has_twenty_cycles():
     assert len(brute_force_cycles(k4)) == 20
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_cycles_match_brute_force(seed):
+def random_graph(seed):
     rng = random.Random(seed)
     n = rng.randint(2, 6)
-    adj = {
+    return {
         v: sorted({rng.randrange(n) for _ in range(rng.randint(0, n))})
         for v in range(n)
     }
-    got = {tuple(c) for c in enumerate_simple_cycles(adj)}
-    assert got == brute_force_cycles(adj)
+
+
+GRAPHS = {str(seed): random_graph(seed) for seed in range(20)}
+GRAPHS["target_only"] = {0: [1, 3], 1: [0, 3], 2: [0]}  # 3 has no entry
+GRAPHS["negative_ids"] = {-1: [2], 2: [-1, 2]}
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_cycles_match_brute_force(name):
+    adj = GRAPHS[name]
+    cycles = enumerate_simple_cycles(adj)
+    got = [tuple(c) for c in cycles]
+    assert len(set(got)) == len(got), "duplicate cycle"
+    assert all(c[0] == min(c) for c in cycles)
+    assert cycles == sorted(cycles)
+    assert set(got) == brute_force_cycles(adj)
 
 
 def test_cycle_budget_enforced():
     k6 = {v: [w for w in range(6) if w != v] for v in range(6)}
     with pytest.raises(ResourceLimitError):
         enumerate_simple_cycles(k6, limit=10)
+
+
+def test_cycle_deadline_is_checked_inside_the_search():
+    k4 = {v: [w for w in range(4) if w != v] for v in range(4)}
+    with pytest.raises(ResourceLimitError) as err:
+        enumerate_simple_cycles(k4, limits=Limits(timeout_secs=-1.0))
+    assert err.value.phase == "cycle-detection"
 
 
 # ---------------------------------------------------------------------------

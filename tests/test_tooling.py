@@ -194,7 +194,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
 
 
 def test_package_stays_under_the_north_star():
-    # The package's line budget, 3,205 lines: a change that adds code first
+    # The package's line budget, 3,115 lines: a change that adds code first
     # deletes some.
     lines = sum(len(path.read_text().splitlines()) for path in PACKAGE.glob("*.py"))
-    assert lines <= 3205
+    assert lines <= 3115
