@@ -24,7 +24,12 @@ from fencesynth.driver import synthesize
 from fencesynth.litmus import DEFAULT_UNROLL, elaborate, parse_program
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-TRACE_DUMPS = ("mp_rlx", "sb_sc", "two_bugs")
+# Beside mp and sb shapes, these cover release sequences, rmws (fr across
+# an rmw), a program fence, sc accesses (an so pair) and three threads.
+TRACE_DUMPS = (
+    "dekker_core", "fen_strengthen", "iriw_rlx", "lb3", "mp_rlx", "relseq_fix",
+    "relseq_rmw", "sb_one_sc", "sb_sc", "sb_scw", "two_bugs", "wrir",
+)
 
 # Generated shapes whose queries the corpus does not reach: a flag load
 # unrolled four times, a store-buffer pair padded with private stores, and
