@@ -11,7 +11,7 @@ and shows the new happens-before edge that outlaws the stale read.
 from fencesynth import elaborate, find_buggy_traces, parse_program
 from fencesynth.cycles import insert_candidate_fences
 from fencesynth.enumerator import coherence_violations
-from fencesynth.model import FenceSlot
+from fencesynth.model import FenceSlot, pairs
 from fencesynth.orders import MemoryOrder
 
 SOURCE = """\
@@ -31,12 +31,12 @@ assert !(a == 1 && b == 0)
 program = elaborate(parse_program(SOURCE))
 buggy = find_buggy_traces(program)[0]
 print("buggy trace: flag observed, data stale")
-print("  sw edges without fences:", sorted(buggy.sw))
+print("  sw edges without fences:", pairs(buggy.sw))
 
 it = insert_candidate_fences(buggy)
 print("\ncandidate fence slots:", [str(s) for s in it.slots])
 print("with all candidates at full strength, sw edges appear:")
-for a, b in sorted(it.sw):
+for a, b in pairs(it.sw):
     print("  sw %s -> %s" % (it.event(a), it.event(b)))
 
 # Instantiate the two load-bearing fences concretely and re-check.
@@ -46,7 +46,7 @@ from fencesynth.model import Trace
 placement = {FenceSlot("t1", 1): MemoryOrder.REL, FenceSlot("t2", 1): MemoryOrder.ACQ}
 chosen = insert_candidate_fences(buggy, slots=placement)
 events = list(buggy.events) + [replace(f, ord=placement[f.loc]) for f in chosen.fence_events]
-concrete = Trace(events, chosen.sb, buggy.rf, buggy.mo)
+concrete = Trace(events, chosen.sb, chosen.rf, chosen.mo)
 
 print("\nwith fence(rel) in t1 and fence(acq) in t2:")
 print("  violated coherence axioms:", coherence_violations(concrete))

@@ -13,6 +13,7 @@ closes a cycle is one candidate solution.
 
 from fencesynth import elaborate, find_buggy_traces, parse_program
 from fencesynth.cycles import find_strong_cycles, find_weak_cycles, insert_candidate_fences
+from fencesynth.model import pairs
 from fencesynth.relations import fence_order
 
 SOURCE = """\
@@ -58,8 +59,8 @@ def fence_set(mask):
     return "{" + ", ".join(str(it.slot_of[f]) for i, f in enumerate(fences) if mask >> 2 * i & 1) + "}"
 
 
-relying = sorted((a, b, deps) for (a, b), deps in it.so_deps.items() if deps != (0,))
-print("\n%d of the %d sc-order edges rely on candidate fences, e.g.:" % (len(relying), len(it.so)))
+relying = sorted((a, b, deps) for a, row in it.so_deps.items() for b, deps in row.items() if deps != (0,))
+print("\n%d of the %d sc-order edges rely on candidate fences, e.g.:" % (len(relying), len(pairs(it.so))))
 for a, b, deps in relying[:4]:
     print("  %s -> %s needs %s" % (it.event(a).loc, it.event(b).loc, " or ".join(map(fence_set, deps))))
 

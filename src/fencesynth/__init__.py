@@ -42,7 +42,6 @@ from .litmus import Program, elaborate, parse_program, print_program
 from .model import (
     Event,
     FenceSlot,
-    Relation,
     SourceLocation,
     Trace,
     dump_trace,
@@ -71,7 +70,6 @@ __all__ = [
     "MemoryOrder",
     "Program",
     "Query",
-    "Relation",
     "ResourceLimitError",
     "SanityReport",
     "SourceLocation",

@@ -37,7 +37,7 @@ from .errors import InternalCheckError, ResourceLimitError
 from .limits import Limits
 from .model import Event, FenceSlot, Trace
 from .orders import MemoryOrder
-from .relations import _IN, _OUT, COHERENCE, _bits, _closure, _minimal, _rows, close_masks, coherence_shapes, fence_order
+from .relations import _IN, _OUT, COHERENCE, _bits, _closure, _minimal, close_masks, coherence_shapes, fence_order
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def insert_candidate_fences(tr: Trace, slots: Iterable[FenceSlot] | None = None)
     chosen = candidate_slots(tr) if slots is None else sorted(slots)
     next_id = max((e.id for e in tr.events), default=-1) + 1
     fences: list[Event] = []
-    sb_pairs: set[tuple[int, int]] = set()
+    sb = dict(tr.sb)
     for tid in tr.thread_order:
         evs = tr.thread_events[tid]
         at = [e.loc.index for e in evs]
@@ -99,14 +99,15 @@ def insert_candidate_fences(tr: Trace, slots: Iterable[FenceSlot] | None = None)
             next_id += 1
             fences.append(fence)
             seq.insert(bisect_left(at, slot.gap) + n, fence)
-        for i, a in enumerate(seq):
-            for b in seq[i + 1 :]:
-                sb_pairs.add((a.id, b.id))
+        later = 0
+        for e in reversed(seq):
+            sb[e.id], later = later, later | 1 << e.id
+    apart = dict.fromkeys((f.id for f in fences), 0)  # a fence is in no rf or mo pair
     return Trace(
         tr.events + tuple(fences),
-        frozenset(sb_pairs),
-        tr.rf,
-        tr.mo,
+        sb,
+        {**tr.rf, **apart},
+        {**tr.mo, **apart},
         candidates=(f.id for f in fences),
     )
 
@@ -180,7 +181,7 @@ def find_weak_cycles(
     fence_ids = fence_order(it)
     closed = it.role_closure(limits or Limits())
 
-    shapes = [(c, a, b) for c, a, b in coherence_shapes(it) if b in closed[a]]
+    shapes = [(c, a, b) for c, a, ends in coherence_shapes(it) for b in _bits(ends) if b in closed[a]]
     minimal = set(_minimal(m for _, a, b in shapes for m in closed[a][b]))
     sols = {
         _solution(it, trace_id, "weak", condition, mask, fence_ids, _ROLE_ORDER)
@@ -211,11 +212,12 @@ def find_strong_cycles(
     deps = it.so_deps
     fences = fence_order(it)
     # Only the edges (a, b) where b reaches a lie on cycles.
-    reach = _closure(_rows(it, deps))
+    reach = _closure(it.so)
     rows: dict[int, dict[int, tuple[int, ...]]] = {}
-    for (a, b), masks in sorted(deps.items()):
-        if reach[b] >> a & 1:
-            rows.setdefault(a, {})[b] = masks
+    for a, row in sorted(deps.items()):
+        for b, masks in sorted(row.items()):
+            if reach[b] >> a & 1:
+                rows.setdefault(a, {})[b] = masks
     close_masks(rows, limits)
 
     diagonal = _minimal(m for v, row in rows.items() for m in row.get(v, ()))

@@ -163,11 +163,11 @@ def coherence_violations(tr) -> list[str]:
     """Names of the violated coherence axioms (empty for a coherent trace),
     in ``COHERENCE`` order.
 
-    A composition is reflexive iff the ends ``coherence_shapes`` yields
-    for it lie in hb, as in the fence analyses.
+    A composition is reflexive iff hb relates the ends ``coherence_shapes``
+    yields for it, as in the fence analyses.
     """
     hb = tr.hb
-    found = {name for name, a, b in coherence_shapes(tr) if (a, b) in hb}
+    found = {name for name, a, ends in coherence_shapes(tr) if hb[a] & ends}
     return [name for name in COHERENCE if name in found]
 
 
@@ -187,41 +187,35 @@ def exists_sc_total_order(tr, limits: Limits | None = None) -> bool:
     if not sc_ids:
         return True
     limits = limits or Limits()
-    scset = set(sc_ids)
+    sc = sum(1 << v for v in sc_ids)
     hb = tr.hb
 
     rows = sc_clauses(tr)
     # The disjunctive rule, as r -> (object, writes whose S-immediacy
     # before r rejects), for each sc read r of a source neither sc nor init.
     last_write_bans: dict[int, tuple[str, frozenset[int]]] = {}
-    for w, r in tr.rf:
-        if r not in scset or w in scset or tr.event(w).is_init:
+    for w, readers in tr.rf.items():
+        if sc >> w & 1 or tr.event(w).is_init:
             continue
-        robj = tr.event(r).obj
-        banned = frozenset(c for c in tr.mo_chains[robj] if c in scset and (w, c) in hb)
-        if banned:
-            last_write_bans[r] = (robj, banned)
-    for a, b in hb:
-        if a in scset and b in scset:
-            rows[a] |= 1 << b
-
-    n = len(sc_ids)
-    index = {v: i for i, v in enumerate(sc_ids)}
-    pred_mask = [0] * n
+        for r in _bits(readers & sc):
+            robj = tr.event(r).obj
+            banned = frozenset(c for c in tr.mo_chains[robj] if (hb[w] & sc) >> c & 1)
+            if banned:
+                last_write_bans[r] = (robj, banned)
+    preds = dict.fromkeys(sc_ids, 0)  # the forced predecessors of each sc event
     for a in sc_ids:
-        for b in _bits(rows[a] & ~(1 << a)):
-            pred_mask[index[b]] |= 1 << index[a]
-    full = (1 << n) - 1
+        for b in _bits((rows[a] | hb[a]) & sc & ~(1 << a)):
+            preds[b] |= 1 << a
 
     # One topological sort: a forced cycle admits no order at all.
     placed = 0
-    while placed != full:
+    while placed != sc:
         limits.check_time("sc-order")
-        ready = [i for i in range(n) if not placed >> i & 1 and not pred_mask[i] & ~placed]
+        ready = [v for v in sc_ids if not placed >> v & 1 and not preds[v] & ~placed]
         if not ready:
             return False
-        for i in ready:
-            placed |= 1 << i
+        for v in ready:
+            placed |= 1 << v
     if not last_write_bans:
         return True
 
@@ -233,13 +227,13 @@ def exists_sc_total_order(tr, limits: Limits | None = None) -> bool:
     dead: set[int] = set()
 
     def extend(placed: int) -> bool:
-        if placed == full:
+        if placed == sc:
             return True
         if placed in dead:
             return False
         limits.check_time("sc-order")
-        for i, v in enumerate(sc_ids):
-            if placed >> i & 1 or pred_mask[i] & ~placed:
+        for v in sc_ids:
+            if placed >> v & 1 or preds[v] & ~placed:
                 continue
             ban = last_write_bans.get(v)
             if ban is not None and last.get(ban[0]) in ban[1]:
@@ -247,7 +241,7 @@ def exists_sc_total_order(tr, limits: Limits | None = None) -> bool:
             obj = write_obj.get(v)
             if obj is not None:
                 prev, last[obj] = last.get(obj), v
-            if extend(placed | 1 << i):
+            if extend(placed | 1 << v):
                 return True
             if obj is not None:
                 last[obj] = prev
@@ -290,22 +284,23 @@ def _may_falsify(p: Program, bindings, asserted, combo, final_locals) -> bool:
     )
 
 
-def _rf_sources(reads, writes, sb_pairs) -> list[list[int]] | None:
+def _rf_sources(reads, writes, sb) -> list[list[int]] | None:
     """Each read's candidate sources, or None if some read has none.
 
     Sources sb-after the read (co-rh) or sb-overwritten before it (co-mhi)
-    are left out; the rest stay in id order.
+    are left out; the rest stay in id order.  An init write is overwritten
+    by any write sb-before the read.
     """
     source_lists = []
     for r in reads:
         same_obj = [w for w in writes if w.obj == r.obj and w.id != r.id]
-        before_r = [w.id for w in same_obj if (w.id, r.id) in sb_pairs]
+        before_r = sum(1 << w.id for w in same_obj if sb[w.id] >> r.id & 1)
         srcs = [
             w.id
             for w in same_obj
             if w.wval == r.rval
-            and (r.id, w.id) not in sb_pairs
-            and not any(b != w.id and (w.is_init or (w.id, b) in sb_pairs) for b in before_r)
+            and not sb[r.id] >> w.id & 1
+            and not (before_r if w.is_init else sb[w.id] & before_r)
         ]
         if not srcs:
             return None
@@ -362,10 +357,10 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Tra
         if buggy_only and not _may_falsify(p, bindings, asserted, combo, final_locals):
             continue
         events = list(init_events)
-        sb_pairs: set[tuple[int, int]] = set()
+        sb = dict.fromkeys(range(len(events)), 0)
         for thread, (specs, _, _, _, _) in zip(p.threads, combo):
             ids = range(len(events), len(events) + len(specs))
-            sb_pairs.update(itertools.combinations(ids, 2))
+            sb.update((i, (1 << ids.stop) - (2 << i)) for i in ids)  # the later ids of the thread
             events += [
                 Event(ids[i], thread.tid, i, s.act, s.obj, s.ord, SourceLocation(thread.tid, s.stmt.idx),
                       s.rval, s.wval, s.stmt.cont)
@@ -380,7 +375,7 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Tra
         perm_lists = []
         for obj in objects:
             ids = tuple(w.id for w in writes if w.obj == obj and not w.is_init)
-            perm_lists.append(list(_linear_extensions(ids, sb_pairs, limits)))
+            perm_lists.append(list(_linear_extensions(ids, sb, limits)))
         mo_choices = []
         for mo_choice in itertools.product(*perm_lists):
             limits.check_time("trace-enumeration")
@@ -390,7 +385,11 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Tra
             holds = _assertion_holds(p, bindings, final_shared, final_locals)
             if buggy_only and holds:
                 continue
-            mo = frozenset((a, b) for chain in chains for i, a in enumerate(chain) for b in chain[i + 1 :])
+            mo = dict.fromkeys(sb, 0)
+            for chain in chains:
+                later = 0
+                for u in reversed(chain):
+                    mo[u], later = later, later | 1 << u
             # rmw atomicity: an rmw reads from its immediate mo predecessor.
             mo_pred = {u: chain[i - 1] for chain in chains for i, u in enumerate(chain) if u in rmw_ids}
             mo_choices.append((mo, mo_pred, final_shared, holds))
@@ -398,16 +397,16 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Tra
             continue
 
         reads = [e for e in events if e.is_read]
-        source_lists = _rf_sources(reads, writes, sb_pairs)
+        source_lists = _rf_sources(reads, writes, sb)
         if source_lists is None:
             continue
-        sb = frozenset(sb_pairs)
         for rf_choice in itertools.product(*source_lists):
-            rf = frozenset((w, r.id) for w, r in zip(rf_choice, reads))
-            rf_src = {r.id: w for w, r in zip(rf_choice, reads)}
+            rf = dict.fromkeys(sb, 0)
+            for w, r in zip(rf_choice, reads):
+                rf[w] |= 1 << r.id
             for mo, mo_pred, final_shared, holds in mo_choices:
                 limits.check_time("trace-enumeration")
-                if any(rf_src[u] != w for u, w in mo_pred.items()):
+                if any(not rf[w] >> u & 1 for u, w in mo_pred.items()):
                     continue
                 tr = Trace(
                     events,
@@ -428,14 +427,14 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Tra
 
 
 def _linear_extensions(ids: tuple[int, ...], before, limits: Limits) -> Iterator[tuple[int, ...]]:
-    """The orders of ``ids`` that respect ``before``, in lexicographic order
+    """The orders of ``ids`` that respect the rows ``before``, in lexicographic order
     of positions in ``ids`` (the order ``itertools.permutations`` uses)."""
     if len(ids) < 2:
         yield ids
         return
     limits.check_time("trace-enumeration")
     for i, x in enumerate(ids):
-        if any((y, x) in before for y in ids):
+        if any(before[y] >> x & 1 for y in ids):
             continue
         for rest in _linear_extensions(ids[:i] + ids[i + 1 :], before, limits):
             yield (x,) + rest

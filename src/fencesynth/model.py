@@ -1,8 +1,9 @@
 """Events, executions and explicit binary relations.
 
-Executions are stored exactly: every relation (``Relation``) is a plain
-frozenset of (a, b) event-id pairs, and every closure over it is exact;
-``dump_trace`` sorts each relation it prints.  Values are immutable after
+Executions are stored exactly: every relation is a dict of bitmask rows,
+one per event id, where row a has bit b set iff (a, b) is in the relation,
+and every closure over it is exact.  Only ``dump_trace`` turns rows into
+the sorted pairs it prints (``pairs``).  Values are immutable after
 construction; derived relations are computed lazily and cached, so
 precompute them before sharing a trace across threads.
 
@@ -21,9 +22,6 @@ from .orders import MemoryOrder
 
 READ_ACTS = ("read", "rmw")
 WRITE_ACTS = ("write", "rmw")
-
-# A binary relation over event ids is the set of its (a, b) pairs.
-Relation = frozenset[tuple[int, int]]
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +113,8 @@ class Event:
 
 
 class Trace:
-    """One execution: events plus the sb, rf and mo relations.
+    """One execution: events plus the sb, rf and mo relations, as rows
+    with one entry per event id.
 
     ``candidates`` are the ids of the untyped candidate fences spliced into
     sb (see ``cycles.insert_candidate_fences``); an enumerated execution has
@@ -132,9 +131,9 @@ class Trace:
     def __init__(
         self,
         events: Iterable[Event],
-        sb: Relation,
-        rf: Relation,
-        mo: Relation,
+        sb: dict[int, int],
+        rf: dict[int, int],
+        mo: dict[int, int],
         assertion_holds: bool | None = None,
         final_shared: Mapping[str, int] | None = None,
         final_locals: Mapping[str, Mapping[str, int]] | None = None,
@@ -188,11 +187,9 @@ class Trace:
         for e in self.events:
             if e.is_write and e.obj is not None:
                 objs.setdefault(e.obj, []).append(e.id)
-        # mo is a strict total order per object: sort by mo-predecessors.
-        npred = dict.fromkeys((i for ids in objs.values() for i in ids), 0)
-        for _, b in self.mo:
-            npred[b] += 1
-        return {obj: tuple(sorted(ids, key=npred.__getitem__)) for obj, ids in objs.items()}
+        # mo is a strict total order per object: the more mo-successors, the earlier.
+        rank = {i: -self.mo[i].bit_count() for ids in objs.values() for i in ids}
+        return {obj: tuple(sorted(ids, key=rank.__getitem__)) for obj, ids in objs.items()}
 
     # Derived relations (see relations.py for the definitions).
 
@@ -203,16 +200,16 @@ class Trace:
         return compute_hb_info(self)
 
     @property
-    def sw(self) -> Relation:
+    def sw(self) -> dict[int, int]:
         return self._hb_info[0]
 
     @property
-    def hb(self) -> Relation:
+    def hb(self) -> dict[int, int]:
         """(sb ∪ sw)+, the happens-before that the axioms read."""
         return self._hb_info[1]
 
     @cached_property
-    def fr(self) -> Relation:
+    def fr(self) -> dict[int, int]:
         from .relations import compute_fr
 
         return compute_fr(self)
@@ -241,14 +238,14 @@ class Trace:
         return self._roles
 
     @cached_property
-    def so_deps(self) -> Mapping[tuple[int, int], tuple[int, ...]]:
+    def so_deps(self) -> Mapping[int, Mapping[int, tuple[int, ...]]]:
         from .relations import compute_so_info
 
         return compute_so_info(self)
 
     @property
-    def so(self) -> Relation:
-        return frozenset(self.so_deps)
+    def so(self) -> dict[int, int]:
+        return {a: sum(1 << b for b in row) for a, row in self.so_deps.items()}
 
     def __repr__(self) -> str:
         return "Trace(%d events, assertion_holds=%r)" % (len(self.events), self.assertion_holds)
@@ -280,9 +277,14 @@ def components(pairs: Iterable[tuple[Hashable, Hashable]]) -> list[list]:
 # Dump format (`--emit-traces`)
 
 
+def pairs(rows: Mapping[int, int]) -> list[tuple[int, int]]:
+    """The (a, b) pairs of bitmask rows, sorted."""
+    return [(a, b) for a in sorted(rows) for b in range(rows[a].bit_length()) if rows[a] >> b & 1]
+
+
 def dump_trace(tr: Trace) -> str:
     """One fact per line, stable sort: events, then sb/rf/mo, then derived."""
     lines = [str(e) for e in tr.events]
     for name in ("sb", "rf", "mo", "sw", "hb", "fr", "so"):
-        lines.extend("%s %d %d" % (name, a, b) for a, b in sorted(getattr(tr, name)))
+        lines.extend("%s %d %d" % (name, a, b) for a, b in pairs(getattr(tr, name)))
     return "\n".join(lines) + "\n"

@@ -5,11 +5,11 @@ both read: hb, the coherence compositions and the sc clauses.
 All functions are pure over immutable traces and accept either a plain
 execution or an intermediate one: a ``Trace`` whose candidate fences are
 spliced into sb (see ``cycles.insert_candidate_fences``).  Each relation
-is a frozenset of (a, b) event-id pairs (``model.Relation``).  sw holds
-the release-sequence case too, as in C11 and RC11, and the axioms are
-evaluated on hb = (sb ∪ sw)+.
+is read and returned as bitmask rows, one int per event id (see
+``model``).  sw holds the release-sequence case too, as in C11 and RC11,
+and the axioms are evaluated on hb = (sb ∪ sw)+.
 
-hb is a witness-free fixpoint over per-event bitmasks.  On an intermediate
+hb is a witness-free closure of those rows.  On an intermediate
 trace, the fence analyses also need to know which fences each pair relies
 on: ``role_closure`` closes the sb and sw steps over antichains of
 ⊆-minimal candidate-fence role masks, and ``compute_so_info`` carries
@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 from .errors import InternalCheckError
 from .limits import Limits
-from .model import Event, Relation
+from .model import Event
 
 
 def release_sequence(tr, w: Event) -> list[Event]:
@@ -43,7 +43,7 @@ def release_sequence(tr, w: Event) -> list[Event]:
     return out
 
 
-def derive_sync(tr) -> Relation:
+def derive_sync(tr) -> dict[int, int]:
     """sw, with its fence and release-sequence cases.
 
     For each rf edge (w, r), the release sources of w synchronize with the
@@ -53,57 +53,52 @@ def derive_sync(tr) -> Relation:
     if it is acquire and the acquire fences sequenced after r.  RC11's
     release sequence from a fence ([F];po;rs) is not modelled.
     """
-    rel_fences = {f.id for f in tr.fences if f.ord.at_least_release}
-    acq_fences = {f.id for f in tr.fences if f.ord.at_least_acquire}
+    sb = tr.sb
     sources: dict[int, list[int]] = {}
-    sinks: dict[int, list[int]] = {}
     for e in tr.events:
         if e.is_write and e.ord.at_least_release:
             for member in release_sequence(tr, e):
                 sources.setdefault(member.id, []).append(e.id)
-        if e.is_read and e.ord.at_least_acquire:
-            sinks.setdefault(e.id, []).append(e.id)
-    for a, b in tr.sb:
-        if b in acq_fences:
-            sinks.setdefault(a, []).append(b)
-        if a in rel_fences:
-            sources.setdefault(b, []).append(a)
-    return frozenset((a, b) for w, r in tr.rf for a in sources.get(w, ()) for b in sinks.get(r, ()))
+        elif e.is_fence and e.ord.at_least_release:
+            for b in _bits(sb[e.id]):
+                sources.setdefault(b, []).append(e.id)
+    sw = dict.fromkeys(sb, 0)
+    if not sources:
+        return sw
+    acq_fences = sum(1 << f.id for f in tr.fences if f.ord.at_least_acquire)
+    acq_reads = sum(1 << e.id for e in tr.events if e.is_read and e.ord.at_least_acquire)
+    for w, heads in sources.items():
+        sinks = tr.rf[w] & acq_reads
+        for r in _bits(tr.rf[w]):
+            sinks |= sb[r] & acq_fences
+        for a in heads:
+            sw[a] |= sinks
+    return sw
 
 
-def compute_hb_info(tr) -> tuple[Relation, Relation]:
+def compute_hb_info(tr) -> tuple[dict[int, int], dict[int, int]]:
     """sw and hb = (sb ∪ sw)+ of a trace.
 
     Only plain executions need these: the fence analyses of an
     intermediate trace close the same steps in ``role_closure``.
     """
     sw = derive_sync(tr)
-    return sw, _from_rows(_closure(_rows(tr, tr.sb, sw)))
-
-
-def _rows(tr, *rels: Relation) -> dict[int, int]:
-    """Row a: the bitmask of the events b with (a, b) in one of ``rels``."""
-    rows = dict.fromkeys((e.id for e in tr.events), 0)
-    for rel in rels:
-        for a, b in rel:
-            rows[a] |= 1 << b
-    return rows
+    return sw, _closure({a: row | sw[a] for a, row in tr.sb.items()})
 
 
 def _closure(rows: dict[int, int]) -> dict[int, int]:
-    """Transitive closure of bitmask rows: grow each row by the rows of its
-    members until no row changes (rows only grow, so this ends)."""
+    """Transitive closure of bitmask rows: each row grows by the rows of
+    its members, and of the members those add, until none is new."""
     out = dict(rows)
-    changed = True
-    while changed:
-        changed = False
-        for a, row in out.items():
-            grown = row
-            for b in _bits(row):
-                grown |= out[b]
-            if grown != row:
-                out[a] = grown
-                changed = True
+    for a, row in out.items():
+        todo = row
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = out[low.bit_length() - 1] & ~row
+            row |= new
+            todo |= new
+        out[a] = row
     return out
 
 
@@ -115,19 +110,15 @@ def _bits(row: int) -> Iterator[int]:
         row ^= low
 
 
-def _from_rows(rows: dict[int, int]) -> Relation:
-    return frozenset((a, b) for a, row in rows.items() for b in _bits(row))
-
-
-def compute_fr(tr) -> Relation:
+def compute_fr(tr) -> dict[int, int]:
     """from-reads: rf⁻¹;mo, minus reflexive pairs.  Each read r is paired
-    with every write after its source in the object's mo chain, other than
-    r itself (an rmw comes after its own source)."""
-    fr = []
-    for w, r in tr.rf:
-        chain = tr.mo_chains[tr.event(w).obj]
-        fr.extend((r, c) for c in chain[chain.index(w) + 1 :] if c != r)
-    return frozenset(fr)
+    with every write mo-after its source, other than r itself (an rmw
+    comes after its own source)."""
+    fr = dict.fromkeys(tr.rf, 0)
+    for w, readers in tr.rf.items():
+        for r in _bits(readers):
+            fr[r] = tr.mo[w] & ~(1 << r)
+    return fr
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +129,9 @@ COHERENCE = ("co-h", "co-rh", "co-mh", "co-mrh", "co-mhi", "co-mrhi")
 
 
 def coherence_shapes(tr) -> Iterator[tuple[str, int, int]]:
-    """Each coherence composition over distinct events, as its condition
-    and the ends (a, b) of its one hb edge.  The composition is reflexive
-    iff (a, b) is in hb:
+    """Each coherence composition over distinct events, as its condition,
+    the first end a of its one hb edge and the bitmask of its second ends
+    b.  The composition is reflexive iff hb row a meets that mask:
 
         co-h     hb                 co-mrh   mo;rf;hb
         co-rh    rf;hb              co-mhi   mo;hb;rf⁻¹
@@ -150,20 +141,23 @@ def coherence_shapes(tr) -> Iterator[tuple[str, int, int]]:
     when hb is (co-h), when rf;hb is (co-rh), or when an rmw reads from an
     mo-later write, which rmw atomicity excludes.
     """
-    readers: dict[int, list[int]] = {}
-    for w, r in tr.rf:
-        readers.setdefault(w, []).append(r)
-    for e in tr.events:
-        yield "co-h", e.id, e.id
-    for w, r in tr.rf:
-        yield "co-rh", r, w
-    for a, b in tr.mo:
-        of_a, of_b = readers.get(a, ()), readers.get(b, ())
-        yield "co-mh", b, a
-        yield from (("co-mrh", c, a) for c in of_b if c != a)
-        yield from (("co-mhi", b, d) for d in of_a if d != b)
-        # c != d: a read has one source
-        yield from (("co-mrhi", c, d) for c in of_b for d in of_a if c != a and d != b)
+    rf = tr.rf
+    before = dict.fromkeys(rf, 0)  # row b: the mo-predecessors of b
+    seen = dict.fromkeys(rf, 0)  # row b: the readers of those
+    for a, later in tr.mo.items():
+        for b in _bits(later):
+            before[b] |= 1 << a
+            seen[b] |= rf[a]
+    for b, readers in rf.items():
+        yield "co-h", b, 1 << b
+        yield "co-mh", b, before[b]
+        yield "co-mhi", b, seen[b] & ~(1 << b)
+        for c in _bits(readers):
+            yield "co-rh", c, 1 << b
+            yield "co-mrh", c, before[b] & ~(1 << c)
+            # c != a drops c's own readers: rf rows are disjoint, as a
+            # read has one source.
+            yield "co-mrhi", c, seen[b] & ~rf[c] & ~(1 << b)
 
 
 def sc_clauses(tr) -> dict[int, int]:
@@ -187,23 +181,25 @@ def sc_clauses(tr) -> dict[int, int]:
     """
     sc = sum(1 << e.id for e in tr.sc_events)
     sc_fences = sum(1 << e.id for e in tr.sc_events if e.is_fence)
-    heads = {e.id: sc & 1 << e.id for e in tr.events}
-    tails = dict(heads)
-    for a, b in tr.sb:
-        heads[b] |= sc_fences & 1 << a
-        tails[a] |= sc_fences & 1 << b
+    heads = {a: sc & 1 << a for a in tr.sb}
+    tails = {a: sc & 1 << a | row & sc_fences for a, row in tr.sb.items()}
+    for f in _bits(sc_fences):
+        for b in _bits(tr.sb[f]):
+            heads[b] |= 1 << f
 
-    reach = dict.fromkeys(heads, 0)  # row a: the y of each (a, b) ; (b, y)
-    for rel in (tr.mo, tr.rf, tr.fr):
-        for a, b in rel:
-            reach[a] |= tails[b]
     # An sc read of a source neither sc nor init keeps only its fence pairs.
-    plain = [(w, r) for w, r in tr.rf if tr.event(r).act == "read" and not tr.event(w).is_init]
-    loose = {r for w, r in plain if sc >> r & 1 and not sc >> w & 1}
-    rows = dict.fromkeys(heads, 0)  # row x: the y of each (x, a) ; (a, y)
-    for a, row in reach.items():
-        for x in _bits(heads[a]):
-            rows[x] |= row & sc_fences if x in loose else row
+    loose = 0
+    for w, readers in tr.rf.items():
+        if not sc >> w & 1 and not tr.event(w).is_init:
+            loose |= sum(1 << r for r in _bits(readers & sc) if tr.event(r).act == "read")
+    rows = dict.fromkeys(heads, 0)  # row x: the y of each (x, a) ; (a, b) ; (b, y)
+    for a, head in heads.items():
+        if head:
+            reach = 0
+            for b in _bits(tr.mo[a] | tr.rf[a] | tr.fr[a]):
+                reach |= tails[b]
+            for x in _bits(head):
+                rows[x] |= reach & sc_fences if loose >> x & 1 else reach
     return rows
 
 
@@ -289,23 +285,18 @@ def role_closure(it, limits: Limits | None = None) -> dict[int, dict[int, tuple[
     def bits(e: int, role: int) -> int:
         return role << fence_bit[e] if e in fence_bit else 0
 
-    steps: dict[tuple[int, int], list[int]] = {}
-    for a, b in it.sb:
-        steps.setdefault((a, b), []).append(0)
-    for a, b in derive_sync(it):
-        steps.setdefault((a, b), []).append(bits(a, _OUT) | bits(b, _IN))
-
-    rows: dict[int, dict[int, tuple[int, ...]]] = {e.id: {} for e in it.events}
-    for (a, b), masks in steps.items():
-        rows[a][b] = _minimal(masks)
+    rows = {e.id: dict.fromkeys(_bits(it.sb[e.id]), _FREE) for e in it.events}
+    for a, row in derive_sync(it).items():
+        for b in _bits(row):
+            rows[a].setdefault(b, (bits(a, _OUT) | bits(b, _IN),))
     close_masks(rows, limits or Limits())
     return rows
 
 
-def compute_so_info(it) -> dict[tuple[int, int], tuple[int, ...]]:
-    """The sc-order relation of an intermediate trace: per so edge, the
-    ⊆-minimal sets of candidate fences the pair relies on, as masks where
-    fence i of ``fence_order`` is bit 2i, its in bit.
+def compute_so_info(it) -> dict[int, dict[int, tuple[int, ...]]]:
+    """The sc-order relation of an intermediate trace: row a, column b, the
+    ⊆-minimal sets of candidate fences the so edge (a, b) relies on, as
+    masks where fence i of ``fence_order`` is bit 2i, its in bit.
 
     The clauses of ``sc_clauses`` are applied to every pair of hb ∪ mo ∪
     rf ∪ fr.  sc pairs with no forced order stay unordered: the analysis
@@ -324,13 +315,13 @@ def compute_so_info(it) -> dict[tuple[int, int], tuple[int, ...]]:
 
     bit = {f: 1 << 2 * i for i, f in enumerate(fence_order(it))}
     ins = sum(bit.values())
-    deps: dict[tuple[int, int], tuple[int, ...]] = {}
+    deps: dict[int, dict[int, tuple[int, ...]]] = {a: {} for a in free}
     for a in _bits(sc):
         for b, masks in it.role_closure()[a].items():
             if sc >> b & 1 and not free[a] >> b & 1:
                 ends = bit.get(a, 0) | bit.get(b, 0)
-                deps[(a, b)] = _minimal((m | m >> 1) & ins | ends for m in masks)
+                deps[a][b] = _minimal((m | m >> 1) & ins | ends for m in masks)
     for x, row in free.items():
         for y in _bits(row):
-            deps[(x, y)] = (bit.get(x, 0) | bit.get(y, 0),)
+            deps[x][y] = (bit.get(x, 0) | bit.get(y, 0),)
     return deps

@@ -57,6 +57,19 @@ EXPECT_STATUS = {
 O = MemoryOrder
 
 
+def pairs(rows) -> set[tuple[int, int]]:
+    """The (a, b) pairs of a relation given as bitmask rows."""
+    return {(a, b) for a, row in rows.items() for b in range(row.bit_length()) if row >> b & 1}
+
+
+def rows(ids, pairs) -> dict[int, int]:
+    """The bitmask rows of a pair set, one row per id in ``ids``."""
+    out = dict.fromkeys(ids, 0)
+    for a, b in pairs:
+        out[a] |= 1 << b
+    return out
+
+
 def closure(pairs) -> set[tuple[int, int]]:
     """Transitive closure of a pair set, by naive squaring."""
     out = set(pairs)
@@ -125,14 +138,15 @@ def make_trace(init, threads, rf, mo_tail):
         for i, a in enumerate(tids):
             for b in tids[i + 1 :]:
                 sb.add((a, b))
-    rf_rel = frozenset((ids[w], ids[r]) for w, r in rf)
+    rf_rel = {(ids[w], ids[r]) for w, r in rf}
     mo_pairs = set()
     for obj, tail in mo_tail.items():
         chain = [ids["i_" + obj]] + [ids[n] for n in tail]
         for i, a in enumerate(chain):
             for b in chain[i + 1 :]:
                 mo_pairs.add((a, b))
-    return Trace(events, frozenset(sb), rf_rel, frozenset(mo_pairs)), ids
+    every = range(nid)
+    return Trace(events, rows(every, sb), rows(every, rf_rel), rows(every, mo_pairs)), ids
 
 
 def with_fences(
@@ -155,8 +169,8 @@ def with_fences(
     return Trace(
         events,
         it.sb,
-        tr.rf,
-        tr.mo,
+        it.rf,
+        it.mo,
         assertion_holds=tr.assertion_holds,
         final_shared=tr.final_shared,
         final_locals=tr.final_locals,

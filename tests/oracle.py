@@ -392,6 +392,11 @@ def oracle_traces(p: Program):
     return out
 
 
+def _pairs(rows):
+    """The (a, b) pairs of a package relation, given as bitmask rows."""
+    return [(a, b) for a, row in rows.items() for b in range(row.bit_length()) if row >> b & 1]
+
+
 def trace_signature(tr):
     """The oracle-comparable signature of a package trace."""
 
@@ -403,8 +408,8 @@ def trace_signature(tr):
         frozenset(
             (key(e.id), e.act, e.obj, e.ord.value, e.rval, e.wval) for e in tr.events
         ),
-        frozenset((key(a), key(b)) for a, b in tr.rf),
-        frozenset((key(a), key(b)) for a, b in tr.mo),
+        frozenset((key(a), key(b)) for a, b in _pairs(tr.rf)),
+        frozenset((key(a), key(b)) for a, b in _pairs(tr.mo)),
         tr.assertion_holds,
     )
 
@@ -418,9 +423,9 @@ def _oracle_view(tr):
         key = ("init", e.obj) if e.is_init else (e.thr, e.idx)
         key_of[e.id] = key
         events.append(OEvent(key, e.act, e.obj, e.ord, e.rval, e.wval))
-    sb = {(key_of[a], key_of[b]) for a, b in tr.sb}
-    rf = {(key_of[a], key_of[b]) for a, b in tr.rf}
-    mo = {(key_of[a], key_of[b]) for a, b in tr.mo}
+    sb = {(key_of[a], key_of[b]) for a, b in _pairs(tr.sb)}
+    rf = {(key_of[a], key_of[b]) for a, b in _pairs(tr.rf)}
+    mo = {(key_of[a], key_of[b]) for a, b in _pairs(tr.mo)}
     chains = {obj: [key_of[i] for i in chain] for obj, chain in tr.mo_chains.items()}
     return (events, sb, rf, mo, chains), {v: k for k, v in key_of.items()}
 

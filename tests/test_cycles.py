@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import CORPUS, O, closure, corpus_text, load, make_trace, reflexive, with_fences
+from conftest import CORPUS, O, closure, corpus_text, load, make_trace, pairs, reflexive, with_fences
 from oracle import brute_force_cycles
 from test_differential import SCFR3, mp_pairs, mp_program, program, sb_ring
 from test_litmus import random_litmus_program
@@ -48,13 +48,13 @@ def test_candidate_fences_rwrw(rwrw):
         "t1@0", "t1@1", "t1@2", "t2@0", "t2@1", "t2@2",
     ]
     # Fences extend sb but never rf or mo.
-    assert it.rf == tr.rf and it.mo == tr.mo
+    assert pairs(it.rf) == pairs(tr.rf) and pairs(it.mo) == pairs(tr.mo)
     for f in it.fence_events:
         assert f.obj is None and f.is_fence
 
 
 def test_candidate_fences_empty_trace():
-    tr = Trace([], frozenset(), frozenset(), frozenset())
+    tr = Trace([], {}, {}, {})
     assert insert_candidate_fences(tr).slots == ()
 
 
@@ -75,7 +75,7 @@ def test_candidate_fences_sit_between_their_neighbors(rwrw):
     load_ev = next(e for e in tr.events if e.thr == "t1" and e.is_read)
     store_ev = next(e for e in tr.events if e.thr == "t1" and e.is_write)
     mid = next(i for i, s in it.slot_of.items() if s == FenceSlot("t1", 1))
-    assert (load_ev.id, mid) in it.sb and (mid, store_ev.id) in it.sb
+    assert (load_ev.id, mid) in pairs(it.sb) and (mid, store_ev.id) in pairs(it.sb)
 
 
 def test_candidate_fences_around_branches():
@@ -354,7 +354,7 @@ def test_strong_solutions_match_so_cycles_on_every_slot_subset():
         for k in range(len(slots) + 1):
             for subset in itertools.combinations(slots, k):
                 sset = frozenset(subset)
-                so = insert_candidate_fences(tr, slots=sset).so
+                so = pairs(insert_candidate_fences(tr, slots=sset).so)
                 has_cycle = reflexive(closure(so))
                 assert has_cycle == any(s.fences <= sset for s in strong), (name, sset)
                 cyclic += has_cycle

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import CORPUS, O, corpus_text, load, with_fences
+from conftest import CORPUS, O, corpus_text, load, pairs, with_fences
 from oracle import accepting_sc_orders, oracle_traces, trace_signature
 from test_litmus import random_litmus_program
 from fencesynth.cycles import candidate_slots
@@ -70,7 +70,7 @@ def test_sc_order_matches_oracle_on_sc_access_mutants():
                 assert exists_sc_total_order(m) == bool(accepting_sc_orders(m)), (name, chosen)
                 decided += 1
                 sc = {e.id for e in m.sc_events}
-                searched += any(r in sc and w not in sc for w, r in m.rf)
+                searched += any(r in sc and w not in sc for w, r in pairs(m.rf))
     assert decided > 500 and searched > 100
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from conftest import O, load, make_trace, reflexive
+from conftest import O, load, make_trace, pairs, reflexive
 from fencesynth.enumerator import (
     candidate_values,
     coherence_violations,
@@ -300,7 +300,7 @@ def test_assert_true_never_buggy():
 
 def test_hb_irreflexive_on_accepted_traces(rwrw):
     for tr in enumerate_consistent_traces(rwrw):
-        assert not reflexive(tr.hb)
+        assert not reflexive(pairs(tr.hb))
 
 
 def test_per_object_mo_is_strict_total_order():
@@ -308,8 +308,8 @@ def test_per_object_mo_is_strict_total_order():
         for obj, chain in tr.mo_chains.items():
             for i, a in enumerate(chain):
                 for b in chain[i + 1 :]:
-                    assert (a, b) in tr.mo and (b, a) not in tr.mo
-        assert not reflexive(tr.mo)
+                    assert (a, b) in pairs(tr.mo) and (b, a) not in pairs(tr.mo)
+        assert not reflexive(pairs(tr.mo))
 
 
 def test_enumeration_is_deterministic():
@@ -389,8 +389,8 @@ def _orderless_signature(tr):
 
     return (
         frozenset((key(e.id), e.act, e.obj, e.rval, e.wval) for e in tr.events),
-        frozenset((key(a), key(b)) for a, b in tr.rf),
-        frozenset((key(a), key(b)) for a, b in tr.mo),
+        frozenset((key(a), key(b)) for a, b in pairs(tr.rf)),
+        frozenset((key(a), key(b)) for a, b in pairs(tr.mo)),
     )
 
 
@@ -439,7 +439,7 @@ def test_candidate_fences_never_in_rf_mo_fr(rwrw):
 
     tr = find_buggy_traces(rwrw)[0]
     it = insert_candidate_fences(tr)
-    touched = {i for pair in (it.rf | it.mo | compute_fr(it)) for i in pair}
+    touched = {i for pair in (pairs(it.rf) | pairs(it.mo) | pairs(compute_fr(it))) for i in pair}
     assert not (touched & it.fence_event_ids)
 
 

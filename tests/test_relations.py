@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import CORPUS, O, closure, load, make_trace, reflexive, with_fences
+from conftest import CORPUS, O, closure, load, make_trace, pairs, reflexive, rows, with_fences
 from fencesynth.cycles import insert_candidate_fences
 from fencesynth.enumerator import enumerate_consistent_traces, find_buggy_traces
 from fencesynth.errors import InternalCheckError
@@ -16,7 +16,6 @@ from fencesynth.model import FenceSlot
 from fencesynth.relations import (
     _bits,
     _closure,
-    _from_rows,
     compute_fr,
     derive_sync,
     fence_order,
@@ -97,7 +96,7 @@ def test_sw_direct_release_acquire():
         rf=[("w", "r")],
         mo_tail={"x": ["w"]},
     )
-    sw = derive_sync(tr)
+    sw = pairs(derive_sync(tr))
     assert (ids["w"], ids["r"]) in sw
 
 
@@ -111,7 +110,7 @@ def test_sw_release_write_to_acquire_fence():
         rf=[("w", "r")],
         mo_tail={"x": ["w"]},
     )
-    sw = derive_sync(tr)
+    sw = pairs(derive_sync(tr))
     assert (ids["w"], ids["f"]) in sw
     assert (ids["w"], ids["r"]) not in sw  # the read itself is relaxed
 
@@ -126,7 +125,7 @@ def test_sw_release_fence_to_acquire_read():
         rf=[("w", "r")],
         mo_tail={"x": ["w"]},
     )
-    sw = derive_sync(tr)
+    sw = pairs(derive_sync(tr))
     assert (ids["f"], ids["r"]) in sw
 
 
@@ -140,7 +139,7 @@ def test_sw_fence_to_fence():
         rf=[("w", "r")],
         mo_tail={"x": ["w"]},
     )
-    sw = derive_sync(tr)
+    sw = pairs(derive_sync(tr))
     assert (ids["f1"], ids["f2"]) in sw
 
 
@@ -154,7 +153,7 @@ def test_relaxed_rf_yields_no_sync():
         rf=[("w", "r")],
         mo_tail={"x": ["w"]},
     )
-    assert len(derive_sync(tr)) == 0
+    assert len(pairs(derive_sync(tr))) == 0
 
 
 def test_sw_through_release_sequence_rmw():
@@ -170,7 +169,7 @@ def test_sw_through_release_sequence_rmw():
     )
     # The head w synchronizes with r, which reads the rmw u that continues
     # w's release sequence.
-    assert (ids["w"], ids["r"]) in derive_sync(tr)
+    assert (ids["w"], ids["r"]) in pairs(derive_sync(tr))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +186,7 @@ def test_hb_sw_then_sb():
         rf=[("a", "b")],
         mo_tail={"x": ["a", "c"]},
     )
-    assert (ids["a"], ids["c"]) in tr.hb  # sw;sb
+    assert (ids["a"], ids["c"]) in pairs(tr.hb)  # sw;sb
 
 
 def test_hb_is_sb_without_synchronization():
@@ -197,8 +196,8 @@ def test_hb_is_sb_without_synchronization():
         rf=[("a", "b")],
         mo_tail={"x": ["a"]},
     )
-    assert len(tr.sw) == 0
-    assert tr.hb == tr.sb
+    assert len(pairs(tr.sw)) == 0
+    assert pairs(tr.hb) == pairs(tr.sb)
 
 
 def test_release_fence_closes_read_write_cycle(rwrw):
@@ -209,8 +208,8 @@ def test_release_fence_closes_read_write_cycle(rwrw):
     fixed = with_fences(tr, {FenceSlot("t1", 1): O.REL})
     ry = next(e for e in fixed.events if e.is_read and e.obj == "y")
     wy = next(e for e in fixed.events if e.is_write and e.obj == "y" and not e.is_init)
-    assert (ry.id, wy.id) in fixed.hb
-    assert reflexive({(w, c) for w, r in fixed.rf for b, c in fixed.hb if b == r})
+    assert (ry.id, wy.id) in pairs(fixed.hb)
+    assert reflexive({(w, c) for w, r in pairs(fixed.rf) for b, c in pairs(fixed.hb) if b == r})
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +226,8 @@ def test_fr_read_of_init():
         rf=[("i_x", "r")],
         mo_tail={"x": ["w"]},
     )
-    fr = compute_fr(tr)
-    assert fr == frozenset({(ids["r"], ids["w"])})
+    fr = pairs(compute_fr(tr))
+    assert fr == {(ids["r"], ids["w"])}
 
 
 def test_fr_empty_for_read_of_final_write():
@@ -241,11 +240,11 @@ def test_fr_empty_for_read_of_final_write():
         rf=[("w", "r")],
         mo_tail={"x": ["w"]},
     )
-    assert not any(a == ids["r"] for a, _ in compute_fr(tr))
+    assert not any(a == ids["r"] for a, _ in pairs(compute_fr(tr)))
 
 
 def test_fr_from_mo_chains_equals_the_composition():
-    # The mo-chain construction against rf⁻¹;mo minus reflexive pairs, on
+    # fr read off the mo rows against rf⁻¹;mo minus reflexive pairs, on
     # every consistent execution of the corpus and of 150 random programs.
     from fencesynth.litmus import elaborate, parse_program
     from test_litmus import random_litmus_program
@@ -255,9 +254,9 @@ def test_fr_from_mo_chains_equals_the_composition():
     checked = with_rmw = 0
     for p in programs:
         for tr in enumerate_consistent_traces(p):
-            composed = {(r, c) for w, r in tr.rf for b, c in tr.mo if b == w}
+            composed = {(r, c) for w, r in pairs(tr.rf) for b, c in pairs(tr.mo) if b == w}
             expected = {(a, b) for a, b in composed if a != b}
-            assert compute_fr(tr) == expected, p.name
+            assert pairs(compute_fr(tr)) == expected, p.name
             checked += 1
             with_rmw += len(expected) < len(composed)
     assert checked >= 600 and with_rmw >= 100
@@ -268,7 +267,7 @@ def test_fr_both_reads_in_store_buffer():
     reads = [e for e in tr.events if e.is_read]
     writes = {e.obj: e for e in tr.events if e.is_write and not e.is_init}
     for r in reads:
-        assert (r.id, writes[r.obj].id) in tr.fr
+        assert (r.id, writes[r.obj].id) in pairs(tr.fr)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +277,7 @@ def test_fr_both_reads_in_store_buffer():
 def test_so_cycle_in_sc_write_store_buffer():
     tr = find_buggy_traces(load("sb_scw"))[0]
     it = insert_candidate_fences(tr)
-    so = it.so
+    so = pairs(it.so)
     wx = next(e for e in it.events if e.is_write and e.obj == "x" and not e.is_init)
     wy = next(e for e in it.events if e.is_write and e.obj == "y" and not e.is_init)
     f1 = next(i for i, s in it.slot_of.items() if s == FenceSlot("t1", 1))
@@ -289,13 +288,13 @@ def test_so_cycle_in_sc_write_store_buffer():
 
 def test_so_empty_without_sc_events():
     tr = find_buggy_traces(load("sb_rlx"))[0]
-    assert len(insert_candidate_fences(tr, slots=()).so) == 0
+    assert len(pairs(insert_candidate_fences(tr, slots=()).so)) == 0
 
 
 def test_so_empty_for_unordered_sc_writes():
     # Both writes are sc but unrelated; no pair is forced without fences.
     tr = find_buggy_traces(load("sb_scw"))[0]
-    assert len(insert_candidate_fences(tr, slots=()).so) == 0
+    assert len(pairs(insert_candidate_fences(tr, slots=()).so)) == 0
 
 
 def test_plain_trace_so_is_that_of_the_trace_without_candidates():
@@ -309,7 +308,7 @@ def test_plain_trace_so_is_that_of_the_trace_without_candidates():
         assert tr.slots == tr.fence_events == ()
         assert tr.so == it.so
     assert sum(not tr.assertion_holds for tr in traces) == 34
-    assert sum(len(tr.so) > 0 for tr in traces) >= 20
+    assert sum(len(pairs(tr.so)) > 0 for tr in traces) >= 20
 
 
 def test_hb_closures_are_built_for_plain_traces_only(monkeypatch):
@@ -351,7 +350,7 @@ def test_hb_is_stated_once():
     for p in corpus_and_random_programs():
         for tr in enumerate_consistent_traces(p):
             support = {(a, b) for a, row in role_closure(tr).items() for b in row}
-            assert tr.hb == closure(tr.sb | tr.sw) == support
+            assert pairs(tr.hb) == closure(pairs(tr.sb) | pairs(tr.sw)) == support
             checked += 1
     assert checked == 674
 
@@ -366,8 +365,8 @@ def test_sw_and_hb_match_the_oracle():
     for p in corpus_and_random_programs():
         for tr in enumerate_consistent_traces(p):
             hb, sw, dob = naive_hb_of(tr)
-            assert tr.sw == sw | dob, p.name
-            assert tr.hb == hb, p.name
+            assert pairs(tr.sw) == sw | dob, p.name
+            assert pairs(tr.hb) == hb, p.name
             checked += 1
             through_release_sequences += not dob <= sw
     assert checked == 674 and through_release_sequences == 12
@@ -381,7 +380,7 @@ def test_hb_holds_release_sequence_then_sb():
 
     [tr] = [t for t in enumerate_consistent_traces(load("relseq_thread")) if t.final_locals["t2"]["a"] == 2]
     assert tr.event(3).ord is O.REL and tr.event(6).obj == "d"
-    assert {(3, 6), (2, 6)} <= tr.hb
+    assert {(3, 6), (2, 6)} <= pairs(tr.hb)
     assert "\nhb 3 6\n" in dump_trace(tr)
 
 
@@ -391,7 +390,7 @@ def test_sync_monotone_under_added_fences():
     small = insert_candidate_fences(tr, slots=slots[:2])
     big = insert_candidate_fences(tr)
     for name in ("sw", "hb"):
-        assert getattr(small, name) <= getattr(big, name)
+        assert pairs(getattr(small, name)) <= pairs(getattr(big, name))
 
 
 def test_so_transitive_subset_of_every_accepted_order():
@@ -405,23 +404,28 @@ def test_so_transitive_subset_of_every_accepted_order():
             if len(tr.sc_events) < 2:
                 continue
             it = insert_candidate_fences(tr, slots=())
-            so_plus = closure(it.so)
+            so_plus = closure(pairs(it.so))
             for order in accepting_sc_orders(tr):
                 pos = {eid: i for i, eid in enumerate(order)}
                 for a, b in so_plus:
                     assert pos[a] < pos[b]
 
 
-def test_every_relation_is_a_frozenset():
-    # A relation is its pair set: base and derived relations of every
-    # consistent corpus execution, and those of its intermediate trace.
+def test_every_relation_is_one_row_per_event():
+    # A relation is a dict of bitmask rows, one int per event id and no bit
+    # outside the ids: base and derived relations of every consistent
+    # corpus execution, and those of its intermediate trace.
     names = ("sb", "rf", "mo", "sw", "hb", "fr", "so")
     checked = 0
     for name in CORPUS:
         for tr in enumerate_consistent_traces(load(name)):
             for t in (tr, insert_candidate_fences(tr)):
+                ids = [e.id for e in t.events]
+                every = sum(1 << i for i in ids)
                 for rel in names:
-                    assert type(getattr(t, rel)) is frozenset, (name, rel)
+                    got = getattr(t, rel)
+                    assert type(got) is dict and sorted(got) == ids, (name, rel)
+                    assert all(type(row) is int and row & ~every == 0 for row in got.values()), (name, rel)
             checked += 1
     assert checked == 193
 
@@ -435,7 +439,7 @@ def test_so_masks_carry_the_in_bits_of_candidate_ends():
             it = insert_candidate_fences(tr)
             bit = {f: 1 << 2 * i for i, f in enumerate(fence_order(it))}
             free = sc_clauses(it)
-            for (a, b), masks in it.so_deps.items():
+            for a, b, masks in ((a, b, m) for a, row in it.so_deps.items() for b, m in row.items()):
                 ends = bit.get(a, 0) | bit.get(b, 0)
                 assert masks and all(m & ends == ends for m in masks), (name, a, b)
                 with_ends += ends != 0
@@ -448,23 +452,16 @@ def test_so_masks_carry_the_in_bits_of_candidate_ends():
 # ---------------------------------------------------------------------------
 # The bitmask closure behind hb
 
-pairs = st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20)
+pair_sets = st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20)
 
 
-def rows(r):
-    # Every vertex gets a row, as every event does in compute_hb_info.
-    out = dict.fromkeys(range(8), 0)
-    for a, b in r:
-        out[a] |= 1 << b
-    return out
-
-
-@given(pairs)
+# Every vertex gets a row, as every event does in compute_hb_info.
+@given(pair_sets)
 def test_closure_matches_oracle(r):
-    assert _from_rows(_closure(rows(r))) == closure(r)
+    assert pairs(_closure(rows(range(8), r))) == closure(r)
 
 
-@given(pairs)
+@given(pair_sets)
 def test_closure_idempotent(r):
-    once = _closure(rows(r))
+    once = _closure(rows(range(8), r))
     assert _closure(once) == once
