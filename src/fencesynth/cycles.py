@@ -12,8 +12,8 @@ enumerating cycles.  The strong analysis closes the forced sc order
 included, and reads its cycles off the diagonal; the bitmask closure
 ``relations._closure`` first drops the so edges that lie on no cycle.
 Each violation's candidate fences form one candidate solution, with a
-locally weakest memory order read off each fence's synchronization role
-(sc for the strong analysis).
+locally weakest memory order read off each fence's synchronization roles,
+whose mask bits are the bits of that order (sc for the strong analysis).
 A fence already in the program is part of the input: it plays only the
 roles its own order supports, so a solution that relies on it asks
 nothing of it and does not name it.
@@ -37,7 +37,7 @@ from .errors import InternalCheckError, ResourceLimitError
 from .limits import Limits
 from .model import Event, FenceSlot, Trace
 from .orders import MemoryOrder
-from .relations import _IN, _OUT, COHERENCE, _bits, _closure, _minimal, close_masks, coherence_shapes, fence_order
+from .relations import COHERENCE, _bits, _closure, _minimal, close_masks, coherence_shapes, fence_order
 
 
 @dataclass(frozen=True)
@@ -161,11 +161,6 @@ def enumerate_simple_cycles(
 # (``relations.role_closure``)
 
 
-# The locally weakest order of a fence, by the roles (``_IN``, ``_OUT``)
-# it plays in the sw steps of a weak solution.
-_ROLE_ORDER = {_IN: MemoryOrder.ACQ, _OUT: MemoryOrder.REL, _IN | _OUT: MemoryOrder.AR}
-
-
 def find_weak_cycles(
     it: Trace, trace_id: int = 0, limits: Limits | None = None
 ) -> list[CandidateSolution]:
@@ -184,7 +179,7 @@ def find_weak_cycles(
     shapes = [(c, a, b) for c, a, ends in coherence_shapes(it) for b in _bits(ends) if b in closed[a]]
     minimal = set(_minimal(m for _, a, b in shapes for m in closed[a][b]))
     sols = {
-        _solution(it, trace_id, "weak", condition, mask, fence_ids, _ROLE_ORDER)
+        _solution(it, trace_id, "weak", condition, mask, fence_ids)
         for condition, a, b in shapes
         for mask in closed[a][b]
         if mask in minimal
@@ -221,19 +216,20 @@ def find_strong_cycles(
     close_masks(rows, limits)
 
     diagonal = _minimal(m for v, row in rows.items() for m in row.get(v, ()))
-    sc = {_IN: MemoryOrder.SC}  # strong masks set only a fence's in bit
     return sorted(
-        (_solution(it, trace_id, "strong", "to-sc", m, fences, sc) for m in diagonal),
+        (_solution(it, trace_id, "strong", "to-sc", m, fences) for m in diagonal),
         key=_canonical,
     )
 
 
-def _solution(it, trace_id, kind, condition, mask, fences, order_of) -> CandidateSolution:
+def _solution(it, trace_id, kind, condition, mask, fences) -> CandidateSolution:
     """The solution of one minimal mask over ``fences`` (``fence_order``):
-    each candidate with a bit set takes the order ``order_of`` gives its
-    two bits."""
+    each candidate with a bit set takes, in a weak solution, the order whose
+    bits are its two role bits (release, acquire or both), and sc in a
+    strong one."""
     roles = ((f, mask >> 2 * i & 3) for i, f in enumerate(fences))
-    orders = {it.slot_of[f]: order_of[role] for f, role in roles if role}
+    sc = kind == "strong"
+    orders = {it.slot_of[f]: MemoryOrder.SC if sc else MemoryOrder(role) for f, role in roles if role}
     if not orders:
         raise InternalCheckError(
             "%s cycle without candidate fences in a consistent base trace" % condition
@@ -253,7 +249,7 @@ _CONDITIONS = COHERENCE + ("to-sc",)
 
 def _canonical(sol: CandidateSolution):
     """The sort key of the canonical order: condition, fences, orders."""
-    return _CONDITIONS.index(sol.condition), sorted(sol.fences), [o.rank for _, o in sol.orders]
+    return _CONDITIONS.index(sol.condition), sorted(sol.fences), [o.value for _, o in sol.orders]
 
 
 def analyze_trace(tr: Trace, trace_id: int = 0, limits: Limits | None = None) -> list[CandidateSolution]:

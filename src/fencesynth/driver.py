@@ -360,14 +360,6 @@ class SanityReport:
         return "\n".join(lines) + "\n"
 
 
-_WEAKENINGS = {
-    MemoryOrder.SC: (MemoryOrder.AR,),
-    MemoryOrder.AR: (MemoryOrder.REL, MemoryOrder.ACQ),
-    MemoryOrder.REL: (),
-    MemoryOrder.ACQ: (),
-}
-
-
 def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | None = None) -> SanityReport:
     """Remove or one-step-weaken each synthesized fence and re-check.
 
@@ -420,7 +412,9 @@ def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | Non
         del block[i]
         probe(removal, name, "removed")
 
-        for weaker in _WEAKENINGS[stmt.ord]:
+        # One guarantee fewer, never none: sc to ar, ar to rel then acq.
+        below = stmt.ord.weight - 1
+        for weaker in (w for w in MemoryOrder if w.weaker_than(stmt.ord) and 0 < w.weight == below):
             weakened = elaborate(part_of[tid])
             _, _, target = locate(weakened, stmt.uid)
             target.ord = weaker

@@ -119,7 +119,7 @@ def _coalesce(choice: Sequence[CandidateSolution], slot_ord=None):
 
 
 def _selection_key(slot_ord, weight):
-    return weight, tuple((s, o.rank) for s, o in sorted(slot_ord.items()))
+    return weight, tuple((s, o.value) for s, o in sorted(slot_ord.items()))
 
 
 def assign_memory_orders(

@@ -1,8 +1,12 @@
 """The memory-order lattice for atomic accesses and fences.
 
-``rlx`` is the weakest order, ``sc`` the strongest; ``rel`` and ``acq`` are
-incomparable siblings whose least upper bound is ``ar``.  Non-atomic
-accesses are out of scope, so no ``na`` member exists.
+An order is the set of guarantees it gives, as bits: release (1), acquire
+(2) and sc (4), where sc comes only with both others.  So ``rlx`` (0) is
+the weakest order and ``sc`` (7) the strongest; ``rel`` (1) and ``acq``
+(2) are incomparable siblings whose least upper bound, their union, is
+``ar`` (3).  The order is inclusion, the weight the number of guarantees,
+and sorting by value gives rlx < rel < acq < ar < sc, the tie-break order.
+Non-atomic accesses are out of scope, so no ``na`` member exists.
 """
 
 from __future__ import annotations
@@ -11,63 +15,34 @@ import enum
 
 
 class MemoryOrder(enum.Enum):
-    RLX = "rlx"
-    REL = "rel"
-    ACQ = "acq"
-    AR = "ar"
-    SC = "sc"
+    RLX = 0
+    REL = 1
+    ACQ = 2
+    AR = 3
+    SC = 7
 
     def __str__(self) -> str:
-        return self.value
-
-    @property
-    def rank(self) -> int:
-        """Canonical index used only for deterministic tie-breaking."""
-        return _RANK[self]
+        return self.name.lower()
 
     @property
     def weight(self) -> int:
         """Synthesis cost: rel/acq cost 1, ar costs 2, sc costs 3."""
-        return _WEIGHT[self]
+        return self.value.bit_count()
 
     @property
     def at_least_release(self) -> bool:
-        return self in (MemoryOrder.REL, MemoryOrder.AR, MemoryOrder.SC)
+        return bool(self.value & 1)
 
     @property
     def at_least_acquire(self) -> bool:
-        return self in (MemoryOrder.ACQ, MemoryOrder.AR, MemoryOrder.SC)
+        return bool(self.value & 2)
 
     def weaker_than(self, other: "MemoryOrder") -> bool:
         """Strictly weaker in the partial order (rel and acq are incomparable)."""
-        return other in _STRONGER[self]
+        return self is not other and self.value & ~other.value == 0
 
 
-_RANK = {
-    MemoryOrder.RLX: 0,
-    MemoryOrder.REL: 1,
-    MemoryOrder.ACQ: 2,
-    MemoryOrder.AR: 3,
-    MemoryOrder.SC: 4,
-}
-
-_WEIGHT = {
-    MemoryOrder.RLX: 0,
-    MemoryOrder.REL: 1,
-    MemoryOrder.ACQ: 1,
-    MemoryOrder.AR: 2,
-    MemoryOrder.SC: 3,
-}
-
-_STRONGER = {
-    MemoryOrder.RLX: {MemoryOrder.REL, MemoryOrder.ACQ, MemoryOrder.AR, MemoryOrder.SC},
-    MemoryOrder.REL: {MemoryOrder.AR, MemoryOrder.SC},
-    MemoryOrder.ACQ: {MemoryOrder.AR, MemoryOrder.SC},
-    MemoryOrder.AR: {MemoryOrder.SC},
-    MemoryOrder.SC: set(),
-}
-
-ORDER_NAMES = {m.value: m for m in MemoryOrder}
+ORDER_NAMES = {str(m): m for m in MemoryOrder}
 
 
 def lub(a: MemoryOrder | None, b: MemoryOrder | None) -> MemoryOrder:
@@ -75,15 +50,6 @@ def lub(a: MemoryOrder | None, b: MemoryOrder | None) -> MemoryOrder:
 
     ``None`` acts as the identity so folds can start from an empty slot.
     """
-    if a is None:
-        if b is None:
-            raise ValueError("lub of nothing")
-        return b
-    if b is None:
-        return a
-    if a is b or b.weaker_than(a):
-        return a
-    if a.weaker_than(b):
-        return b
-    # The only incomparable pair is {rel, acq}.
-    return MemoryOrder.AR
+    if a is None and b is None:
+        raise ValueError("lub of nothing")
+    return MemoryOrder((a.value if a else 0) | (b.value if b else 0))

@@ -24,6 +24,7 @@ from typing import Iterable, Iterator
 from .errors import InternalCheckError
 from .limits import Limits
 from .model import Event
+from .orders import MemoryOrder
 
 
 def release_sequence(tr, w: Event) -> list[Event]:
@@ -206,15 +207,15 @@ def sc_clauses(tr) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # Minimal fence sets: hb paths and the forced sc order over mask antichains
 #
-# Fence i of ``fence_order`` owns two bits of a mask: 2i, its in (acquire)
-# role, and 2i+1, its out (release) role.  The masks of the paths between
-# two events form an antichain of ⊆-minimal masks: union of antichains
-# (keeping the minimal elements) is addition, the pairwise OR is
-# multiplication, and the empty mask is the unit.  Going around a cycle only
-# adds bits, so a closure needs no star and a Floyd–Warshall pivot loop
-# computes it.
+# Fence i of ``fence_order`` owns two bits of a mask, laid out as the bits
+# of an order (``orders``): 2i, its out (release) role, and 2i+1, its in
+# (acquire) role.  The masks of the paths between two events form an
+# antichain of ⊆-minimal masks: union of antichains (keeping the minimal
+# elements) is addition, the pairwise OR is multiplication, and the empty
+# mask is the unit.  Going around a cycle only adds bits, so a closure needs
+# no star and a Floyd–Warshall pivot loop computes it.
 
-_IN, _OUT = 1, 2  # a fence's two bits, shifted to its position in a mask
+_OUT, _IN = MemoryOrder.REL.value, MemoryOrder.ACQ.value  # shifted to a fence's place in a mask
 _FREE = (0,)  # the antichain of a pair that needs no fence
 
 
@@ -296,7 +297,7 @@ def role_closure(it, limits: Limits | None = None) -> dict[int, dict[int, tuple[
 def compute_so_info(it) -> dict[int, dict[int, tuple[int, ...]]]:
     """The sc-order relation of an intermediate trace: row a, column b, the
     ⊆-minimal sets of candidate fences the so edge (a, b) relies on, as
-    masks where fence i of ``fence_order`` is bit 2i, its in bit.
+    masks with one bit per fence: bit 2i for fence i of ``fence_order``.
 
     The clauses of ``sc_clauses`` are applied to every pair of hb ∪ mo ∪
     rf ∪ fr.  sc pairs with no forced order stay unordered: the analysis
@@ -314,13 +315,13 @@ def compute_so_info(it) -> dict[int, dict[int, tuple[int, ...]]]:
     free = sc_clauses(it)
 
     bit = {f: 1 << 2 * i for i, f in enumerate(fence_order(it))}
-    ins = sum(bit.values())
+    low = sum(bit.values())  # bit 2i of every fence
     deps: dict[int, dict[int, tuple[int, ...]]] = {a: {} for a in free}
     for a in _bits(sc):
         for b, masks in it.role_closure()[a].items():
             if sc >> b & 1 and not free[a] >> b & 1:
                 ends = bit.get(a, 0) | bit.get(b, 0)
-                deps[a][b] = _minimal((m | m >> 1) & ins | ends for m in masks)
+                deps[a][b] = _minimal((m | m >> 1) & low | ends for m in masks)
     for x, row in free.items():
         for y in _bits(row):
             deps[x][y] = (bit.get(x, 0) | bit.get(y, 0),)

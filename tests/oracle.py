@@ -382,7 +382,7 @@ def oracle_traces(p: Program):
                 verdict = eval_expr(p.assertion, lookup)
                 sig = (
                     frozenset(
-                        (e.key, e.act, e.obj, e.ord.value, e.rval, e.wval) for e in events
+                        (e.key, e.act, e.obj, str(e.ord), e.rval, e.wval) for e in events
                     ),
                     frozenset(rf),
                     frozenset(mo),
@@ -406,7 +406,7 @@ def trace_signature(tr):
 
     return (
         frozenset(
-            (key(e.id), e.act, e.obj, e.ord.value, e.rval, e.wval) for e in tr.events
+            (key(e.id), e.act, e.obj, str(e.ord), e.rval, e.wval) for e in tr.events
         ),
         frozenset((key(a), key(b)) for a, b in _pairs(tr.rf)),
         frozenset((key(a), key(b)) for a, b in _pairs(tr.mo)),

@@ -583,7 +583,7 @@ def canonical_key(sol):
     return (
         CONDITIONS.index(sol.condition),
         sorted(sol.fences),
-        [o.rank for _, o in sol.orders],
+        [o.value for _, o in sol.orders],
     )
 
 

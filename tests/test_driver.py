@@ -358,11 +358,16 @@ def test_sanity_check_vacuous_for_already_correct():
 def test_sanity_check_ar_fence_tries_both_weakenings():
     res = synthesize_optimal(load("lb3"))
     report = sanity_check(res.fixed_program, res, Limits())
+    # Each fence is removed, then weakened by one guarantee: ar to rel, then
+    # to acq; rel and acq have no nonzero order below them.
     assert report.passed
-    ar_mutations = {
-        o.mutation for o in report.outcomes if o.fence.startswith("fence(ar)")
-    }
-    assert ar_mutations == {"removed", "weakened to rel", "weakened to acq"}
+    assert [(o.fence, o.mutation, o.verdict) for o in report.outcomes] == [
+        ("fence(rel) uid=6", "removed", "bug-reappears"),
+        ("fence(ar) uid=7", "removed", "bug-reappears"),
+        ("fence(ar) uid=7", "weakened to rel", "bug-reappears"),
+        ("fence(ar) uid=7", "weakened to acq", "bug-reappears"),
+        ("fence(acq) uid=8", "removed", "bug-reappears"),
+    ]
 
 
 def test_sanity_check_arms_an_unarmed_deadline():

@@ -3,7 +3,7 @@
 import itertools
 
 from fencesynth.orders import MemoryOrder as O
-from fencesynth.orders import lub
+from fencesynth.orders import ORDER_NAMES, lub
 
 
 def test_weaker_chain():
@@ -53,3 +53,15 @@ def test_lub_is_least_upper_bound():
         for c in O:
             if at_most(a, c) and at_most(b, c):
                 assert at_most(j, c)
+
+
+def test_sorting_by_value_is_the_tie_break_order():
+    # rel before acq decides rel/acq ties in the optimizer's selection key
+    # and in the canonical order of solution lists.
+    assert sorted(O, key=lambda m: m.value) == [O.RLX, O.REL, O.ACQ, O.AR, O.SC]
+
+
+def test_order_names_round_trip():
+    assert [str(m) for m in O] == ["rlx", "rel", "acq", "ar", "sc"]
+    for m in O:
+        assert ORDER_NAMES[str(m)] is m

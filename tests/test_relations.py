@@ -430,9 +430,10 @@ def test_every_relation_is_one_row_per_event():
     assert checked == 193
 
 
-def test_so_masks_carry_the_in_bits_of_candidate_ends():
+def test_so_masks_carry_the_bits_of_candidate_ends():
     # Every so edge, a fence-free one of the sc clauses included, relies on
-    # its candidate ends: each of its masks has their in bits set.
+    # its candidate ends: each of its masks has their bits set, bit 2i for
+    # fence i, the one bit per fence that so masks keep.
     with_ends = free_with_ends = 0
     for name in CORPUS:
         for tr in find_buggy_traces(load(name)):

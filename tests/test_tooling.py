@@ -208,7 +208,26 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
 
 
 def test_package_stays_under_the_north_star():
-    # The package's line budget, 3,106 lines: a change that adds code first
+    # The package's line budget, 3,063 lines: a change that adds code first
     # deletes some.
     lines = sum(len(path.read_text().splitlines()) for path in PACKAGE.glob("*.py"))
-    assert lines <= 3106
+    assert lines <= 3063
+
+
+def test_the_lattice_is_stated_once():
+    # An order is its guarantee bits (``orders``): ranks, weights,
+    # inclusion, least upper bounds, fence roles and weakenings are all read
+    # off them.  So no display in the package lists orders as a table: no
+    # dict, set, tuple or list display has two or more MemoryOrder members
+    # among its entries (a dict's keys and values).
+    def member(n):
+        return isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "MemoryOrder"
+
+    tables = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Dict, ast.Set, ast.Tuple, ast.List)):
+                entries = node.keys + node.values if isinstance(node, ast.Dict) else node.elts
+                if len({n.attr for n in entries if member(n)}) >= 2:
+                    tables.append("%s:%d" % (path.name, node.lineno))
+    assert tables == []
