@@ -67,10 +67,7 @@ class CandidateSolution:
 def candidate_slots(tr: Trace) -> list[FenceSlot]:
     """Every source gap adjacent to a dynamic event, one slot per gap."""
     slots: list[FenceSlot] = []
-    for tid in tr.thread_order:
-        evs = tr.thread_events[tid]
-        if not evs:
-            continue
+    for tid, evs in tr.thread_events.items():
         gaps = {e.loc.index for e in evs}
         gaps.add(evs[-1].cont)
         slots.extend(FenceSlot(tid, g) for g in sorted(gaps))
@@ -88,8 +85,7 @@ def insert_candidate_fences(tr: Trace, slots: Iterable[FenceSlot] | None = None)
     next_id = max((e.id for e in tr.events), default=-1) + 1
     fences: list[Event] = []
     sb = dict(tr.sb)
-    for tid in tr.thread_order:
-        evs = tr.thread_events[tid]
+    for tid, evs in tr.thread_events.items():
         at = [e.loc.index for e in evs]
         seq = list(evs)
         # Gap g sits before the statement with index g and after every

@@ -1,20 +1,21 @@
 """Synthesis drivers: optimal and one-trace-at-a-time, both by parts.
 
-Both drivers work on each assertion-independent part (``enumerator.parts``;
-the whole program is the one part where there is no split) through its
-pruned buggy-trace enumeration, and feed buggy traces to one solve step,
-which analyses each trace whole.  The optimal driver feeds every buggy
-trace of each part and applies the union of the parts' typed solutions
-once, or stops at the first part without a fix; the fast driver feeds a
-part's first buggy trace, applies that fix, re-enumerates the part and
-repeats, then moves to the next part.  Fast is near-optimal and may
-synthesize extra fences on adversarial query structure.  Both verify the
-fix exactly: ``opt`` decides with ``has_buggy_trace`` that no consistent
-execution of the fixed program falsifies the assertion, and ``fast`` stops
-when its next pass finds no buggy trace in the last part.  A sanity
-checker confirms each synthesized fence is load-bearing by weakening or
-removing it in a copy of its part's sub-program and deciding the same
-question there.  A fence already in the program changes only when a
+Both drivers enumerate each assertion-independent part (``enumerator.parts``;
+the whole program is the one part where there is no split) once, through
+its pruned buggy-trace enumeration, and feed buggy traces to one solve
+step, which analyses each trace whole.  The optimal driver feeds every
+buggy trace of each part and applies the union of the parts' typed
+solutions once, or stops at the first part without a fix; the fast driver
+feeds the first of a part's buggy traces that the fences so far leave
+consistent, applies that fix and repeats, then moves to the next part.
+Fast is near-optimal and may synthesize extra fences on adversarial query
+structure.  A fence adds no value, rf or mo choice, so a program with more
+or stronger fences has a buggy execution iff some buggy trace of the input
+stays consistent lifted into it (``enumerator.lift``): both drivers verify
+the fix that way, exactly, and never enumerate it.  A sanity checker
+confirms each synthesized fence is load-bearing by weakening or removing
+it in a copy of its part's sub-program and lifting the part's buggy traces
+into that.  A fence already in the program changes only when a
 synthesized fence is merged into it; the report lists that as a
 strengthening.
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 from .cycles import CandidateSolution, analyze_trace
 from .errors import InternalCheckError, LitmusError, ResourceLimitError
-from .enumerator import find_buggy_traces, has_buggy_trace, iter_buggy_traces, parts
+from .enumerator import find_buggy_traces, iter_buggy_traces, lift, parts
 from .limits import Limits
 from .litmus import Fence, If, Program, elaborate, preorder, renumber
 from .model import FenceSlot, SourceLocation, Trace
@@ -68,6 +69,9 @@ class SynthesisResult:
     # order (``no_fix_trace`` and query clauses index them), each of its
     # part's sub-program with part-local event ids.
     buggy_traces: list[Trace] = field(default_factory=list)
+    # Each input part's buggy traces, under each of its thread ids, for the
+    # sanity check: opt's enumeration, or those fast's passes walked.
+    part_traces: dict[str, list[Trace]] = field(default_factory=dict)
     solutions_by_trace: list[list[CandidateSolution]] = field(default_factory=list)
     queries: list[Query] = field(default_factory=list)
 
@@ -255,15 +259,17 @@ def synthesize_optimal(p: Program, limits: Limits | None = None) -> SynthesisRes
         p = elaborate(p)
 
     t0 = time.monotonic()
-    buggy = list(filter(None, (list(iter_buggy_traces(sub, limits)) for sub in parts(p))))
+    subs = parts(p)
+    by_part = [find_buggy_traces(sub, limits) for sub in subs]
+    part_traces = {t.tid: traces for sub, traces in zip(subs, by_part) for t in sub.threads}
     timings = {"enumerate": time.monotonic() - t0}
-    result = SynthesisResult(status=FIXED, traces_analyzed=sum(map(len, buggy)), timings=timings)
-    if not buggy:
+    result = SynthesisResult(FIXED, traces_analyzed=sum(map(len, by_part)), timings=timings, part_traces=part_traces)
+    if not any(by_part):
         result.status = ALREADY_CORRECT
         result.fixed_program = p
         return result
     assignment: list = []
-    for traces in buggy:
+    for traces in filter(None, by_part):
         typed = _solve(traces, result, limits)
         if typed is None:
             return result
@@ -271,11 +277,10 @@ def synthesize_optimal(p: Program, limits: Limits | None = None) -> SynthesisRes
 
     t0 = time.monotonic()
     fixed = apply_solution(p, TypedSolution(tuple(sorted(assignment))), synth_iter=0)
-    if has_buggy_trace(fixed, limits):
-        raise InternalCheckError(
-            "solution verification failed: %d buggy traces remain"
-            % sum(len(find_buggy_traces(sub, limits)) for sub in parts(fixed))
-        )
+    # Each input trace lifts to at most one execution of the fixed part.
+    left = sum(lift(tr, sub, limits) is not None for sub in parts(fixed) for tr in part_traces[sub.threads[0].tid])
+    if left:
+        raise InternalCheckError("solution verification failed: %d buggy traces remain" % left)
     result.timings["verify"] = time.monotonic() - t0
     result.fixed_program = fixed
     result.iterations = 1
@@ -288,10 +293,13 @@ def synthesize_optimal(p: Program, limits: Limits | None = None) -> SynthesisRes
 
 
 def synthesize_fast(p: Program, limits: Limits | None = None) -> SynthesisResult:
-    """Fix the first buggy trace, re-enumerate, repeat until clean, one part
-    at a time (``parts``, in order).  A fence changes no part, so the
-    program is clean once each part is; pass numbers count across parts,
-    and ``max_iters`` bounds them all."""
+    """Fix the first buggy trace, repeat until clean, one part at a time
+    (``parts``, in order).  A fence changes no part, so the program is
+    clean once each part is; pass numbers count across parts, and
+    ``max_iters`` bounds them all.  Each part is enumerated once, lazily: a
+    pass analyses the lift (``lift``) of the first of its buggy traces that
+    the fix so far leaves consistent, which is the fixed part's first buggy
+    trace, and that trace is lifted again after each fix."""
     limits = limits or Limits()
     if not p.elaborated:
         p = elaborate(p)
@@ -301,25 +309,31 @@ def synthesize_fast(p: Program, limits: Limits | None = None) -> SynthesisResult
 
     for part in parts(p):
         tids = {t.tid for t in part.threads}
-        while True:
-            t0 = time.monotonic()
-            part = replace(part, threads=[t for t in p.threads if t.tid in tids])
-            first = next(iter_buggy_traces(part, limits), None)
-            timings["enumerate"] += time.monotonic() - t0
-            if first is None:
-                break
-            if result.iterations >= limits.max_iters:
-                raise ResourceLimitError("iterative-synthesis", "max iterations reached")
-            result.traces_analyzed += 1
-            typed = _solve([first], result, limits)
-            if typed is None:
-                return result
+        walked: list[Trace] = []
+        result.part_traces.update(dict.fromkeys(tids, walked))
+        start, t0 = p, time.monotonic()
+        for tr in iter_buggy_traces(part, limits):
+            walked.append(tr)
+            # Until a pass fixes this part, a trace of it is its own lift.
+            lifted = tr if p is start else lift(tr, current, limits)
+            while lifted is not None:
+                timings["enumerate"] += time.monotonic() - t0
+                if result.iterations >= limits.max_iters:
+                    raise ResourceLimitError("iterative-synthesis", "max iterations reached")
+                result.traces_analyzed += 1
+                typed = _solve([lifted], result, limits)
+                if typed is None:
+                    return result
 
-            result.iterations += 1
-            result.notes.append(
-                "pass %d: %s" % (result.iterations, ", ".join("%s:%s" % (s, o) for s, o in typed.assignment))
-            )
-            p = apply_solution(p, typed, synth_iter=result.iterations)
+                result.iterations += 1
+                result.notes.append(
+                    "pass %d: %s" % (result.iterations, ", ".join("%s:%s" % (s, o) for s, o in typed.assignment))
+                )
+                p = apply_solution(p, typed, synth_iter=result.iterations)
+                t0 = time.monotonic()
+                current = replace(part, threads=[t for t in p.threads if t.tid in tids])
+                lifted = lift(tr, current, limits)
+        timings["enumerate"] += time.monotonic() - t0
 
     result.status = FIXED if result.iterations > 0 else ALREADY_CORRECT
     result.fixed_program = p
@@ -364,60 +378,42 @@ def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | Non
     """Remove or one-step-weaken each synthesized fence and re-check.
 
     Passes iff every mutant program has at least one buggy trace; a mutant
-    hitting a resource limit is reported inconclusive.  The fixed program
-    has no buggy trace, and a mutant differs from it in one fence, which
-    lies in one assertion-independent part and changes no part
-    (``parts``).  So a mutant has a buggy trace iff the sub-program of its
-    fence's part has one, and only a copy of that sub-program is mutated
-    and decided, with no further split: the fixed program's parts are
-    computed once.
+    hitting a resource limit is reported inconclusive.  A mutant differs
+    from the fixed program in one fence, which lies in one
+    assertion-independent part and changes no part (``parts``), so only a
+    copy of that part's sub-program is mutated.  The copy equals the
+    input's part up to fences, with more or stronger ones, so it has a
+    buggy trace iff one of that part's buggy traces (``result.part_traces``)
+    lifts into it consistently (``enumerator.lift``): nothing is enumerated
+    again.
     """
     limits = limits or Limits()
     report = SanityReport()
     if result.status != FIXED:
         return report
 
-    synth = [
-        (t.tid, s)
-        for t in p_fixed.threads
-        for _, _, s in preorder(t.body)
-        if isinstance(s, Fence) and s.synthesized
-    ]
-
-    def locate(program, uid):
-        for t in program.threads:
-            for block, i, s in preorder(t.body):
-                if s.uid == uid:
-                    return block, i, s
-        raise InternalCheckError("lost a synthesized fence while mutating")
-
     part_of = {t.tid: sub for sub in parts(p_fixed) for t in sub.threads}
-
-    def probe(mutant, fence_name, mutation):
-        try:
-            # One part by construction, so no split is asked for.
-            buggy = next(iter_buggy_traces(renumber(mutant), limits), None) is not None
-            verdict = "bug-reappears" if buggy else "still-clean"
-        except ResourceLimitError:
-            verdict = "inconclusive"
-        if verdict != "bug-reappears":
-            report.passed = False
-        report.outcomes.append(MutantOutcome(fence_name, mutation, verdict))
-
-    for tid, stmt in synth:
-        name = "fence(%s) uid=%d" % (stmt.ord, stmt.uid)
-
-        removal = elaborate(part_of[tid])
-        block, i, _ = locate(removal, stmt.uid)
-        del block[i]
-        probe(removal, name, "removed")
-
-        # One guarantee fewer, never none: sc to ar, ar to rel then acq.
-        below = stmt.ord.weight - 1
-        for weaker in (w for w in MemoryOrder if w.weaker_than(stmt.ord) and 0 < w.weight == below):
-            weakened = elaborate(part_of[tid])
-            _, _, target = locate(weakened, stmt.uid)
-            target.ord = weaker
-            probe(weakened, name, "weakened to %s" % weaker)
-
+    for t in p_fixed.threads:
+        for stmt in (s for _, _, s in preorder(t.body) if isinstance(s, Fence) and s.synthesized):
+            # One guarantee fewer, never none: sc to ar, ar to rel then acq.
+            below = [w for w in MemoryOrder if w.weaker_than(stmt.ord) and 0 < w.weight == stmt.ord.weight - 1]
+            for weaker in [None] + below:
+                mutant = elaborate(part_of[t.tid])
+                found = [(b, i) for b, i, s in preorder(mutant.thread(t.tid).body) if s.uid == stmt.uid]
+                if not found:
+                    raise InternalCheckError("lost a synthesized fence while mutating")
+                block, i = found[0]
+                if weaker is None:
+                    del block[i]
+                else:
+                    block[i].ord = weaker
+                try:
+                    renumber(mutant)
+                    buggy = any(lift(tr, mutant, limits) is not None for tr in result.part_traces[t.tid])
+                    verdict = "bug-reappears" if buggy else "still-clean"
+                except ResourceLimitError:
+                    verdict = "inconclusive"
+                report.passed &= verdict == "bug-reappears"
+                mutation = "removed" if weaker is None else "weakened to %s" % weaker
+                report.outcomes.append(MutantOutcome("fence(%s) uid=%d" % (stmt.ord, stmt.uid), mutation, verdict))
     return report

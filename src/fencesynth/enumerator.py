@@ -41,7 +41,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .errors import LitmusError, ResourceLimitError
+from .errors import InternalCheckError, LitmusError, ResourceLimitError
 from .limits import Limits
 from .litmus import (
     And,
@@ -120,8 +120,9 @@ class _EventSpec:
         self.wval = wval
 
 
-def _thread_runs(block, env, cand, limits: Limits) -> list[tuple[list[_EventSpec], dict[str, int]]]:
-    """All executions of a block: event lists plus final local values.
+def _thread_runs(block, env, values, limits: Limits) -> list[tuple[list[_EventSpec], dict[str, int]]]:
+    """All executions of a block: event lists plus final local values,
+    where ``values(stmt)`` gives the values a load or fetch-add may read.
 
     Choices for earlier reads vary slowest, giving lexicographic order.
     """
@@ -130,19 +131,19 @@ def _thread_runs(block, env, cand, limits: Limits) -> list[tuple[list[_EventSpec
         nxt: list[tuple[list[_EventSpec], dict[str, int]]] = []
         for acc, env0 in runs:
             limits.check_time("trace-enumeration")
-            for evs, env1 in _stmt_runs(stmt, env0, cand, limits):
+            for evs, env1 in _stmt_runs(stmt, env0, values, limits):
                 nxt.append((acc + evs, env1))
         runs = nxt
     return runs
 
 
-def _stmt_runs(stmt, env, cand, limits: Limits):
+def _stmt_runs(stmt, env, values, limits: Limits):
     if isinstance(stmt, (Load, FetchAdd)):
         rmw = isinstance(stmt, FetchAdd)
         return [
             ([_EventSpec("rmw" if rmw else "read", stmt.obj, stmt.ord, stmt, v, v + stmt.addend if rmw else None)],
              {**env, stmt.dest: v})
-            for v in cand[stmt.obj]
+            for v in values(stmt)
         ]
     if isinstance(stmt, Store):
         value = stmt.value if isinstance(stmt.value, int) else env.get(stmt.value, 0)
@@ -151,7 +152,7 @@ def _stmt_runs(stmt, env, cand, limits: Limits):
         return [([_EventSpec("fence", None, stmt.ord, stmt)], env)]
     if isinstance(stmt, If):
         taken = stmt.then if eval_expr(stmt.cond, lambda n: env.get(n, 0)) else stmt.orelse
-        return _thread_runs(taken, env, cand, limits)
+        return _thread_runs(taken, env, values, limits)
     raise LitmusError("unelaborated statement in enumeration", stmt.line)
 
 
@@ -284,8 +285,9 @@ def _may_falsify(p: Program, bindings, asserted, combo, final_locals) -> bool:
     )
 
 
-def _rf_sources(reads, writes, sb) -> list[list[int]] | None:
-    """Each read's candidate sources, or None if some read has none.
+def _rf_sources(reads, by_obj, sb) -> list[list[int]] | None:
+    """Each read's candidate sources among ``by_obj``, the writes of each
+    object in id order, or None if some read has none.
 
     Sources sb-after the read (co-rh) or sb-overwritten before it (co-mhi)
     are left out; the rest stay in id order.  An init write is overwritten
@@ -293,12 +295,13 @@ def _rf_sources(reads, writes, sb) -> list[list[int]] | None:
     """
     source_lists = []
     for r in reads:
-        same_obj = [w for w in writes if w.obj == r.obj and w.id != r.id]
+        same_obj = by_obj[r.obj]
         before_r = sum(1 << w.id for w in same_obj if sb[w.id] >> r.id & 1)
         srcs = [
             w.id
             for w in same_obj
             if w.wval == r.rval
+            and w is not r
             and not sb[r.id] >> w.id & 1
             and not (before_r if w.is_init else sb[w.id] & before_r)
         ]
@@ -306,6 +309,21 @@ def _rf_sources(reads, writes, sb) -> list[list[int]] | None:
             return None
         source_lists.append(srcs)
     return source_lists
+
+
+def _events(threads, runs, init_events) -> tuple[list[Event], dict[int, int]]:
+    """Events and sb rows of one ``_EventSpec`` run per thread, ids after ``init_events`` in program order."""
+    events = list(init_events)
+    sb = dict.fromkeys(range(len(events)), 0)
+    for thread, specs in zip(threads, runs):
+        ids = range(len(events), len(events) + len(specs))
+        sb.update((i, (1 << ids.stop) - (2 << i)) for i in ids)  # the later ids of the thread
+        events += [
+            Event(ids[i], thread.tid, i, s.act, s.obj, s.ord, SourceLocation(thread.tid, s.stmt.idx),
+                  s.rval, s.wval, s.stmt.cont)
+            for i, s in enumerate(specs)
+        ]
+    return events, sb
 
 
 def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Trace]:
@@ -327,7 +345,7 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Tra
     for t in p.threads:
         per_thread.append([])
         mine = {n for n, b in bindings.items() if b == ("local", t.tid)}
-        for specs, env in _thread_runs(t.body, {}, cand, limits):
+        for specs, env in _thread_runs(t.body, {}, lambda s: cand[s.obj], limits):
             limits.check_time("trace-enumeration")
             # A run whose own locals make the assertion hold falsifies nothing.
             if buggy_only and mine and eval_expr(p.assertion, lambda n: env.get(n, 0) if n in mine else None):
@@ -356,26 +374,18 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Tra
         final_locals = {thread.tid: run[1] for thread, run in zip(p.threads, combo)}
         if buggy_only and not _may_falsify(p, bindings, asserted, combo, final_locals):
             continue
-        events = list(init_events)
-        sb = dict.fromkeys(range(len(events)), 0)
-        for thread, (specs, _, _, _, _) in zip(p.threads, combo):
-            ids = range(len(events), len(events) + len(specs))
-            sb.update((i, (1 << ids.stop) - (2 << i)) for i in ids)  # the later ids of the thread
-            events += [
-                Event(ids[i], thread.tid, i, s.act, s.obj, s.ord, SourceLocation(thread.tid, s.stmt.idx),
-                      s.rval, s.wval, s.stmt.cont)
-                for i, s in enumerate(specs)
-            ]
+        events, sb = _events(p.threads, [run[0] for run in combo], init_events)
 
         # mo orders against sb are never built (co-mh rejects them).  The
         # final shared state depends on the mo choice alone, so the
         # assertion is decided here, before the rf product is taken.
-        writes = [e for e in events if e.is_write]
-        rmw_ids = {w.id for w in writes if w.act == "rmw"}
-        perm_lists = []
-        for obj in objects:
-            ids = tuple(w.id for w in writes if w.obj == obj and not w.is_init)
-            perm_lists.append(list(_linear_extensions(ids, sb, limits)))
+        by_obj: dict[str, list[Event]] = {obj: [] for obj in objects}
+        for e in events:
+            if e.is_write:
+                by_obj[e.obj].append(e)
+        perm_lists = [
+            list(_linear_extensions(tuple(w.id for w in ws if not w.is_init), sb, limits)) for ws in by_obj.values()
+        ]
         mo_choices = []
         for mo_choice in itertools.product(*perm_lists):
             limits.check_time("trace-enumeration")
@@ -391,13 +401,13 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Tra
                 for u in reversed(chain):
                     mo[u], later = later, later | 1 << u
             # rmw atomicity: an rmw reads from its immediate mo predecessor.
-            mo_pred = {u: chain[i - 1] for chain in chains for i, u in enumerate(chain) if u in rmw_ids}
+            mo_pred = {u: chain[i - 1] for chain in chains for i, u in enumerate(chain) if events[u].act == "rmw"}
             mo_choices.append((mo, mo_pred, final_shared, holds))
         if not mo_choices:
             continue
 
         reads = [e for e in events if e.is_read]
-        source_lists = _rf_sources(reads, writes, sb)
+        source_lists = _rf_sources(reads, by_obj, sb)
         if source_lists is None:
             continue
         for rf_choice in itertools.product(*source_lists):
@@ -446,21 +456,46 @@ def enumerate_consistent_traces(p: Program, limits: Limits | None = None) -> lis
 
 def iter_buggy_traces(p: Program, limits: Limits | None = None) -> Iterator[Trace]:
     """The consistent executions that falsify the assertion, in the order
-    ``enumerate_consistent_traces`` lists them.
-
-    The assertion is decided from the choices before any consistency
-    check: a thread run whose own final locals make it hold is dropped
-    before the product, a thread-run combination none of whose reachable
-    final states falsifies it is skipped before its events are built, and
-    mo choices whose final state satisfies it are dropped before the rf
-    product.  Each only skips executions that hold, so the order stays.
-    """
+    ``enumerate_consistent_traces`` lists them (the pruning the module
+    docstring describes skips only executions that hold)."""
     return _traces(p, limits, buggy_only=True)
 
 
 def find_buggy_traces(p: Program, limits: Limits | None = None) -> list[Trace]:
     """Consistent executions whose final state falsifies the assertion."""
     return list(iter_buggy_traces(p, limits))
+
+
+def lift(tr: Trace, q: Program, limits: Limits | None = None) -> Trace | None:
+    """``tr``, an execution of a program that equals ``q`` up to fences
+    (``q`` has more or stronger ones), as an execution of ``q``; None where
+    that one is inconsistent.
+
+    Each thread of ``q`` runs on the values its reads see in ``tr``, so it
+    takes the same branches, and its events and sb are built as enumerating
+    ``q`` builds them.  rf and mo map through the reads and writes, which
+    correspond in order, and the verdict and final state stay.  A fence
+    adds no value, rf or mo choice, so the consistent lifts of a part's
+    buggy traces are the buggy traces of ``q``'s part, in order.
+    """
+    limits = limits or Limits()
+    limits.check_time("trace-enumeration")
+    runs = []
+    for t in q.threads:
+        rvals = iter([e.rval for e in tr.thread_events.get(t.tid, ()) if e.is_read])
+        runs.append(_thread_runs(t.body, {}, lambda s: (next(rvals, None),), limits)[0][0])
+    events, sb = _events(q.threads, runs, [e for e in tr.events if e.is_init])
+    old, new = ([(e.id, (e.thr, e.act, e.obj, e.ord, e.rval, e.wval)) for e in es if not e.is_fence]
+                for es in (tr.events, events))
+    if [k for _, k in old] != [k for _, k in new]:
+        raise InternalCheckError("%s does not equal the traced program up to fences" % q.name)
+    ids = {a: b for (a, _), (b, _) in zip(old, new)}
+    rf, mo = (
+        {**dict.fromkeys(sb, 0), **{ids[a]: sum(1 << ids[b] for b in _bits(row)) for a, row in rows.items() if row}}
+        for rows in (tr.rf, tr.mo)
+    )
+    lifted = Trace(events, sb, rf, mo, tr.assertion_holds, tr.final_shared, tr.final_locals)
+    return lifted if is_consistent(lifted, limits) else None
 
 
 # ---------------------------------------------------------------------------

@@ -119,11 +119,7 @@ def expr_vars(e: Expr) -> frozenset[str]:
     if isinstance(e, BoolLit):
         return frozenset()
     if isinstance(e, Cmp):
-        out = set()
-        for op in (e.lhs, e.rhs):
-            if isinstance(op, Var):
-                out.add(op.name)
-        return frozenset(out)
+        return frozenset(op.name for op in (e.lhs, e.rhs) if isinstance(op, Var))
     if isinstance(e, Not):
         return expr_vars(e.arg)
     return frozenset().union(*(expr_vars(a) for a in e.args))
@@ -232,7 +228,7 @@ def format_expr(e: Expr) -> str:
             return "!" + format_expr(e.arg)
         return "!(%s)" % format_expr(e.arg)
     if isinstance(e, And):
-        return " && ".join(_fmt_and_child(a) for a in e.args)
+        return " && ".join("(%s)" % format_expr(a) if isinstance(a, (Or, And)) else format_expr(a) for a in e.args)
     if isinstance(e, Or):
         return " || ".join(
             "(%s)" % format_expr(a) if isinstance(a, Or) else format_expr(a)
@@ -243,12 +239,6 @@ def format_expr(e: Expr) -> str:
 
 def _fmt_operand(op: Var | Lit) -> str:
     return op.name if isinstance(op, Var) else str(op.value)
-
-
-def _fmt_and_child(e: Expr) -> str:
-    if isinstance(e, (Or, And)):
-        return "(%s)" % format_expr(e)
-    return format_expr(e)
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +535,8 @@ def _validate(p: Program) -> None:
             if isinstance(s, (Load, Store, FetchAdd)):
                 if s.obj not in p.init:
                     raise LitmusError("undeclared object %r" % s.obj, s.line)
-            if isinstance(s, Store) and isinstance(s.value, str):
-                if s.value not in locals_here:
-                    raise LitmusError(
-                        "store value %r is not a local of thread %s"
-                        % (s.value, thread.tid),
-                        s.line,
-                    )
+            if isinstance(s, Store) and isinstance(s.value, str) and s.value not in locals_here:
+                raise LitmusError("store value %r is not a local of thread %s" % (s.value, thread.tid), s.line)
             if isinstance(s, If):
                 bad = expr_vars(s.cond) - locals_here
                 if bad:

@@ -157,19 +157,13 @@ class Trace:
         return self._by_id[eid]
 
     @cached_property
-    def thread_order(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for e in self.events:
-            if e.thr is not None and e.thr not in seen:
-                seen.append(e.thr)
-        return tuple(seen)
-
-    @cached_property
     def thread_events(self) -> Mapping[str, tuple[Event, ...]]:
-        out: dict[str, list[Event]] = {t: [] for t in self.thread_order}
+        """Each thread's events in program order, threads in order of first
+        appearance."""
+        out: dict[str, list[Event]] = {}
         for e in self.events:
             if e.thr is not None:
-                out[e.thr].append(e)
+                out.setdefault(e.thr, []).append(e)
         return {t: tuple(sorted(v, key=lambda e: e.idx)) for t, v in out.items()}
 
     @cached_property

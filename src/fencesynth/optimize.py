@@ -37,11 +37,7 @@ class Query:
 
     @property
     def slots(self) -> tuple[FenceSlot, ...]:
-        out: set[FenceSlot] = set()
-        for _, conjs in self.clauses:
-            for c in conjs:
-                out.update(c)
-        return tuple(sorted(out))
+        return tuple(sorted({s for _, conjs in self.clauses for c in conjs for s in c}))
 
     def satisfied_by(self, model: frozenset[FenceSlot]) -> bool:
         return all(any(c <= model for c in conjs) for _, conjs in self.clauses)
@@ -49,9 +45,7 @@ class Query:
     def render(self) -> str:
         lines = []
         for tid, conjs in self.clauses:
-            parts = [
-                "(" + " ∧ ".join(str(s) for s in sorted(c)) + ")" for c in conjs
-            ]
+            parts = ["(" + " ∧ ".join(str(s) for s in sorted(c)) + ")" for c in conjs]
             lines.append("trace %d: %s" % (tid, " ∨ ".join(parts)))
         return "\n".join(lines) + "\n"
 

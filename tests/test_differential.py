@@ -22,12 +22,14 @@ from fencesynth.enumerator import (
     exists_sc_total_order,
     find_buggy_traces,
     has_buggy_trace,
+    iter_buggy_traces,
+    lift,
     parts,
 )
 from fencesynth.errors import ResourceLimitError
 from fencesynth.limits import Limits
 from fencesynth.litmus import elaborate, parse_program, print_program
-from fencesynth.model import Trace
+from fencesynth.model import Trace, dump_trace
 from fencesynth.relations import _bits, sc_clauses
 
 
@@ -223,19 +225,21 @@ def test_enumerator_matches_oracle_on_generated_programs(name):
 
 
 def sanity_mutants(monkeypatch, result):
-    """The mutant programs ``sanity_check`` decides for an opt result: each
-    the sub-program of its fence's part."""
+    """The mutant programs ``sanity_check`` decides for an opt result, each
+    the sub-program of its fence's part: the programs it lifts the part's
+    buggy traces into."""
     from fencesynth import driver
 
     probed = []
-    decide = driver.iter_buggy_traces
+    decide = driver.lift
 
-    def recording(p, *args):
-        probed.append(p)
-        return decide(p, *args)
+    def recording(tr, q, *args):
+        if not any(q is p for p in probed):
+            probed.append(q)
+        return decide(tr, q, *args)
 
     with monkeypatch.context() as m:
-        m.setattr(driver, "iter_buggy_traces", recording)
+        m.setattr(driver, "lift", recording)
         driver.sanity_check(result.fixed_program, result)
     return probed
 
@@ -841,3 +845,187 @@ def test_fast_runs_its_passes_in_parts_order():
     assert [sub.threads[0].tid for sub in parts(p)] == ["t1", "t1_b"]
     result = driver.synthesize_fast(p)
     assert result.notes == ["pass 1: t1@1:sc, t2@1:sc", "pass 2: t2_b@1:sc"]
+
+
+# ---------------------------------------------------------------------------
+# Verify, sanity and fast lift the input's buggy traces (``enumerator.lift``)
+
+# Program fences in taken and untaken branches and in an unrolled loop.  In
+# the first and third, opt and fast both merge a synthesized acquire fence
+# into a release fence of the branch or the loop: a strengthening.
+FENCED = {
+    "fence_branch_taken": program("fence_branch_taken", [
+        ("t1", ["store(d, 1, rlx)", "store(f, 1, rlx)"]),
+        ("t2", ["a = load(f, rlx)", "if (a == 1) {", "  fence(rel)", "}", "b = load(d, rlx)"]),
+    ], "!(a == 1 && b == 0)"),
+    "fence_branch_untaken": program("fence_branch_untaken", [
+        ("t1", ["store(d, 1, rlx)", "store(f, 1, rlx)"]),
+        ("t2", ["a = load(f, rlx)", "if (a == 0) {", "  fence(acq)", "} else {", "  c = load(d, rlx)", "}",
+                "b = load(d, rlx)"]),
+    ], "!(a == 1 && b == 0)"),
+    "fence_loop": program("fence_loop", [
+        ("t1", ["store(d, 1, rlx)", "store(f, 1, rlx)"]),
+        ("t2", ["repeat 2 {", "  a = load(f, rlx)", "  fence(rel)", "}", "b = load(d, rlx)"]),
+    ], "!(a == 1 && b == 0)"),
+    "sb_fence_loop": program("sb_fence_loop", [
+        ("t1", ["repeat 2 {", "  store(x, 1, rlx)", "  fence(acq)", "}", "a = load(y, rlx)"]),
+        ("t2", ["store(y, 1, rlx)", "c = load(x, rlx)", "if (c == 0) {", "  fence(rel)", "}", "b = load(x, rlx)"]),
+    ], "!(a == 0 && b == 0)"),
+}
+
+LIFT_SETS = {
+    "corpus": lambda: [load(name) for name in CORPUS],
+    "families": lambda: [elaborate(parse_program(text), 16)
+                         for text in [*FAMILIES.values(), *SEVERAL_GROUPS.values(), *FENCED.values()]],
+    "random": lambda: [elaborate(parse_program(random_litmus_program(seed)), 16) for seed in range(150)],
+}
+
+
+@contextlib.contextmanager
+def recorded_lifts():
+    """Each (program, lift) of a ``driver.lift`` call inside the block, in a
+    list."""
+    from fencesynth import driver
+
+    calls = []
+    lift = driver.lift
+
+    def recording(tr, q, *args):
+        calls.append((q, lift(tr, q, *args)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(driver, "lift", recording)
+        yield calls
+
+
+def by_program(calls):
+    """The recorded lifts grouped by the program they lift into, in order."""
+    groups = []
+    for q, lifted in calls:
+        if not groups or groups[-1][0] is not q:
+            groups.append((q, []))
+        groups[-1][1].append(lifted)
+    return groups
+
+
+def assert_lifts_are_the_buggy_traces(traces, q, walked_all=True):
+    """The consistent lifts of a part's buggy traces into ``q``, a program
+    of that part's threads, are ``q``'s buggy traces, in order; of the
+    first of them, where ``traces`` are only the first of the part's.
+    Returns the number of consistent lifts."""
+    lifted = [dump_trace(tr) for tr in (lift(tr, q) for tr in traces) if tr is not None]
+    expected = [dump_trace(tr) for tr in find_buggy_traces(q)]
+    assert lifted == (expected if walked_all else expected[: len(lifted)]), print_program(q)
+    return len(lifted)
+
+
+@pytest.mark.parametrize("which", sorted(LIFT_SETS))
+def test_opt_verify_and_sanity_lifts_decide_as_enumeration(which):
+    # Every opt fix and every sanity mutant: the lifts of the input part's
+    # buggy traces are the fixed part's (or the mutant's) buggy traces, and
+    # the driver's answer is ``has_buggy_trace``'s.
+    from fencesynth import driver
+
+    mutants = strengthened = 0
+    for p in LIFT_SETS[which]():
+        with recorded_lifts() as verified:
+            result = driver.synthesize_optimal(p)
+        if result.status != driver.FIXED:
+            assert not verified
+            continue
+        strengthened += bool(result.strengthened)
+        fixed_parts = parts(result.fixed_program)
+        tids = [[t.tid for t in q.threads] for q, _ in by_program(verified)]
+        assert tids == [[t.tid for t in sub.threads] for sub in fixed_parts if result.part_traces[sub.threads[0].tid]]
+        assert not any(lifted for _, lifted in verified) and not has_buggy_trace(result.fixed_program)
+        for sub in fixed_parts:
+            assert_lifts_are_the_buggy_traces(result.part_traces[sub.threads[0].tid], sub)
+
+        with recorded_lifts() as probed:
+            report = driver.sanity_check(result.fixed_program, result)
+        groups = by_program(probed)
+        assert len(groups) == len(report.outcomes)
+        for (q, lifts), outcome in zip(groups, report.outcomes):
+            traces = result.part_traces[q.threads[0].tid]
+            assert_lifts_are_the_buggy_traces(traces, q)
+            first = next(iter_buggy_traces(q), None)
+            assert (outcome.verdict == "bug-reappears") == has_buggy_trace(q) == (first is not None)
+            # Sanity stops at the first survivor, the mutant's first buggy trace.
+            assert all(lifted is None for lifted in lifts[:-1]) and len(lifts) <= len(traces)
+            assert (lifts[-1] and dump_trace(lifts[-1])) == (first and dump_trace(first))
+            mutants += 1
+    # No random program gets an opt fix.
+    assert (mutants, strengthened) == {"corpus": (60, 1), "families": (80, 3), "random": (0, 0)}[which]
+
+
+@contextlib.contextmanager
+def recorded_passes(p):
+    """Each (program, trace) of a trace fast analyses inside the block: the
+    program as the passes before it left ``p``, and the trace."""
+    from fencesynth import driver
+
+    current, analysed = [p], []
+    apply, solve = driver.apply_solution, driver._solve
+
+    def applying(*args, **kw):
+        current[0] = apply(*args, **kw)
+        return current[0]
+
+    def solving(traces, *args):
+        analysed.append((current[0], traces[0]))
+        return solve(traces, *args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(driver, "apply_solution", applying)
+        m.setattr(driver, "_solve", solving)
+        yield analysed
+
+
+@pytest.mark.parametrize("which", sorted(LIFT_SETS))
+def test_fast_passes_analyse_the_first_buggy_trace_of_the_fixed_part(which):
+    # Each pass analyses the trace that enumerating its part, as the passes
+    # before it left the part, yields first; the lifts into each fixed part
+    # are its buggy traces, so the last ones leave it clean.
+    from fencesynth import driver
+
+    analysed = lifted_into = 0
+    for p in LIFT_SETS[which]():
+        with recorded_passes(p) as passes, recorded_lifts() as calls:
+            result = driver.synthesize_fast(p)
+        assert len(passes) == result.traces_analyzed, p.name
+        for q, tr in passes:
+            thread = next(e.thr for e in tr.events if not e.is_init)
+            [sub] = [sub for sub in parts(q) if thread in {t.tid for t in sub.threads}]
+            assert dump_trace(tr) == dump_trace(next(iter_buggy_traces(sub))), p.name
+        # A part without a fix ends the walk early.
+        for q, _ in by_program(calls):
+            assert_lifts_are_the_buggy_traces(result.part_traces[q.threads[0].tid], q, result.status != driver.NO_FIX)
+        if result.status == driver.FIXED:
+            assert not has_buggy_trace(result.fixed_program), p.name
+        analysed, lifted_into = analysed + len(passes), lifted_into + len(by_program(calls))
+    assert analysed == {"corpus": 26, "families": 35, "random": 85}[which] and lifted_into > 0
+
+
+@pytest.mark.parametrize("which", sorted(LIFT_SETS))
+def test_lifts_into_random_fence_insertions_are_the_buggy_traces(which):
+    # One to three fences of random orders at random gaps (on a fixed
+    # seed), in branches too; one next to a fence merges into it.
+    from fencesynth.driver import apply_solution
+    from fencesynth.model import FenceSlot
+    from fencesynth.optimize import TypedSolution
+
+    rng = random.Random(28)
+    merged = kept = killed = 0
+    for p in LIFT_SETS[which]():
+        traces = {sub.threads[0].tid: find_buggy_traces(sub) for sub in parts(p)}
+        gaps = [FenceSlot(t.tid, g) for t in p.threads for g in range(t.size + 1)]
+        for _ in range(3):
+            slots = sorted(rng.sample(gaps, rng.randint(1, min(3, len(gaps)))))
+            q = apply_solution(p, TypedSolution(tuple((s, rng.choice([O.REL, O.ACQ, O.AR, O.SC])) for s in slots)))
+            merged += sum(t.size for t in q.threads) < sum(t.size for t in p.threads) + len(slots)
+            for sub in parts(q):
+                survived = assert_lifts_are_the_buggy_traces(traces[sub.threads[0].tid], sub)
+                kept, killed = kept + survived, killed + len(traces[sub.threads[0].tid]) - survived
+    # Neither answer is vacuous, and some inserted fence merges into another.
+    assert min(merged, kept, killed) > 0

@@ -397,3 +397,66 @@ def test_a_deadline_runs_from_the_construction_of_its_limits(rwrw, call):
     # when given none must still honour the deadline of the one it is given.
     with pytest.raises(ResourceLimitError):
         call(rwrw, Limits(timeout_secs=-1.0))
+
+
+# ---------------------------------------------------------------------------
+# Verify and sanity lift opt's buggy traces instead of enumerating
+
+
+def test_each_part_is_enumerated_once_per_job(monkeypatch):
+    # Opt with its sanity check, and fast, each compute the candidate values
+    # of each part once: verify, the sanity mutants and fast's later passes
+    # lift the traces of that one enumeration.  When they enumerated again,
+    # this loop made 174 calls for the corpus's 34 parts.
+    from conftest import CORPUS
+    from fencesynth import enumerator
+    from fencesynth.enumerator import parts
+
+    calls = []
+    values = enumerator.candidate_values
+    monkeypatch.setattr(enumerator, "candidate_values", lambda p: calls.append(p) or values(p))
+    total = 0
+    for name in CORPUS:
+        p = load(name)
+        for mode, run in (("opt", _opt_and_sanity), ("fast", synthesize_fast)):
+            calls.clear()
+            run(p)
+            assert len(calls) <= len(parts(p)), (name, mode)
+            total += len(calls)
+    assert total == 2 * sum(len(parts(load(name))) for name in CORPUS) == 68
+
+
+def _opt_and_sanity(p):
+    result = synthesize_optimal(p)
+    sanity_check(result.fixed_program, result)
+
+
+def test_verify_and_sanity_honour_an_expired_deadline(monkeypatch):
+    # Both check the deadline once per lifted trace: with none left once the
+    # fix is applied, verify raises, and every sanity mutant is inconclusive.
+    from fencesynth import driver
+    from test_differential import mp_pairs
+
+    p = elaborate(parse_program(mp_pairs(8)))
+    limits = Limits(timeout_secs=10)
+    apply, expired = driver.apply_solution, []
+
+    def expiring(*args, **kw):
+        fixed = apply(*args, **kw)
+        limits.timeout_secs = 0.0
+        expired.append(time.monotonic())
+        limits.start()
+        return fixed
+
+    monkeypatch.setattr(driver, "apply_solution", expiring)
+    with pytest.raises(ResourceLimitError) as exc:
+        synthesize_optimal(p, limits)
+    assert exc.value.phase == "trace-enumeration" and time.monotonic() - expired[0] < 1
+
+    monkeypatch.undo()
+    result = synthesize_optimal(p)
+    start = time.monotonic()
+    report = sanity_check(result.fixed_program, result, Limits(timeout_secs=0.0))
+    assert len(report.outcomes) == 16 and not report.passed
+    assert {o.verdict for o in report.outcomes} == {"inconclusive"}
+    assert time.monotonic() - start < 1

@@ -15,13 +15,14 @@ from fencesynth.enumerator import (
     find_buggy_traces,
     has_buggy_trace,
     is_consistent,
+    lift,
 )
-from fencesynth.errors import ResourceLimitError
+from fencesynth.errors import InternalCheckError, ResourceLimitError
 from fencesynth.limits import Limits
 from fencesynth.litmus import elaborate, parse_program
 from fencesynth.optimize import Query, TypedSolution, find_min_model
 from fencesynth.driver import apply_solution, synthesize_optimal
-from fencesynth.model import FenceSlot
+from fencesynth.model import FenceSlot, dump_trace
 
 
 def outcomes(traces, *names):
@@ -697,3 +698,61 @@ def test_later_phases_meet_their_deadline(phase):
         run(Limits(timeout_secs=0.5))
     assert exc.value.phase == phase
     assert time.monotonic() - start < 2
+
+
+# ---------------------------------------------------------------------------
+# Lifting a trace into a program with more or stronger fences
+
+
+def test_lifting_into_the_traced_program_changes_nothing():
+    from conftest import CORPUS
+
+    lifted = 0
+    for name in CORPUS:
+        p = load(name)
+        for tr in enumerate_consistent_traces(p):
+            assert dump_trace(lift(tr, p)) == dump_trace(tr), name
+            lifted += 1
+    assert lifted > 100
+
+
+MP_BRANCH = """program mp_branch_fences
+init d = 0, f = 0
+thread t1 {
+  store(d, 1, rlx)
+  store(f, 1, rlx)
+}
+thread t2 {
+  a = load(f, rlx)
+  if (a == 1) {
+    fence(rel)
+  } else {
+    fence(acq)
+  }
+  b = load(d, rlx)
+}
+assert !(a == 1 && b == 0)
+"""
+
+
+def test_a_lift_runs_the_branches_its_reads_choose():
+    # The buggy trace reads f = 1: its lift has the then-branch's fence,
+    # strengthened where an acquire fence merged into it, and none of the
+    # else-branch's; t1's new release fence kills it.
+    p = elaborate(parse_program(MP_BRANCH))
+    [tr] = find_buggy_traces(p)
+    strengthened = apply_solution(p, TypedSolution(((FenceSlot("t2", 2), O.ACQ),)))
+    [same] = find_buggy_traces(strengthened)
+    moved = lift(tr, strengthened)
+    assert dump_trace(moved) == dump_trace(same)
+    assert [(e.idx, e.ord) for e in moved.events if e.is_fence] == [(1, O.AR)]
+    fixed = apply_solution(strengthened, TypedSolution(((FenceSlot("t1", 1), O.REL),)))
+    assert lift(tr, fixed) is None and find_buggy_traces(fixed) == []
+
+
+def test_a_lift_needs_the_traced_program_up_to_fences():
+    tr = find_buggy_traces(load("mp_rlx"))[0]
+    with pytest.raises(InternalCheckError):
+        lift(tr, load("mp_relacq"))
+    with pytest.raises(ResourceLimitError):
+        lift(tr, load("mp_rlx"), Limits(timeout_secs=-1.0))

@@ -231,3 +231,27 @@ def test_the_lattice_is_stated_once():
                 if len({n.attr for n in entries if member(n)}) >= 2:
                     tables.append("%s:%d" % (path.name, node.lineno))
     assert tables == []
+
+
+def test_the_driver_enumerates_only_the_input():
+    # A fence adds no value, rf or mo choice, so verify, the sanity check and
+    # fast's later passes lift the input's buggy traces (``enumerator.lift``)
+    # and never enumerate again: the driver calls no existence check, opt
+    # enumerates the input's parts before it applies its fix, and fast walks
+    # each part once.
+    tree = ast.parse((PACKAGE / "driver.py").read_text())
+    entry_points = {"has_buggy_trace", "find_buggy_traces", "iter_buggy_traces", "enumerate_consistent_traces"}
+    calls = collections.defaultdict(list)
+    for fn in (n for n in tree.body if isinstance(n, ast.FunctionDef)):
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                calls[fn.name].append((node.func.id, node.lineno))
+    enumerating = {
+        fn: [name for name, _ in found if name in entry_points]
+        for fn, found in calls.items()
+        if any(name in entry_points for name, _ in found)
+    }
+    assert enumerating == {"synthesize_optimal": ["find_buggy_traces"], "synthesize_fast": ["iter_buggy_traces"]}
+    lines = dict(calls["synthesize_optimal"])
+    assert lines["find_buggy_traces"] < lines["apply_solution"] < lines["lift"]
+    assert "lift" in dict(calls["sanity_check"])
