@@ -13,11 +13,11 @@ structure.  A fence adds no value, rf or mo choice, so a program with more
 or stronger fences has a buggy execution iff some buggy trace of the input
 stays consistent lifted into it (``enumerator.lift``): both drivers verify
 the fix that way, exactly, and never enumerate it.  A sanity checker
-confirms each synthesized fence is load-bearing by weakening or removing
-it in a copy of its part's sub-program and lifting the part's buggy traces
-into that.  A fence already in the program changes only when a
-synthesized fence is merged into it; the report lists that as a
-strengthening.
+confirms each synthesized fence is load-bearing: the lifts of its part's
+buggy traces into the fixed part, with that fence's one event dropped or
+weakened, must not all be inconsistent.  A fence already in the program
+changes only when a synthesized fence is merged into it; the report lists
+that as a strengthening.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 from .cycles import CandidateSolution, analyze_trace
 from .errors import InternalCheckError, LitmusError, ResourceLimitError
-from .enumerator import find_buggy_traces, iter_buggy_traces, lift, parts
+from .enumerator import build_lift, edit_fence, find_buggy_traces, is_consistent, iter_buggy_traces, lift, parts
 from .limits import Limits
 from .litmus import Fence, If, Program, elaborate, preorder, renumber
 from .model import FenceSlot, SourceLocation, Trace
@@ -379,13 +379,11 @@ def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | Non
 
     Passes iff every mutant program has at least one buggy trace; a mutant
     hitting a resource limit is reported inconclusive.  A mutant differs
-    from the fixed program in one fence, which lies in one
-    assertion-independent part and changes no part (``parts``), so only a
-    copy of that part's sub-program is mutated.  The copy equals the
-    input's part up to fences, with more or stronger ones, so it has a
-    buggy trace iff one of that part's buggy traces (``result.part_traces``)
-    lifts into it consistently (``enumerator.lift``): nothing is enumerated
-    again.
+    from the fixed program in one fence, in one assertion-independent part
+    (``parts``), and has more or stronger fences than the input, so it has
+    a buggy trace iff one of that part's buggy traces (``result.part_traces``)
+    lifts into it consistently: lifted into the fixed part (``build_lift``,
+    once) with that fence's event dropped or retyped (``edit_fence``).
     """
     limits = limits or Limits()
     report = SanityReport()
@@ -393,24 +391,21 @@ def sanity_check(p_fixed: Program, result: SynthesisResult, limits: Limits | Non
         return report
 
     part_of = {t.tid: sub for sub in parts(p_fixed) for t in sub.threads}
+    built: dict[Trace, Trace] = {}  # each input trace's lift into its fixed part
     for t in p_fixed.threads:
         for stmt in (s for _, _, s in preorder(t.body) if isinstance(s, Fence) and s.synthesized):
             # One guarantee fewer, never none: sc to ar, ar to rel then acq.
             below = [w for w in MemoryOrder if w.weaker_than(stmt.ord) and 0 < w.weight == stmt.ord.weight - 1]
             for weaker in [None] + below:
-                mutant = elaborate(part_of[t.tid])
-                found = [(b, i) for b, i, s in preorder(mutant.thread(t.tid).body) if s.uid == stmt.uid]
-                if not found:
-                    raise InternalCheckError("lost a synthesized fence while mutating")
-                block, i = found[0]
-                if weaker is None:
-                    del block[i]
-                else:
-                    block[i].ord = weaker
+                verdict = "still-clean"
                 try:
-                    renumber(mutant)
-                    buggy = any(lift(tr, mutant, limits) is not None for tr in result.part_traces[t.tid])
-                    verdict = "bug-reappears" if buggy else "still-clean"
+                    for tr in result.part_traces[t.tid]:
+                        limits.check_time("trace-enumeration")
+                        if tr not in built:
+                            built[tr] = build_lift(tr, part_of[t.tid], limits)
+                        if is_consistent(edit_fence(built[tr], t.tid, stmt, weaker), limits):
+                            verdict = "bug-reappears"
+                            break
                 except ResourceLimitError:
                     verdict = "inconclusive"
                 report.passed &= verdict == "bug-reappears"

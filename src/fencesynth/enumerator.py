@@ -39,6 +39,8 @@ rmw atomicity: a fetch-add reads from its immediate mo predecessor.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
+from dataclasses import replace
 from typing import Iterator
 
 from .errors import InternalCheckError, LitmusError, ResourceLimitError
@@ -108,16 +110,8 @@ def candidate_values(p: Program) -> dict[str, tuple[int, ...]]:
 # Per-thread symbolic executions (one per combination of observed values)
 
 
-class _EventSpec:
-    __slots__ = ("act", "obj", "ord", "stmt", "rval", "wval")
-
-    def __init__(self, act, obj, ord_, stmt, rval=None, wval=None):
-        self.act = act
-        self.obj = obj
-        self.ord = ord_
-        self.stmt = stmt
-        self.rval = rval
-        self.wval = wval
+# One event of a thread run, before it has an id.
+_EventSpec = namedtuple("_EventSpec", "act obj ord stmt rval wval", defaults=(None, None))
 
 
 def _thread_runs(block, env, values, limits: Limits) -> list[tuple[list[_EventSpec], dict[str, int]]]:
@@ -418,15 +412,7 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Tra
                 limits.check_time("trace-enumeration")
                 if any(not rf[w] >> u & 1 for u, w in mo_pred.items()):
                     continue
-                tr = Trace(
-                    events,
-                    sb,
-                    rf,
-                    mo,
-                    assertion_holds=holds,
-                    final_shared=final_shared,
-                    final_locals=final_locals,
-                )
+                tr = Trace(events, sb, rf, mo, holds, final_shared, final_locals)
                 if is_consistent(tr, limits):
                     count += 1
                     if limits.max_traces is not None and count > limits.max_traces:
@@ -466,10 +452,10 @@ def find_buggy_traces(p: Program, limits: Limits | None = None) -> list[Trace]:
     return list(iter_buggy_traces(p, limits))
 
 
-def lift(tr: Trace, q: Program, limits: Limits | None = None) -> Trace | None:
+def build_lift(tr: Trace, q: Program, limits: Limits | None = None) -> Trace:
     """``tr``, an execution of a program that equals ``q`` up to fences
-    (``q`` has more or stronger ones), as an execution of ``q``; None where
-    that one is inconsistent.
+    (``q`` has more or stronger ones), as an execution of ``q``, consistent
+    or not.
 
     Each thread of ``q`` runs on the values its reads see in ``tr``, so it
     takes the same branches, and its events and sb are built as enumerating
@@ -494,8 +480,36 @@ def lift(tr: Trace, q: Program, limits: Limits | None = None) -> Trace | None:
         {**dict.fromkeys(sb, 0), **{ids[a]: sum(1 << ids[b] for b in _bits(row)) for a, row in rows.items() if row}}
         for rows in (tr.rf, tr.mo)
     )
-    lifted = Trace(events, sb, rf, mo, tr.assertion_holds, tr.final_shared, tr.final_locals)
+    return Trace(events, sb, rf, mo, tr.assertion_holds, tr.final_shared, tr.final_locals)
+
+
+def lift(tr: Trace, q: Program, limits: Limits | None = None) -> Trace | None:
+    """``build_lift``'s execution of ``q``, or None where it is inconsistent."""
+    lifted = build_lift(tr, q, limits)
     return lifted if is_consistent(lifted, limits) else None
+
+
+def edit_fence(tr: Trace, tid: str, fence: Fence, order: MemoryOrder | None) -> Trace:
+    """``tr``, an execution of a program q as enumerating q builds it, as the
+    one built for q with ``fence``, of thread ``tid``, retyped to ``order``,
+    or deleted and q renumbered where ``order`` is None.  A fence moves no
+    value, so only its event, where it has one, changes or leaves every row;
+    the ids and statement indices after it move down one."""
+    k = fence.idx
+    f = next((e for e in tr.thread_events.get(tid, ()) if e.loc.index == k), None)
+    if order is not None:
+        events = [replace(e, ord=order) if e is f else e for e in tr.events]
+        return Trace(events, tr.sb, tr.rf, tr.mo, tr.assertion_holds, tr.final_shared, tr.final_locals)
+    n, events = len(tr.events) if f is None else f.id, []  # the ids above n move down one
+    for e in (e for e in tr.events if e is not f):
+        down = e.id > n
+        if e.thr == tid:
+            i, c = e.loc.index, fence.cont if e.cont == k else e.cont
+            e = replace(e, idx=e.idx - down, loc=SourceLocation(tid, i - (i > k)), cont=c - (c > k))
+        events.append(replace(e, id=e.id - 1) if down else e)
+    sb, rf, mo = ({a - (a > n): (r & (1 << n) - 1) | (r >> n + 1 << n) for a, r in rows.items() if a != n}
+                  for rows in (tr.sb, tr.rf, tr.mo))
+    return Trace(events, sb, rf, mo, tr.assertion_holds, tr.final_shared, tr.final_locals)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -76,14 +77,8 @@ class Or:
 
 Expr = BoolLit | Cmp | Not | And | Or
 
-_CMP_FN = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+_CMP_FN = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+           "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def eval_operand(op: Var | Lit, lookup: Callable[[str], int | None]) -> int | None:
@@ -170,18 +165,14 @@ class _ExprParser:
         return e
 
     def or_expr(self) -> Expr:
-        parts = [self.and_expr()]
-        while self.peek() == "||":
-            self.take()
-            parts.append(self.and_expr())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
+        return self.chain("||", Or, lambda: self.chain("&&", And, self.not_expr))
 
-    def and_expr(self) -> Expr:
-        parts = [self.not_expr()]
-        while self.peek() == "&&":
+    def chain(self, op: str, cls, operand) -> Expr:
+        parts = [operand()]
+        while self.peek() == op:
             self.take()
-            parts.append(self.not_expr())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
+            parts.append(operand())
+        return parts[0] if len(parts) == 1 else cls(tuple(parts))
 
     def not_expr(self) -> Expr:
         if self.peek() == "!":
@@ -558,8 +549,8 @@ def elaborate(p: Program, unroll_bound: int = DEFAULT_UNROLL) -> Program:
     Idempotent on loop-free programs: statement uids are preserved where
     present, so repeated elaboration (after fence insertion, say) keeps
     statement identity stable.  The result shares no statement with ``p``,
-    which makes this the program copier too: fence insertion and the
-    sanity mutants edit an elaborated copy in place.
+    which makes this the program copier too: fence insertion edits an
+    elaborated copy in place.
     """
 
     def expand(block: list[Stmt], tag: tuple[int, ...], fresh: bool) -> list[Stmt]:

@@ -17,6 +17,7 @@ from oracle import accepting_sc_orders, oracle_traces, trace_signature
 from test_litmus import random_litmus_program
 from fencesynth.cycles import candidate_slots
 from fencesynth.enumerator import (
+    build_lift,
     coherence_violations,
     enumerate_consistent_traces,
     exists_sc_total_order,
@@ -28,8 +29,9 @@ from fencesynth.enumerator import (
 )
 from fencesynth.errors import ResourceLimitError
 from fencesynth.limits import Limits
-from fencesynth.litmus import elaborate, parse_program, print_program
+from fencesynth.litmus import Fence, elaborate, parse_program, preorder, print_program, renumber
 from fencesynth.model import Trace, dump_trace
+from fencesynth.orders import MemoryOrder
 from fencesynth.relations import _bits, sc_clauses
 
 
@@ -224,28 +226,30 @@ def test_enumerator_matches_oracle_on_generated_programs(name):
     assert set(buggy) == {s for s in expected if not s[3]}
 
 
-def sanity_mutants(monkeypatch, result):
-    """The mutant programs ``sanity_check`` decides for an opt result, each
-    the sub-program of its fence's part: the programs it lifts the part's
-    buggy traces into."""
-    from fencesynth import driver
+def program_mutants(result):
+    """The mutant program behind each of ``sanity_check``'s outcomes for a
+    fixed result, in outcome order, built as a program: a copy of the
+    sub-program of the fence's part, with the fence deleted or retyped one
+    guarantee weaker, renumbered."""
+    fixed = result.fixed_program
+    part_of = {t.tid: sub for sub in parts(fixed) for t in sub.threads}
+    mutants = []
+    for t in fixed.threads:
+        for stmt in (s for _, _, s in preorder(t.body) if isinstance(s, Fence) and s.synthesized):
+            below = [w for w in MemoryOrder if w.weaker_than(stmt.ord) and 0 < w.weight == stmt.ord.weight - 1]
+            for weaker in [None] + below:
+                mutant = elaborate(part_of[t.tid])
+                [(block, i)] = [(b, i) for b, i, s in preorder(mutant.thread(t.tid).body) if s.uid == stmt.uid]
+                if weaker is None:
+                    del block[i]
+                else:
+                    block[i].ord = weaker
+                mutants.append(renumber(mutant))
+    return mutants
 
-    probed = []
-    decide = driver.lift
 
-    def recording(tr, q, *args):
-        if not any(q is p for p in probed):
-            probed.append(q)
-        return decide(tr, q, *args)
-
-    with monkeypatch.context() as m:
-        m.setattr(driver, "lift", recording)
-        driver.sanity_check(result.fixed_program, result)
-    return probed
-
-
-def test_buggy_traces_are_the_falsifying_consistent_traces(monkeypatch):
-    # On every corpus program and on every mutant the sanity check builds
+def test_buggy_traces_are_the_falsifying_consistent_traces():
+    # On every corpus program and on every mutant the sanity check decides
     # for a corpus opt fix, buggy-trace enumeration yields exactly the
     # consistent executions that falsify the assertion, in the same order,
     # and the existence decision agrees with it.
@@ -255,7 +259,7 @@ def test_buggy_traces_are_the_falsifying_consistent_traces(monkeypatch):
     for name in CORPUS:
         result = driver.synthesize(load(name), mode="opt")
         if result.status == driver.FIXED:
-            probed += sanity_mutants(monkeypatch, result)
+            probed += program_mutants(result)
     assert len(probed) > 40
     for p in [load(name) for name in CORPUS] + probed:
         expected = [
@@ -303,13 +307,13 @@ SEVERAL_GROUPS = {
 
 
 @pytest.mark.parametrize("name", sorted(SEVERAL_GROUPS))
-def test_existence_matches_oracle_on_fixes_and_mutants(name, monkeypatch):
+def test_existence_matches_oracle_on_fixes_and_mutants(name):
     from fencesynth import driver
 
     p = elaborate(parse_program(SEVERAL_GROUPS[name]), 16)
     result = driver.synthesize(p, mode="opt")
     assert result.status == driver.FIXED
-    mutants = sanity_mutants(monkeypatch, result)
+    mutants = program_mutants(result)
     assert len(mutants) >= 2 * len(parts(p))
     for q in [p, result.fixed_program] + mutants:
         assert_decided_as_the_oracle(q)
@@ -614,25 +618,33 @@ def test_coupled_corpus_joins_take_the_one_part_path():
         assert_parts_path_is_the_whole_path(p)
 
 
-def test_each_sanity_mutant_copies_only_its_fences_part(monkeypatch):
-    # A mutant is made from a copy of its fence's part, not of the whole
-    # fixed program.
-    from fencesynth import driver
+def test_sanity_copies_no_program_and_lifts_each_trace_once(monkeypatch):
+    # Every mutant is decided on the lifts of its part's buggy traces into
+    # the fixed part, not into a copy: sanity copies and renumbers no
+    # program, and builds at most one lift per input trace.
+    from fencesynth import driver, litmus
 
     result = driver.synthesize_optimal(elaborate(parse_program(sb_padded(3)), 16))
-    copies = []
-    copy = driver.elaborate
 
-    def recording(q, *args):
-        copies.append(copy(q, *args))
-        return copies[-1]
+    def copying(*args, **kw):
+        raise AssertionError("sanity copied or renumbered a program")
 
-    monkeypatch.setattr(driver, "elaborate", recording)
+    build, built = driver.build_lift, []
+
+    def building(tr, q, *args):
+        built.append((tr, q))
+        return build(tr, q, *args)
+
+    for module, name in ((driver, "elaborate"), (driver, "renumber"), (litmus, "renumber")):
+        monkeypatch.setattr(module, name, copying)
+    monkeypatch.setattr(driver, "build_lift", building)
     report = driver.sanity_check(result.fixed_program, result)
-    groups = [{t.tid for t in sub.threads} for sub in parts(result.fixed_program)]
-    assert report.passed and len(copies) == len(report.outcomes) == 12
-    for q in copies:
-        assert {t.tid for t in q.threads} in groups
+    assert report.passed and len(report.outcomes) == 12
+    assert 0 < len(built) == len({id(tr) for tr, _ in built})
+    fixed_threads = result.fixed_program.threads
+    for tr, q in built:
+        assert any(tr is u for u in result.part_traces[q.threads[0].tid])
+        assert all(any(t is u for u in fixed_threads) for t in q.threads)
 
 
 def test_a_part_without_a_fix_names_a_trace_opt_analysed():
@@ -899,6 +911,55 @@ def recorded_lifts():
         yield calls
 
 
+@contextlib.contextmanager
+def recorded_edits():
+    """Each execution ``sanity_check`` decides inside the block, with its
+    consistency, as one list per mutant, in order."""
+    from fencesynth import driver
+
+    calls = []
+    edit, consistent = driver.edit_fence, driver.is_consistent
+
+    def editing(tr, tid, fence, order):
+        calls.append([(fence.uid, order), edit(tr, tid, fence, order), None])
+        return calls[-1][1]
+
+    def deciding(tr, *args):
+        assert tr is calls[-1][1]
+        calls[-1][2] = consistent(tr, *args)
+        return calls[-1][2]
+
+    mutants, keys = [], []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(driver, "edit_fence", editing)
+        m.setattr(driver, "is_consistent", deciding)
+        yield mutants
+    for key, edited, ok in calls:
+        if not keys or keys[-1] != key:
+            keys.append(key)
+            mutants.append([])
+        mutants[-1].append((edited, ok))
+
+
+def assert_decided_as_program_mutants(result, report, mutants):
+    """Each outcome's verdict is ``has_buggy_trace`` of its program-level
+    mutant; each execution it decided is the lift into that mutant of the
+    part's trace, and it stops at the first consistent one, which is the
+    mutant's first buggy trace.  Returns the program mutants."""
+    programs = program_mutants(result)
+    assert len(programs) == len(report.outcomes) == len(mutants)
+    for q, outcome, lifts in zip(programs, report.outcomes, mutants):
+        traces = result.part_traces[q.threads[0].tid]
+        first = next(iter_buggy_traces(q), None)
+        assert (outcome.verdict == "bug-reappears") == has_buggy_trace(q) == (first is not None), print_program(q)
+        assert all(not ok for _, ok in lifts[:-1]) and len(lifts) <= len(traces)
+        assert (dump_trace(lifts[-1][0]) if lifts[-1][1] else None) == (first and dump_trace(first))
+        for (edited, _), tr in zip(lifts, traces):
+            expected = build_lift(tr, q)
+            assert edited.events == expected.events and dump_trace(edited) == dump_trace(expected)
+    return programs
+
+
 def by_program(calls):
     """The recorded lifts grouped by the program they lift into, in order."""
     groups = []
@@ -942,21 +1003,51 @@ def test_opt_verify_and_sanity_lifts_decide_as_enumeration(which):
         for sub in fixed_parts:
             assert_lifts_are_the_buggy_traces(result.part_traces[sub.threads[0].tid], sub)
 
-        with recorded_lifts() as probed:
+        with recorded_edits() as decided:
             report = driver.sanity_check(result.fixed_program, result)
-        groups = by_program(probed)
-        assert len(groups) == len(report.outcomes)
-        for (q, lifts), outcome in zip(groups, report.outcomes):
-            traces = result.part_traces[q.threads[0].tid]
-            assert_lifts_are_the_buggy_traces(traces, q)
-            first = next(iter_buggy_traces(q), None)
-            assert (outcome.verdict == "bug-reappears") == has_buggy_trace(q) == (first is not None)
-            # Sanity stops at the first survivor, the mutant's first buggy trace.
-            assert all(lifted is None for lifted in lifts[:-1]) and len(lifts) <= len(traces)
-            assert (lifts[-1] and dump_trace(lifts[-1])) == (first and dump_trace(first))
+        for q in assert_decided_as_program_mutants(result, report, decided):
+            assert_lifts_are_the_buggy_traces(result.part_traces[q.threads[0].tid], q)
             mutants += 1
     # No random program gets an opt fix.
     assert (mutants, strengthened) == {"corpus": (60, 1), "families": (80, 3), "random": (0, 0)}[which]
+
+
+# A synthesized fence in an if branch that the part's first buggy trace
+# skips (a == 0 comes first), so it has no event there, and one in one
+# iteration of an unrolled loop.
+NO_EVENT = {
+    "sb_branches": program("sb_branches", [
+        ("t1", ["store(f, 1, rlx)"]),
+        ("t2", ["a = load(f, rlx)", "if (a == 1) {", "  store(y, 1, rlx)", "  b = load(z, rlx)", "} else {",
+                "  store(y, 1, rlx)", "  c = load(z, rlx)", "}"]),
+        ("t3", ["store(z, 1, rlx)", "e = load(y, rlx)"]),
+    ], "!(a == 1 && b == 0 && e == 0) && !(a == 0 && c == 0 && e == 0)"),
+    "sb_loop": program("sb_loop", [
+        ("t1", ["repeat 2 {", "  store(x, 1, rlx)", "  a = load(y, rlx)", "}"]),
+        ("t2", ["store(y, 1, rlx)", "b = load(x, rlx)"]),
+    ], "!(a == 0 && b == 0)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_EVENT))
+def test_sanity_decides_branch_and_loop_fences_as_their_program_mutants(name):
+    # A trace in which the fence's statement has no event lifts into its
+    # mutant as into the fixed part, inconsistently, and the next trace
+    # decides; the event a removed fence drops is its statement's.
+    from fencesynth import driver
+
+    result = driver.synthesize_optimal(elaborate(parse_program(NO_EVENT[name]), 16))
+    assert result.status == driver.FIXED
+    with recorded_edits() as decided:
+        report = driver.sanity_check(result.fixed_program, result)
+    assert_decided_as_program_mutants(result, report, decided)
+    assert report.passed
+    if name == "sb_branches":
+        # The then-branch fence is decided by the second trace, after the
+        # first skips it.
+        assert [len(lifts) for lifts in decided] == [2, 2, 1, 1, 1, 1]
+    else:
+        assert [f.iter_tag for f in result.synthesized] == [(0,), ()]
 
 
 @contextlib.contextmanager

@@ -18,6 +18,7 @@ from fencesynth.enumerator import (
     find_buggy_traces,
     has_buggy_trace,
     is_consistent,
+    parts,
 )
 from fencesynth.errors import InternalCheckError, ResourceLimitError
 from fencesynth.limits import Limits
@@ -460,3 +461,30 @@ def test_verify_and_sanity_honour_an_expired_deadline(monkeypatch):
     assert len(report.outcomes) == 16 and not report.passed
     assert {o.verdict for o in report.outcomes} == {"inconclusive"}
     assert time.monotonic() - start < 1
+
+
+def test_sanity_checks_the_deadline_on_cached_lifts(monkeypatch):
+    # The deadline lapses once the first mutant is decided.  The second
+    # mutant's part is the first's, whose lifts are already built, and it
+    # still checks the deadline: it and every later one are inconclusive.
+    from fencesynth import driver
+    from test_differential import mp_pairs
+
+    result = synthesize_optimal(elaborate(parse_program(mp_pairs(8))))
+    limits = Limits(timeout_secs=10)
+    consistent, expired = driver.is_consistent, []
+
+    def expiring(tr, *args):
+        ok = consistent(tr, *args)
+        if ok and not expired:
+            limits.timeout_secs = 0.0
+            expired.append(time.monotonic())
+            limits.start()
+        return ok
+
+    monkeypatch.setattr(driver, "is_consistent", expiring)
+    report = sanity_check(result.fixed_program, result, limits)
+    assert [o.verdict for o in report.outcomes] == ["bug-reappears"] + ["inconclusive"] * 15
+    first, second = (f.slot.thread for f in result.synthesized[:2])
+    assert any({first, second} <= {t.tid for t in sub.threads} for sub in parts(result.fixed_program))
+    assert time.monotonic() - expired[0] < 1

@@ -254,4 +254,4 @@ def test_the_driver_enumerates_only_the_input():
     assert enumerating == {"synthesize_optimal": ["find_buggy_traces"], "synthesize_fast": ["iter_buggy_traces"]}
     lines = dict(calls["synthesize_optimal"])
     assert lines["find_buggy_traces"] < lines["apply_solution"] < lines["lift"]
-    assert "lift" in dict(calls["sanity_check"])
+    assert "build_lift" in dict(calls["sanity_check"])
