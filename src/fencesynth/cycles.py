@@ -10,7 +10,9 @@ enumerating cycles.  The strong analysis closes the forced sc order
 (``sc_clauses`` and hb) over the same minimal fence sets, which
 ``relations.compute_so_info`` gives each so edge with its candidate ends
 included, and reads its cycles off the diagonal; the bitmask closure
-``relations._closure`` first drops the so edges that lie on no cycle.
+``relations._closure`` first drops the so edges that lie on no cycle, and
+a mask that holds a weak solution's fences is dropped inside the closure,
+from every edge and path, not from the solutions after it.
 Each violation's candidate fences form one candidate solution, with a
 locally weakest memory order read off each fence's synchronization roles,
 whose mask bits are the bits of that order (sc for the strong analysis).
@@ -37,7 +39,7 @@ from .errors import InternalCheckError, ResourceLimitError
 from .limits import Limits
 from .model import Event, FenceSlot, Trace
 from .orders import MemoryOrder
-from .relations import COHERENCE, _bits, _closure, _minimal, close_masks, coherence_shapes, fence_order
+from .relations import COHERENCE, _bits, _closure, _live, _minimal, close_masks, coherence_shapes, fence_order
 
 
 @dataclass(frozen=True)
@@ -52,12 +54,8 @@ class CandidateSolution:
     orders: tuple[tuple[FenceSlot, MemoryOrder], ...]
 
     def render(self) -> str:
-        return "cycle %d %s %s fences=%s" % (
-            self.trace_id,
-            self.kind,
-            self.condition,
-            ",".join(str(s) for s in sorted(self.fences)),
-        )
+        fences = ",".join(str(s) for s in sorted(self.fences))
+        return "cycle %d %s %s fences=%s" % (self.trace_id, self.kind, self.condition, fences)
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +97,8 @@ def insert_candidate_fences(tr: Trace, slots: Iterable[FenceSlot] | None = None)
         for e in reversed(seq):
             sb[e.id], later = later, later | 1 << e.id
     apart = dict.fromkeys((f.id for f in fences), 0)  # a fence is in no rf or mo pair
-    return Trace(
-        tr.events + tuple(fences),
-        sb,
-        {**tr.rf, **apart},
-        {**tr.mo, **apart},
-        candidates=(f.id for f in fences),
-    )
+    return Trace(tr.events + tuple(fences), sb, {**tr.rf, **apart}, {**tr.mo, **apart},
+                 candidates=(f.id for f in fences))
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +150,7 @@ def enumerate_simple_cycles(
 # (``relations.role_closure``)
 
 
-def find_weak_cycles(
-    it: Trace, trace_id: int = 0, limits: Limits | None = None
-) -> list[CandidateSolution]:
+def find_weak_cycles(it: Trace, trace_id: int = 0, limits: Limits | None = None) -> list[CandidateSolution]:
     """The non-dominated candidate solutions from coherence violations.
 
     Each coherence composition (``relations.coherence_shapes``) closed by
@@ -174,12 +165,8 @@ def find_weak_cycles(
 
     shapes = [(c, a, b) for c, a, ends in coherence_shapes(it) for b in _bits(ends) if b in closed[a]]
     minimal = set(_minimal(m for _, a, b in shapes for m in closed[a][b]))
-    sols = {
-        _solution(it, trace_id, "weak", condition, mask, fence_ids)
-        for condition, a, b in shapes
-        for mask in closed[a][b]
-        if mask in minimal
-    }
+    sols = {_solution(it, trace_id, "weak", condition, mask, fence_ids)
+            for condition, a, b in shapes for mask in closed[a][b] if mask in minimal}
     return sorted(sols, key=_canonical)
 
 
@@ -188,34 +175,37 @@ def find_weak_cycles(
 
 
 def find_strong_cycles(
-    it: Trace, trace_id: int = 0, limits: Limits | None = None
+    it: Trace, trace_id: int = 0, limits: Limits | None = None, weak: Iterable[CandidateSolution] = ()
 ) -> list[CandidateSolution]:
-    """The non-dominated candidate solutions from cycles in the sc order.
+    """The non-dominated candidate solutions from cycles in the sc order
+    whose fences hold those of no solution in ``weak``.
 
     Each so edge carries the minimal masks of the candidate fences it relies
     on, its candidate ends included (``relations.compute_so_info``).  The
     edges are closed over the same antichain semiring as hb's role masks;
-    each minimal mask on the diagonal is one solution.  The list is in
+    each minimal mask on the diagonal is one solution.  A mask that holds a
+    weak solution's fences is dropped from every edge and path as the
+    closure builds it: a path only gains fences, so the diagonal keeps
+    exactly the minimal masks no weak solution covers.  The list is in
     canonical order.
     """
     limits = limits or Limits()
     it.role_closure(limits)  # so_deps reads it; build it under this deadline
     deps = it.so_deps
     fences = fence_order(it)
+    bit = {it.slot_of[f]: 1 << 2 * i for i, f in enumerate(fences)}
+    dead = _minimal(sum(map(bit.get, w.fences)) for w in weak)
     # Only the edges (a, b) where b reaches a lie on cycles.
     reach = _closure(it.so)
     rows: dict[int, dict[int, tuple[int, ...]]] = {}
     for a, row in sorted(deps.items()):
         for b, masks in sorted(row.items()):
-            if reach[b] >> a & 1:
+            if reach[b] >> a & 1 and (masks := _live(masks, dead)):
                 rows.setdefault(a, {})[b] = masks
-    close_masks(rows, limits)
+    close_masks(rows, limits, dead)
 
     diagonal = _minimal(m for v, row in rows.items() for m in row.get(v, ()))
-    return sorted(
-        (_solution(it, trace_id, "strong", "to-sc", m, fences) for m in diagonal),
-        key=_canonical,
-    )
+    return sorted((_solution(it, trace_id, "strong", "to-sc", m, fences) for m in diagonal), key=_canonical)
 
 
 def _solution(it, trace_id, kind, condition, mask, fences) -> CandidateSolution:
@@ -227,16 +217,8 @@ def _solution(it, trace_id, kind, condition, mask, fences) -> CandidateSolution:
     sc = kind == "strong"
     orders = {it.slot_of[f]: MemoryOrder.SC if sc else MemoryOrder(role) for f, role in roles if role}
     if not orders:
-        raise InternalCheckError(
-            "%s cycle without candidate fences in a consistent base trace" % condition
-        )
-    return CandidateSolution(
-        kind=kind,
-        condition=condition,
-        trace_id=trace_id,
-        fences=frozenset(orders),
-        orders=tuple(sorted(orders.items())),
-    )
+        raise InternalCheckError("%s cycle without candidate fences in a consistent base trace" % condition)
+    return CandidateSolution(kind, condition, trace_id, frozenset(orders), tuple(sorted(orders.items())))
 
 
 # The weak conditions in the order of their compositions, then the strong one.
@@ -251,10 +233,10 @@ def _canonical(sol: CandidateSolution):
 def analyze_trace(tr: Trace, trace_id: int = 0, limits: Limits | None = None) -> list[CandidateSolution]:
     """Weak plus strong solutions for one buggy trace, in canonical order.
 
-    A strong solution is dropped when some weak solution needs a subset of
-    its fences, at orders never heavier than sc.
+    No strong solution holds a weak solution's fences, at orders never
+    heavier than sc: ``find_strong_cycles`` drops such masks inside its
+    closure.
     """
     it = insert_candidate_fences(tr)
     weak = find_weak_cycles(it, trace_id, limits)
-    strong = find_strong_cycles(it, trace_id, limits)
-    return weak + [s for s in strong if not any(w.fences <= s.fences for w in weak)]
+    return weak + find_strong_cycles(it, trace_id, limits, weak)

@@ -15,6 +15,11 @@ write of its runs gives is skipped before its events are built, since that
 read has no rf source (GenMC's rule, Kokologiannakis et al., PLDI 2019).
 Only values that neither the initial value nor a literal store outside any
 branch is sure to supply are tracked, so most programs do no such work.
+Thread runs are pruned as they are built: where no write but init can give
+an object's initial value (no fetch-add, register-valued store or literal
+store of it), a read of that value reads init, so no run is extended past
+one that follows, in sb, a write or a read of another value of the object
+(CoWR, CoRR).
 Buggy-trace enumeration also decides the assertion before any consistency
 check.  The final locals are fixed by the thread runs: a run whose own
 locals make the assertion hold whatever the other names are (``eval_expr``
@@ -114,39 +119,39 @@ def candidate_values(p: Program) -> dict[str, tuple[int, ...]]:
 _EventSpec = namedtuple("_EventSpec", "act obj ord stmt rval wval", defaults=(None, None))
 
 
-def _thread_runs(block, env, values, limits: Limits) -> list[tuple[list[_EventSpec], dict[str, int]]]:
-    """All executions of a block: event lists plus final local values,
-    where ``values(stmt)`` gives the values a load or fetch-add may read.
+def _thread_runs(block, env, values, limits: Limits, acc=()) -> list[tuple[list[_EventSpec], dict[str, int]]]:
+    """All executions of a block after the events ``acc``: event lists plus
+    final local values, where ``values(stmt, acc)`` gives the values a load
+    or fetch-add after the events ``acc`` may read.
 
     Choices for earlier reads vary slowest, giving lexicographic order.
     """
-    runs: list[tuple[list[_EventSpec], dict[str, int]]] = [([], dict(env))]
+    runs: list[tuple[list[_EventSpec], dict[str, int]]] = [(list(acc), dict(env))]
     for stmt in block:
         nxt: list[tuple[list[_EventSpec], dict[str, int]]] = []
         for acc, env0 in runs:
             limits.check_time("trace-enumeration")
-            for evs, env1 in _stmt_runs(stmt, env0, values, limits):
-                nxt.append((acc + evs, env1))
+            nxt += _stmt_runs(stmt, acc, env0, values, limits)
         runs = nxt
     return runs
 
 
-def _stmt_runs(stmt, env, values, limits: Limits):
+def _stmt_runs(stmt, acc, env, values, limits: Limits):
     if isinstance(stmt, (Load, FetchAdd)):
         rmw = isinstance(stmt, FetchAdd)
         return [
-            ([_EventSpec("rmw" if rmw else "read", stmt.obj, stmt.ord, stmt, v, v + stmt.addend if rmw else None)],
+            (acc + [_EventSpec("rmw" if rmw else "read", stmt.obj, stmt.ord, stmt, v, v + stmt.addend if rmw else None)],
              {**env, stmt.dest: v})
-            for v in values(stmt)
+            for v in values(stmt, acc)
         ]
     if isinstance(stmt, Store):
         value = stmt.value if isinstance(stmt.value, int) else env.get(stmt.value, 0)
-        return [([_EventSpec("write", stmt.obj, stmt.ord, stmt, wval=value)], env)]
+        return [(acc + [_EventSpec("write", stmt.obj, stmt.ord, stmt, wval=value)], env)]
     if isinstance(stmt, Fence):
-        return [([_EventSpec("fence", None, stmt.ord, stmt)], env)]
+        return [(acc + [_EventSpec("fence", None, stmt.ord, stmt)], env)]
     if isinstance(stmt, If):
         taken = stmt.then if eval_expr(stmt.cond, lambda n: env.get(n, 0)) else stmt.orelse
-        return _thread_runs(taken, env, values, limits)
+        return _thread_runs(taken, env, values, limits, acc)
     raise LitmusError("unelaborated statement in enumeration", stmt.line)
 
 
@@ -335,11 +340,24 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Tra
     sure = {(s.obj, s.value) for t in p.threads for s in t.body if isinstance(s, Store)}
     unsure = {(o, v) for o, vs in cand.items() for v in vs} - sure - set(p.init.items())
     bit = {pair: 1 << k for k, pair in enumerate(unsure)}
+    # Where no write but init gives an object's initial value, a read of
+    # it reads init, so it follows no event of its thread on the object but
+    # such reads (coherence rejects the rest in every combination).
+    writes = [s for t in p.threads for _, _, s in preorder(t.body) if isinstance(s, (Store, FetchAdd))]
+    init_only = {o: v for o, v in p.init.items() if all(
+        s.obj != o or isinstance(s, Store) and isinstance(s.value, int) and s.value != v for s in writes)}
+
+    def values(s, acc):
+        v0 = init_only.get(s.obj)
+        if v0 is not None and any(e.obj == s.obj and e.rval != v0 for e in acc):
+            return [v for v in cand[s.obj] if v != v0]
+        return cand[s.obj]
+
     per_thread = []
     for t in p.threads:
         per_thread.append([])
         mine = {n for n, b in bindings.items() if b == ("local", t.tid)}
-        for specs, env in _thread_runs(t.body, {}, lambda s: cand[s.obj], limits):
+        for specs, env in _thread_runs(t.body, {}, values, limits):
             limits.check_time("trace-enumeration")
             # A run whose own locals make the assertion hold falsifies nothing.
             if buggy_only and mine and eval_expr(p.assertion, lambda n: env.get(n, 0) if n in mine else None):
@@ -350,10 +368,8 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Tra
             per_thread[-1].append((specs, env, last, need, give))
     cover = any(run[3] for runs in per_thread for run in runs)
 
-    init_events = [
-        Event(id=k, thr=None, idx=k, act="write", obj=obj, ord=MemoryOrder.RLX, wval=val)
-        for k, (obj, val) in enumerate(p.init.items())
-    ]
+    init_events = [Event(id=k, thr=None, idx=k, act="write", obj=obj, ord=MemoryOrder.RLX, wval=val)
+                   for k, (obj, val) in enumerate(p.init.items())]
     objects = list(p.init)
 
     count = 0
@@ -416,9 +432,7 @@ def _traces(p: Program, limits: Limits | None, buggy_only: bool) -> Iterator[Tra
                 if is_consistent(tr, limits):
                     count += 1
                     if limits.max_traces is not None and count > limits.max_traces:
-                        raise ResourceLimitError(
-                            "trace-enumeration", "more than %d traces" % limits.max_traces
-                        )
+                        raise ResourceLimitError("trace-enumeration", "more than %d traces" % limits.max_traces)
                     yield tr
 
 
@@ -469,7 +483,7 @@ def build_lift(tr: Trace, q: Program, limits: Limits | None = None) -> Trace:
     runs = []
     for t in q.threads:
         rvals = iter([e.rval for e in tr.thread_events.get(t.tid, ()) if e.is_read])
-        runs.append(_thread_runs(t.body, {}, lambda s: (next(rvals, None),), limits)[0][0])
+        runs.append(_thread_runs(t.body, {}, lambda s, acc: (next(rvals, None),), limits)[0][0])
     events, sb = _events(q.threads, runs, [e for e in tr.events if e.is_init])
     old, new = ([(e.id, (e.thr, e.act, e.obj, e.ord, e.rval, e.wval)) for e in es if not e.is_fence]
                 for es in (tr.events, events))

@@ -19,6 +19,7 @@ it relies on, its candidate ends included.
 
 from __future__ import annotations
 
+from itertools import takewhile
 from typing import Iterable, Iterator
 
 from .errors import InternalCheckError
@@ -33,15 +34,8 @@ def release_sequence(tr, w: Event) -> list[Event]:
     if not w.is_write:
         raise InternalCheckError("release sequence requested from %s" % w)
     chain = tr.mo_chains[w.obj]
-    pos = chain.index(w.id)
-    out = [w]
-    for eid in chain[pos + 1 :]:
-        e = tr.event(eid)
-        if e.thr == w.thr or e.act == "rmw":
-            out.append(e)
-        else:
-            break
-    return out
+    later = map(tr.event, chain[chain.index(w.id) + 1 :])
+    return [w, *takewhile(lambda e: e.thr == w.thr or e.act == "rmw", later)]
 
 
 def derive_sync(tr) -> dict[int, int]:
@@ -249,9 +243,16 @@ def _times(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return _minimal(x | y for x in a for y in b)
 
 
-def close_masks(rows: dict[int, dict[int, tuple[int, ...]]], limits: Limits) -> None:
+def _live(masks: tuple[int, ...], dead: tuple[int, ...]) -> tuple[int, ...]:
+    """The masks that contain no mask of ``dead``."""
+    return tuple(m for m in masks if not any(d & m == d for d in dead)) if dead else masks
+
+
+def close_masks(rows: dict[int, dict[int, tuple[int, ...]]], limits: Limits, dead: tuple[int, ...] = ()) -> None:
     """Close the step antichains in ``rows`` (row a, column b) under path
-    composition, in place.  Every endpoint needs a row.  The deadline is
+    composition, in place, dropping each path mask that contains a mask of
+    ``dead``: a path through it only gains bits, so the closure keeps the
+    live minimal masks.  Every endpoint needs a row.  The deadline is
     checked once per pivot."""
     for k, row_k in rows.items():
         limits.check_time("cycle-detection")
@@ -266,7 +267,9 @@ def close_masks(rows: dict[int, dict[int, tuple[int, ...]]], limits: Limits) -> 
                 cur = row_i.get(j)
                 if cur == _FREE:
                     continue
-                new = _times(via, after)
+                new = _live(_times(via, after), dead)
+                if not new:
+                    continue
                 if cur is None:
                     row_i[j] = new
                 elif not all(any(c & n == c for c in cur) for n in new):

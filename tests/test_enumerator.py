@@ -545,6 +545,57 @@ def test_runs_whose_own_locals_satisfy_the_assertion_are_dropped(monkeypatch):
     assert len(checked) == 1
 
 
+def test_same_thread_polls_that_break_corr_are_never_built(monkeypatch):
+    # The poll reads f k times: a run that reads 1 and then 0 is dropped as
+    # it is built, as f's 0 comes from init alone.  Unpruned, buggy-trace
+    # enumeration checks 2,048 candidates to keep 12.
+    from test_differential import checked_candidates, mp_program
+
+    p = elaborate(parse_program(mp_program("mp_poll_12", polls=12)), 16)
+    buggy, checked = checked_candidates(monkeypatch, lambda: find_buggy_traces(p))
+    assert len(buggy) == 12 and checked <= 12
+
+
+# t2 polls x twice; t1 stores 1 (0 where x starts at 1) and then gives x its
+# initial value again in one of three ways, so a poll may read the initial
+# value after another one.
+POLL_TWICE = """program poll_twice
+init x = %d, y = 0
+thread t1 {
+  store(x, %d, rlx)
+%s}
+thread t2 {
+  a = load(x, rlx)
+  b = load(x, rlx)
+}
+assert !(a == %d && b == %d)
+"""
+INIT_AGAIN = {
+    "literal_in_branch": POLL_TWICE % (0, 1, "  c = load(y, rlx)\n  if (c == 0) {\n    store(x, 0, rlx)\n  }\n", 1, 0),
+    "register": POLL_TWICE % (0, 1, "  c = load(y, rlx)\n  store(x, c, rlx)\n", 1, 0),
+    "fetch_add": POLL_TWICE % (1, 0, "  c = fadd(x, 1, rlx)\n", 0, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INIT_AGAIN))
+def test_polls_keep_their_runs_where_another_write_gives_the_initial_value(monkeypatch, name):
+    # Each program's one buggy execution polls another value and then the
+    # initial one, which a non-init write gives.  Nothing is pruned: the
+    # full enumeration checks 9 candidates and keeps 6, and buggy-trace
+    # enumeration checks 2.
+    from oracle import oracle_traces, trace_signature
+    from test_differential import checked_candidates
+
+    p = elaborate(parse_program(INIT_AGAIN[name]))
+    traces, checked = checked_candidates(monkeypatch, lambda: enumerate_consistent_traces(p))
+    mine = [trace_signature(t) for t in traces]
+    assert len(set(mine)) == len(mine) == 6 and set(mine) == oracle_traces(p)
+    assert checked == 9
+    buggy, checked = checked_candidates(monkeypatch, lambda: find_buggy_traces(p))
+    assert [trace_signature(t) for t in buggy] == [s for s in mine if not s[3]] and len(buggy) == 1
+    assert checked == 2
+
+
 def test_four_fetch_add_counter_is_decided_in_time():
     # 21 candidate values of c give each thread 21 runs; only the
     # combinations whose reads the other fetch-adds supply are built.
@@ -605,10 +656,11 @@ def mo_stores(k):
 
 
 def many_loads(n):
-    """One thread of n rlx loads of x beside a thread that stores 7 to it."""
+    """One thread of n rlx loads of x beside a thread that stores 7 and then
+    0 to it, so a load may read 0 after one that read 7."""
     lines = ["program loads%d" % n, "init x = 0", "thread t1 {"]
     lines += ["  a%d = load(x, rlx)" % i for i in range(n)]
-    lines += ["}", "thread t2 {", "  store(x, 7, rlx)", "}", "assert a0 != 7"]
+    lines += ["}", "thread t2 {", "  store(x, 7, rlx)", "  store(x, 0, rlx)", "}", "assert a0 != 7"]
     return "\n".join(lines) + "\n"
 
 
